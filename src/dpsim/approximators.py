@@ -2,11 +2,11 @@
 
 The network input is the 9-vector ``Z = [eta, nu, alpha1]`` (pose, body
 velocity, virtual velocity command).  Basis functions are normalized
-Gaussians ``g_j(Z) = exp(-|Z - k_j|^2 / (2 h_j^2)) / (sqrt(2 pi) h_j)``; the
-leading 1/(sqrt(2 pi) h_j) factor is an invertible rescaling absorbed by the
-weights and is kept for fidelity with the normalized-Gaussian form.  One
-basis vector is shared by the three controlled axes; each axis has its own
-weight vector.
+Gaussians ``g_j(Z) = exp(-|Z - k_j|^2 / (2 h^2)) / (sqrt(2 pi) h)`` with one
+width h shared by all nodes; the leading 1/(sqrt(2 pi) h) factor is an
+invertible rescaling absorbed by the weights and is kept for fidelity with
+the normalized-Gaussian form.  One basis vector is shared by the three
+controlled axes; each axis has its own weight vector.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ class GridCapacityError(ValueError):
     """Requested grid would exceed the configured node ceiling."""
 
 
-def build_grid_centers(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) -> np.ndarray:
-    """Cartesian product of equally spaced points per dimension, endpoints included.
-
-    Rows are ordered lexicographically (first dimension slowest), which fixes
-    the node-to-weight-index mapping across runs.
-    """
+def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) -> np.ndarray:
+    """Equally spaced points per dimension, endpoints included, as an (m, p) array."""
     ranges = np.asarray(ranges, dtype=float)
     if ranges.ndim != 2 or ranges.shape[1] != 2:
         raise ValueError("ranges must be a sequence of (lo, hi) pairs")
@@ -60,55 +56,78 @@ def build_grid_centers(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEI
     if count > ceiling:
         raise GridCapacityError(
             f"{points_per_dim}^{n_dims} = {count} nodes exceeds ceiling {ceiling}")
-    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(count, n_dims)
+    return np.array([np.linspace(lo, hi, points_per_dim) for lo, hi in ranges])
+
+
+def _cartesian(nodes: np.ndarray) -> np.ndarray:
+    n_dims, points = nodes.shape
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(points ** n_dims, n_dims)
+
+
+def build_grid_centers(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) -> np.ndarray:
+    """Cartesian product of equally spaced points per dimension, endpoints included.
+
+    Rows are ordered lexicographically (first dimension slowest), which fixes
+    the node-to-weight-index mapping across runs.
+    """
+    return _cartesian(grid_nodes(ranges, points_per_dim, ceiling))
 
 
 @dataclass(frozen=True)
 class RbfNetwork:
-    """Immutable basis definition: centers (l, m) and per-node widths (l,)."""
+    """Immutable basis on a Cartesian grid: per-dimension nodes (m, p), one width.
 
-    centers: np.ndarray
-    widths: np.ndarray
+    The centers are the p^m grid points in the lexicographic order of
+    :func:`build_grid_centers`; they are derived on demand, not stored.
+    """
+
+    nodes: np.ndarray
+    width: float
 
     def __post_init__(self):
-        centers = np.ascontiguousarray(self.centers, dtype=float)
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise ValueError("centers must be a non-empty (l, m) matrix")
-        widths = np.asarray(self.widths, dtype=float) * np.ones(centers.shape[0])
-        if not (widths > 0).all():
-            raise ValueError("all widths must be positive")
-        if not np.isfinite(centers).all():
-            raise ValueError("centers must be finite")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "_inv_two_h2", 1.0 / (2.0 * widths ** 2))
-        object.__setattr__(self, "_coef", 1.0 / (np.sqrt(2.0 * np.pi) * widths))
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.size == 0:
+            raise ValueError("nodes must be a non-empty (m, p) matrix")
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must be finite")
+        if np.ndim(self.width) != 0 or not 0 < float(self.width) < np.inf:
+            raise ValueError("width must be a positive finite scalar")
+        width = float(self.width)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "_inv_two_h2", 1.0 / (2.0 * width ** 2))
+        object.__setattr__(self, "_coef", 1.0 / (np.sqrt(2.0 * np.pi) * width))
 
     @property
     def node_count(self) -> int:
-        return self.centers.shape[0]
+        return self.nodes.shape[1] ** self.nodes.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.centers.shape[1]
+        return self.nodes.shape[0]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The (l, m) grid points, one row per node."""
+        return _cartesian(self.nodes)
 
     @classmethod
     def grid(cls, ranges=DEFAULT_INPUT_RANGES, points_per_dim: int = 3,
              width: float = 1.0, ceiling: int = GRID_NODE_CEILING) -> "RbfNetwork":
-        centers = build_grid_centers(ranges, points_per_dim, ceiling)
-        return cls(centers, np.full(centers.shape[0], float(width)))
+        return cls(grid_nodes(ranges, points_per_dim, ceiling), width)
 
 
 def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
-    """Basis vector g(Z); strictly positive, bounded by 1/(sqrt(2 pi) h_j)."""
+    """Basis vector g(Z); strictly positive, bounded by 1/(sqrt(2 pi) h)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (net.input_dim,):
         raise ValueError(f"input must have dimension {net.input_dim}, got {z.shape}")
     if out is None:
         out = np.empty(net.node_count)
-    return kernels.basis_into(net.centers, net._inv_two_h2, net._coef, z, out)
+    elif out.shape != (net.node_count,) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous vector of {net.node_count} values")
+    return kernels.basis_into(net.nodes, net._inv_two_h2, net._coef, z, out)
 
 
 class AdaptiveWeights:

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from dpsim.approximators import AdaptiveWeights
 from dpsim.vessel import rk4_step, rotation_matrix, yaw_rate_skew
@@ -323,7 +322,10 @@ def dissipation_params(k1, k2, m, sigma, approx_error_bound, weight_norm_bound,
     if np.linalg.eigvalsh(0.5 * (shifted + shifted.T)).min() <= 0:
         raise InvalidGainError("K2 - I/2 must be positive definite for the bound to hold")
     lam_k1 = 2.0 * np.linalg.eigvalsh(0.5 * (k1 + k1.T)).min()
-    lam_k2 = 2.0 * scipy.linalg.eigh(0.5 * (shifted + shifted.T), m, eigvals_only=True).min()
+    # pencil (A, M) reduced with M = L L^T: same eigenvalues as L^-1 A L^-T
+    chol = np.linalg.cholesky(m)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, 0.5 * (shifted + shifted.T)).T)
+    lam_k2 = 2.0 * np.linalg.eigvalsh(reduced).min()
     phi = min(lam_k1, lam_k2, float(beta))
     e_star = np.atleast_1d(np.asarray(approx_error_bound, dtype=float))
     theta_max = np.asarray(weight_norm_bound, dtype=float) * np.ones(3)

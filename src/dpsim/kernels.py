@@ -1,124 +1,51 @@
-"""Hot-path numerics with selectable backends.
+"""Hot-path numerics of the Gaussian basis on a Cartesian grid.
 
-Evaluating the Gaussian basis over a grid network (thousands of nodes, four
-times per integration step) dominates simulation runtime.  Two
-interchangeable implementations are provided:
-
-* ``"numba"`` -- JIT-compiled loops, the default whenever numba imports.
-* ``"numpy"`` -- pure-vectorized fallback, no compilation step.
-
-Set ``DPSIM_DISABLE_NUMBA=1`` in the environment to force the numpy path,
-or call :func:`use_backend` at runtime.  ``benchmarks/bench_kernels.py``
-times both paths side by side.
+Evaluating the basis (thousands of nodes, four times per integration step)
+dominates simulation runtime.  The grid shares one width, so the basis
+factorises over the input dimensions:
+``g(Z) = c * e_1 (x) e_2 (x) ... (x) e_m`` with
+``e_d = exp(-(z_d - a_d)^2 / (2 h^2))`` over the p nodes ``a_d`` of axis d.
+That takes m*p ``exp`` calls instead of p^m, and the outer products keep the
+lexicographic node order of the grid (first dimension slowest).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_DISABLE = os.environ.get("DPSIM_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
+def basis_into(nodes, inv_two_h2, coef, z, out):
+    """Gaussian basis values for one input point, written into ``out``.
 
-def _basis_numpy(centers, inv_two_h2, coef, z, out):
-    diff = centers - z
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    np.exp(-d2 * inv_two_h2, out=out)
-    out *= coef
+    ``nodes`` is the (m, p) array of per-dimension grid coordinates and
+    ``out`` a contiguous vector of p^m values.  The outer products run from
+    the last axis inward, so each one sweeps the long vector contiguously.
+    """
+    factors = np.exp(-np.square(z[:, None] - nodes) * inv_two_h2)
+    tail = np.ones(1)
+    for e in factors[:0:-1]:
+        tail = np.multiply.outer(e, tail).ravel()
+    np.multiply.outer(factors[0] * coef, tail, out=out.reshape(-1, tail.shape[0]))
     return out
 
 
-def _adaptive_core_numpy(centers, inv_two_h2, coef, z, theta, z2, gamma, sigma,
-                         drive, leak, g_out, theta_dot_out):
-    _basis_numpy(centers, inv_two_h2, coef, z, g_out)
-    nn = theta @ g_out
-    theta_dot_out[:] = gamma * (drive * (z2[:, None] * g_out[None, :])
-                                + leak * (sigma[:, None] * theta))
-    return nn
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-
-    @njit(cache=True)
-    def _basis_numba(centers, inv_two_h2, coef, z, out):  # pragma: no cover - exercised via dispatch
-        n_nodes, n_dims = centers.shape
-        for j in range(n_nodes):
-            acc = 0.0
-            for k in range(n_dims):
-                d = z[k] - centers[j, k]
-                acc += d * d
-            out[j] = coef[j] * np.exp(-acc * inv_two_h2[j])
-        return out
-
-    @njit(cache=True)
-    def _adaptive_core_numba(centers, inv_two_h2, coef, z, theta, z2, gamma, sigma,
-                             drive, leak, g_out, theta_dot_out):  # pragma: no cover
-        n_nodes, n_dims = centers.shape
-        nn = np.zeros(3)
-        for j in range(n_nodes):
-            acc = 0.0
-            for k in range(n_dims):
-                d = z[k] - centers[j, k]
-                acc += d * d
-            g = coef[j] * np.exp(-acc * inv_two_h2[j])
-            g_out[j] = g
-            nn[0] += theta[0, j] * g
-            nn[1] += theta[1, j] * g
-            nn[2] += theta[2, j] * g
-        for i in range(3):
-            zi = z2[i]
-            si = sigma[i]
-            for j in range(n_nodes):
-                theta_dot_out[i, j] = gamma[i, j] * (drive * g_out[j] * zi
-                                                     + leak * si * theta[i, j])
-        return nn
-
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_IMPLS = {"numpy": (_basis_numpy, _adaptive_core_numpy)}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = (_basis_numba, _adaptive_core_numba)
-
-_active_name = "numba" if (HAVE_NUMBA and not _ENV_DISABLE) else "numpy"
-_basis_impl, _core_impl = _IMPLS[_active_name]
-
-
-def available_backends():
-    """Names of the backends importable in this process."""
-    return tuple(sorted(_IMPLS))
-
-
-def active_backend() -> str:
-    return _active_name
-
-
-def use_backend(name: str) -> str:
-    """Switch the active backend ("numba" or "numpy"); returns the new name."""
-    global _active_name, _basis_impl, _core_impl
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _active_name = name
-    _basis_impl, _core_impl = _IMPLS[name]
-    return _active_name
-
-
-def basis_into(centers, inv_two_h2, coef, z, out):
-    """Gaussian basis values for one input point, written into ``out``."""
-    return _basis_impl(centers, inv_two_h2, coef, z, out)
-
-
-def adaptive_core(centers, inv_two_h2, coef, z, theta, z2, gamma, sigma,
+def adaptive_core(nodes, inv_two_h2, coef, z, theta, z2, gamma, sigma,
                   drive, leak, g_out, theta_dot_out):
     """Fused basis + per-axis network output + weight derivative.
 
     Returns the 3-vector of per-axis network outputs ``theta_i . g``; fills
-    ``g_out`` with the basis vector and ``theta_dot_out`` with
-    ``gamma * (drive * g * z2_i + leak * sigma_i * theta_i)`` per axis.
+    ``g_out`` with the basis vector and, unless ``theta_dot_out`` is None,
+    ``theta_dot_out`` with ``gamma * (drive * g * z2_i + leak * sigma_i * theta_i)``
+    per axis.
     """
-    return _core_impl(centers, inv_two_h2, coef, z, theta, z2, gamma, sigma,
-                      drive, leak, g_out, theta_dot_out)
+    basis_into(nodes, inv_two_h2, coef, z, g_out)
+    nn = theta @ g_out
+    if theta_dot_out is not None:
+        # in place, with the rounding of gamma * (drive * (z2 g) + leak * (sigma theta))
+        np.multiply(sigma[:, None], theta, out=theta_dot_out)
+        theta_dot_out *= leak
+        drive_term = np.multiply.outer(z2, g_out)
+        drive_term *= drive
+        theta_dot_out += drive_term
+        theta_dot_out *= gamma
+    return nn

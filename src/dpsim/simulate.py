@@ -1,11 +1,11 @@
 """Closed-loop simulation driver, run metrics, and run comparison.
 
 One run advances plant + controller + disturbance (and, for the adaptive
-controller, the network weights) with a fixed-step RK4 integrator.  The
-adaptive weights are part of the integrated state, so their update is
-stage-consistent with the plant; the disturbance is held constant across the
-sub-stages of each step.  Metrics are always computed from the full-rate
-sample stream regardless of trace decimation.
+controller, the network weights) with a fixed-step RK4 integrator.  Adapted
+weights are part of the integrated state, so their update is stage-consistent
+with the plant; frozen weights are held outside it.  The disturbance is held
+constant across the sub-stages of each step.  Metrics are always computed
+from the full-rate sample stream regardless of trace decimation.
 """
 
 from __future__ import annotations
@@ -137,9 +137,11 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                       tail_window=DEFAULT_TAIL_WINDOW_S, meta=None, probe=None):
     """Run the adaptive (or frozen-weight) backstepping loop.
 
-    ``adapt=False`` keeps the initial weights for the whole run.  ``probe``,
-    when given, is called at every full-rate sample with a dict of internals
-    (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for diagnostics.
+    ``adapt=False`` keeps the initial weights for the whole run; they are then
+    held outside the integrated state, which is only the pose and velocity.
+    ``probe``, when given, is called at every full-rate sample with a dict of
+    internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
+    diagnostics.
     """
     n_nodes = network.node_count
     if gains.gamma.shape[1] != n_nodes:
@@ -151,18 +153,21 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     recorder = _RunRecorder(steps, dt, decimation, duration, eta_d,
                             pos_band, psi_band, tail_window)
     K1, K2 = gains.K1, gains.K2
-    drive, leak = gains.law_signs if adapt else (0.0, 0.0)
+    drive, leak = gains.law_signs
     markov = isinstance(disturbance, MarkovBias)
 
-    y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float),
-                        weights0.theta.ravel()])
+    pose_vel = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float)])
+    y = np.concatenate([pose_vel, weights0.theta.ravel()]) if adapt else pose_vel
+    frozen_norms = None if adapt else weights0.norms()
+    stage = np.empty_like(y)
+    d1, d2, d3, d4 = (np.empty_like(y) for _ in range(4))
     g_buf = np.empty(n_nodes)
     z_buf = np.empty(9)
 
-    def evaluate(yv, delta, want_info=False):
+    def evaluate(yv, delta, dy):
         eta = yv[:3]
         nu = yv[3:6]
-        theta = yv[6:].reshape(3, n_nodes)
+        theta = yv[6:].reshape(3, n_nodes) if adapt else weights0.theta
         R = rotation_matrix(eta[2])
         z1 = eta - eta_d
         alpha1 = -(R.T @ (K1 @ z1))
@@ -170,26 +175,21 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         z_buf[0:3] = eta
         z_buf[3:6] = nu
         z_buf[6:9] = alpha1
-        theta_dot = np.empty_like(theta)
-        nn = kernels.adaptive_core(network.centers, network._inv_two_h2, network._coef,
+        theta_dot = dy[6:].reshape(3, n_nodes) if adapt else None
+        nn = kernels.adaptive_core(network.nodes, network._inv_two_h2, network._coef,
                                    z_buf, theta, z2, gains.gamma, gains.sigma,
                                    drive, leak, g_buf, theta_dot)
         tau = saturate(-(R.T @ z1) - K2 @ z2 + nn, limits)
-        eta_dot = R @ nu
-        nu_dot = plant.M_inv @ (tau + delta - plant.D @ nu)
-        ydot = np.concatenate([eta_dot, nu_dot, theta_dot.ravel()])
-        if not want_info:
-            return ydot, None
-        return ydot, (eta, nu, theta, z1, z2, alpha1, tau)
+        dy[0:3] = R @ nu
+        dy[3:6] = plant.M_inv @ (tau + delta - plant.D @ nu)
+        return eta, nu, theta, z1, z2, alpha1, tau
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            eta = y[:3]
-            delta_k = (disturbance.body_delta(eta[2]) if markov
+            delta_k = (disturbance.body_delta(y[2]) if markov
                        else disturbance.sample(recorder.t[k]))
-            d1, info = evaluate(y, delta_k, want_info=True)
-            eta, nu, theta, z1, z2, alpha1, tau = info
-            norms = np.linalg.norm(theta, axis=1)
+            eta, nu, theta, z1, z2, alpha1, tau = evaluate(y, delta_k, d1)
+            norms = np.linalg.norm(theta, axis=1) if adapt else frozen_norms
             v1 = 0.5 * float(z1 @ z1)
             v2a = v1 + 0.5 * float(z2 @ (plant.M @ z2))
             recorder.record(k, eta, nu, tau, delta_k, norms, v1, v2a)
@@ -200,16 +200,24 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                                           delta=delta_k.copy()))
             if k == steps:
                 break
-            d2, _ = evaluate(y + (0.5 * dt) * d1, delta_k)
-            d3, _ = evaluate(y + (0.5 * dt) * d2, delta_k)
-            d4, _ = evaluate(y + dt * d3, delta_k)
-            y = y + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            for d_in, h, d_out in ((d1, 0.5 * dt, d2), (d2, 0.5 * dt, d3), (d3, dt, d4)):
+                np.multiply(d_in, h, out=stage)
+                stage += y
+                evaluate(stage, delta_k, d_out)
+            # y + (dt/6) * (d1 + 2 d2 + 2 d3 + d4), same operation order, in place
+            d2 *= 2.0
+            d2 += d1
+            d3 *= 2.0
+            d2 += d3
+            d2 += d4
+            d2 *= dt / 6.0
+            y += d2
             if not np.isfinite(y).all():
                 _abort(recorder.t[k + 1], recorder)
             if markov:
                 disturbance.step(dt)
 
-    final_theta = y[6:].reshape(3, n_nodes).copy()
+    final_theta = (y[6:].reshape(3, n_nodes) if adapt else weights0.theta).copy()
     return recorder.finish(meta or {}, final_theta=final_theta)
 
 
@@ -273,7 +281,7 @@ def run_simulation(cfg: ScenarioConfig):
         dist = MarkovBias(cfg.time_constants, cfg.noise_scale,
                           cfg.disturbance_seed, cfg.initial_bias)
     limits = SaturationLimits(cfg.tau_max) if cfg.tau_max is not None else None
-    meta = {"version": VERSION, "backend": kernels.active_backend(), **cfg.meta()}
+    meta = {"version": VERSION, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                   dt=cfg.dt, duration=cfg.duration, decimation=cfg.decimation,
                   limits=limits, meta=meta)
@@ -346,13 +354,18 @@ class ComparisonReport:
 
 
 def compare_runs(traces, window=DEFAULT_TAIL_WINDOW_S) -> ComparisonReport:
-    """Tabulate metrics for runs logged on the same time grid."""
+    """Tabulate metrics for runs logged on the same time grid.
+
+    Grids count as the same when their times agree to the 9 significant
+    digits of the trace CSV, so a run compares with its own read-back.
+    """
     traces = list(traces)
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
     base_t = traces[0].t
     for trace in traces[1:]:
-        if trace.t.shape != base_t.shape or not np.array_equal(trace.t, base_t):
+        if trace.t.shape != base_t.shape or not np.allclose(trace.t, base_t,
+                                                             rtol=1e-9, atol=0.0):
             raise ValueError("traces are not on identical time grids")
     labels = []
     for i, trace in enumerate(traces):

@@ -332,9 +332,9 @@ def test_criterion_9_scalar_loop_dissipation():
     # identically zero, so the 3-DOF machinery runs an exactly scalar system
     surge_mass, surge_damping = 2.0, 0.5
     plant = VesselParams(np.diag([surge_mass, 1.0, 1.0]), np.diag([surge_damping, 0.8, 0.9]))
-    center = np.zeros((1, 9))
-    center[0, 0] = 0.75
-    net = RbfNetwork(center, np.array([1.0]))
+    nodes = np.zeros((9, 1))  # a one-point grid at (0.75, 0, ..., 0)
+    nodes[0, 0] = 0.75
+    net = RbfNetwork(nodes, 1.0)
     weights0 = AdaptiveWeights(np.array([[0.7], [0.0], [0.0]]))
     gamma, sigma1 = 0.6, 0.9
     k1_s, k2_s = 0.8, 3.0

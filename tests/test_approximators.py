@@ -10,6 +10,12 @@ from dpsim.approximators import (DEFAULT_INPUT_RANGES, AdaptiveWeights,
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def dense_basis(net, z):
+    """Oracle: exp(-|z - c_j|^2 / 2h^2) / (sqrt(2 pi) h) over every center c_j."""
+    d2 = ((net.centers - z) ** 2).sum(axis=1)
+    return np.exp(-d2 / (2.0 * net.width ** 2)) / (np.sqrt(2.0 * np.pi) * net.width)
+
+
 class TestGrid:
     def test_two_dim_corners(self):
         centers = build_grid_centers([(0.0, 1.0), (0.0, 1.0)], 2)
@@ -44,39 +50,48 @@ class TestGrid:
 
 class TestBasis:
     def test_value_at_center(self):
-        net = RbfNetwork(np.zeros((1, 2)), np.array([1.0]))
+        net = RbfNetwork(np.zeros((2, 1)), 1.0)
         g = gaussian_basis(net, np.zeros(2))
         assert g[0] == pytest.approx(INV_SQRT_2PI, abs=1e-9)
         assert g[0] == pytest.approx(0.3989423, abs=1e-6)
 
     def test_unit_distance_value(self):
-        net = RbfNetwork(np.zeros((1, 1)), np.array([1.0]))
+        net = RbfNetwork(np.zeros((1, 1)), 1.0)
         g = gaussian_basis(net, np.array([1.0]))
         assert g[0] == pytest.approx(INV_SQRT_2PI * np.exp(-0.5), abs=1e-9)
         assert g[0] == pytest.approx(0.2419707, abs=1e-6)
 
     def test_monotone_tail(self):
-        net = RbfNetwork(np.zeros((1, 1)), np.array([1.0]))
+        net = RbfNetwork(np.zeros((1, 1)), 1.0)
         values = [gaussian_basis(net, np.array([d]))[0] for d in (0.0, 1.0, 2.0, 5.0, 10.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] >= 0.0
 
     def test_dimension_check(self):
-        net = RbfNetwork(np.zeros((4, 3)), np.ones(4))
+        net = RbfNetwork.grid(ranges=[(0.0, 1.0)] * 3, points_per_dim=2, width=1.0)
         with pytest.raises(ValueError):
             gaussian_basis(net, np.zeros(2))
 
     @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
     def test_positive_and_bounded(self, z):
-        net = RbfNetwork(np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 2.0]]),
-                         np.array([1.0, 0.5, 2.0]))
+        net = RbfNetwork(np.array([[0.0, 1.0, 2.0], [0.0, -1.0, 2.0]]), 0.5)
         g = gaussian_basis(net, np.array(z))
         assert (g > 0).all()
-        assert (g <= 1.0 / (np.sqrt(2 * np.pi) * net.widths) + 1e-15).all()
+        assert (g <= 1.0 / (np.sqrt(2 * np.pi) * net.width) + 1e-15).all()
+
+    def test_out_buffer(self):
+        net = RbfNetwork.grid(ranges=[(-1, 1)] * 2, points_per_dim=3)
+        out = np.empty(net.node_count)
+        assert gaussian_basis(net, np.zeros(2), out=out) is out
+        np.testing.assert_array_equal(out, gaussian_basis(net, np.zeros(2)))
+        with pytest.raises(ValueError):
+            gaussian_basis(net, np.zeros(2), out=np.empty(2 * net.node_count)[::2])
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
-            RbfNetwork(np.zeros((1, 1)), np.array([0.0]))
+            RbfNetwork(np.zeros((1, 1)), 0.0)
+        with pytest.raises(ValueError):
+            RbfNetwork(np.zeros((1, 1)), np.array([1.0, 1.0]))
 
 
 class TestRbfOutput:
@@ -87,7 +102,7 @@ class TestRbfOutput:
 
     def test_single_node_closed_form(self):
         z = np.array([0.3, -0.2, 0.1])
-        net = RbfNetwork(z[None, :], np.array([1.0]))
+        net = RbfNetwork(z[:, None], 1.0)
         weights = AdaptiveWeights(np.array([[2.0], [-1.0], [0.5]]))
         np.testing.assert_allclose(rbf_output(net, weights, z),
                                    INV_SQRT_2PI * np.array([2.0, -1.0, 0.5]), rtol=1e-12)
@@ -107,12 +122,11 @@ class TestRbfOutput:
             rbf_output(net, AdaptiveWeights.zeros(net.node_count + 1), np.zeros(2))
 
     def test_lipschitz_on_box(self):
-        # slope bound: |grad g_j| <= coef_j * exp(-1/2) / h_j per node
-        net = RbfNetwork(np.array([[0.0, 0.5], [-1.0, 1.0], [2.0, -2.0]]),
-                         np.array([1.0, 0.8, 1.5]))
+        # slope bound: |grad g_j| <= coef * exp(-1/2) / h per node
+        net = RbfNetwork(np.array([[0.0, -1.0, 2.0], [0.5, 1.0, -2.0]]), 0.8)
         rng = np.random.default_rng(11)
-        weights = AdaptiveWeights(rng.normal(size=(3, 3)))
-        lip = np.abs(weights.theta) @ (net._coef * np.exp(-0.5) / net.widths)
+        weights = AdaptiveWeights(rng.normal(size=(3, net.node_count)))
+        lip = np.abs(weights.theta).sum(axis=1) * (net._coef * np.exp(-0.5) / net.width)
         for _ in range(200):
             za, zb = rng.uniform(-3, 3, size=(2, 2))
             diff = np.abs(rbf_output(net, weights, za) - rbf_output(net, weights, zb))
@@ -156,35 +170,73 @@ class TestWeights:
         assert len(lines) == 3
 
 
-@pytest.mark.skipif("numba" not in kernels.available_backends(),
-                    reason="numba backend unavailable")
-class TestBackends:
-    def test_paths_agree(self):
-        net = RbfNetwork.grid(ranges=[(-1, 2)] * 4, points_per_dim=3, width=0.8)
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=4)
-        theta = np.ascontiguousarray(rng.random((3, net.node_count)))
-        z2 = rng.normal(size=3)
-        gamma = np.full((3, net.node_count), 0.3)
-        sigma = np.array([1.0, 2.0, 0.5])
-        results = {}
-        previous = kernels.active_backend()
-        try:
-            for name in kernels.available_backends():
-                kernels.use_backend(name)
-                g = np.empty(net.node_count)
-                tdot = np.empty_like(theta)
-                nn = kernels.adaptive_core(net.centers, net._inv_two_h2, net._coef, z,
-                                           theta, z2, gamma, sigma, -1.0, -1.0, g, tdot)
-                results[name] = (g, nn, tdot)
-        finally:
-            kernels.use_backend(previous)
-        g_a, nn_a, td_a = results["numba"]
-        g_b, nn_b, td_b = results["numpy"]
-        np.testing.assert_allclose(g_a, g_b, rtol=1e-12)
-        np.testing.assert_allclose(nn_a, nn_b, rtol=1e-12)
-        np.testing.assert_allclose(td_a, td_b, rtol=1e-12)
+def assert_close_to_terms(got, want, term_size, rtol=1e-12):
+    """|got - want| <= rtol * (summed magnitude of the terms), elementwise."""
+    bound = rtol * term_size + np.finfo(float).tiny
+    assert (np.abs(got - want) <= bound).all(), np.max(np.abs(got - want) / bound)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.use_backend("fortran")
+
+def one_point_grid():
+    nodes = np.zeros((9, 1))
+    nodes[0, 0] = 0.75
+    return RbfNetwork(nodes, 1.0)
+
+
+class TestSeparableBasis:
+    """The tensor-product kernels against the dense formula over net.centers."""
+
+    NETWORKS = {
+        "default-3^9": lambda: RbfNetwork.grid(),
+        "2d-5pt-w0.7": lambda: RbfNetwork.grid(ranges=[(-1, 1), (-1, 1)], points_per_dim=5,
+                                               width=0.7),
+        "one-point": one_point_grid,
+    }
+
+    @staticmethod
+    def inputs(net, rng):
+        """Points inside the grid's box, around it, and far outside it (underflow)."""
+        lo, hi = net.nodes.min(axis=1), net.nodes.max(axis=1)
+        span = np.maximum(hi - lo, 1.0)
+        inside = [rng.uniform(lo, hi) for _ in range(5)]
+        around = [lo + span * rng.uniform(-3.0, 4.0, size=lo.shape) for _ in range(5)]
+        outside = [lo + span * rng.uniform(-40.0, 40.0, size=lo.shape) for _ in range(5)]
+        return inside + around + outside
+
+    def test_centers_are_the_grid_rows(self):
+        net = RbfNetwork.grid(ranges=[(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], points_per_dim=3)
+        np.testing.assert_array_equal(
+            net.centers, build_grid_centers([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], 3))
+        assert net.node_count == 27 and net.input_dim == 3
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_basis_matches_dense_formula(self, name):
+        net = self.NETWORKS[name]()
+        rng = np.random.default_rng(3)
+        for z in self.inputs(net, rng):
+            # values below the smallest normal double carry no relative precision
+            np.testing.assert_allclose(gaussian_basis(net, z), dense_basis(net, z),
+                                       rtol=1e-12, atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_adaptive_core_matches_dense_formula(self, name):
+        net = self.NETWORKS[name]()
+        rng = np.random.default_rng(4)
+        theta = rng.normal(size=(3, net.node_count))
+        gamma = rng.uniform(0.1, 2.0, size=(3, net.node_count))
+        sigma = np.array([2.13, 2.13, 0.302])
+        for z in self.inputs(net, rng):
+            z2 = rng.normal(size=3)
+            g_ref = dense_basis(net, z)
+            g = np.empty(net.node_count)
+            theta_dot = np.empty_like(theta)
+            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta, z2,
+                                       gamma, sigma, -1.0, -1.0, g, theta_dot)
+            np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=np.finfo(float).tiny)
+            # sums of mixed-sign terms: relative to the size of the terms
+            assert_close_to_terms(nn, theta @ g_ref, np.abs(theta) @ g_ref)
+            drive_term, leak_term = z2[:, None] * g_ref, sigma[:, None] * theta
+            assert_close_to_terms(theta_dot, gamma * (-drive_term - leak_term),
+                                  gamma * (np.abs(drive_term) + np.abs(leak_term)))
+            frozen = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta,
+                                           z2, gamma, sigma, -1.0, -1.0, g, None)
+            np.testing.assert_array_equal(frozen, nn)

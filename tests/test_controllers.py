@@ -307,6 +307,23 @@ class TestUltimateBound:
         assert phi == pytest.approx(expected, rel=1e-9)
         assert phi == pytest.approx(2.883496e-5, rel=1e-5)
 
+    def test_decay_rate_with_coupled_inertia(self):
+        # sway-yaw coupled added mass: the pencil eigenvalue is no longer a ratio
+        # of diagonal entries; oracle: eigenvalues of M^-1 (K2 - I/2)
+        m = BENCH_M.copy()
+        m[1, 2] = m[2, 1] = -2.0e7
+        phi, _ = dissipation_params(BENCH_K1, BENCH_K2, m, (2.13, 2.13, 0.302),
+                                    approx_error_bound=1.0, weight_norm_bound=1.0)
+        shifted = BENCH_K2 - 0.5 * np.eye(3)
+        expected = 2.0 * min(np.linalg.eigvals(np.linalg.solve(m, shifted)).real)
+        assert phi == pytest.approx(expected, rel=1e-9)
+        assert phi != pytest.approx(2.0 * (5.4e4 - 0.5) / 3.7454e9, rel=1e-6)
+
+    def test_indefinite_inertia_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            dissipation_params(BENCH_K1, BENCH_K2, np.diag([1.0, -1.0, 1.0]),
+                               (2.13, 2.13, 0.302), 1.0, 1.0)
+
     def test_decay_rate_with_unit_inertia(self):
         # with M = I the pose gain K1 is the binding term: phi = 2 min eig K1
         phi, _ = dissipation_params(BENCH_K1, BENCH_K2, np.eye(3), (2.13, 2.13, 0.302),

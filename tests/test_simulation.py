@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from dpsim.approximators import AdaptiveWeights, RbfNetwork
 from dpsim.cli import main as cli_main
 from dpsim.config import default_scenario
+from dpsim.controllers import BackstepGains
+from dpsim.disturbance import ConstantDisturbance
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
-                            run_simulation)
+                            run_simulation, simulate_adaptive)
 from dpsim.traces import TRACE_COLUMNS, read_trace_csv, write_trace_csv
+from dpsim.vessel import VesselParams
 
 
 def small_cfg(**overrides):
@@ -92,6 +96,24 @@ class TestRunSimulation:
         np.testing.assert_allclose(trace.theta_norms[-1], trace.theta_norms[0],
                                    rtol=1e-12)
 
+    def test_nn_fixed_weights_are_bitwise_initial(self):
+        cfg = small_cfg(duration=10.0)
+        network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width)
+        weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
+        gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma,
+                              node_count=network.node_count)
+        seen = []
+        trace, _ = simulate_adaptive(
+            VesselParams(cfg.m_matrix, cfg.d_matrix), gains, network, weights0,
+            ConstantDisturbance(cfg.constant_delta), eta0=cfg.initial_pose,
+            nu0=cfg.initial_velocity, eta_d=cfg.target_pose, dt=cfg.dt,
+            duration=cfg.duration, adapt=False,
+            probe=lambda t, info: seen.append(info["theta"]))
+        assert len(seen) == cfg.steps() + 1
+        np.testing.assert_array_equal(trace.final_theta, weights0.theta)
+        for theta in seen:
+            np.testing.assert_array_equal(theta, weights0.theta)
+
     def test_saturation_respected(self):
         cfg = small_cfg(controller_type="pid", tau_max=np.array([1e4, 1e4, 1e5]))
         trace, metrics = run_simulation(cfg)
@@ -155,11 +177,24 @@ class TestCompare:
         np.testing.assert_allclose(report.rms_pos_ratio, np.ones((2, 2)), rtol=1e-12)
         assert "pid" in report.format()
 
+    def test_run_against_its_read_back(self, tmp_path):
+        trace, _ = run_simulation(small_cfg(controller_type="pid"))
+        path = tmp_path / "run.csv"
+        write_trace_csv(path, trace)
+        report = compare_runs([trace, read_trace_csv(path)])
+        # the read-back holds 9 significant digits, so the RMS agrees to ~1e-9
+        np.testing.assert_allclose(report.rms_pos_ratio, np.ones((2, 2)), rtol=1e-7)
+
     def test_grid_mismatch(self):
         trace_a, _ = run_simulation(small_cfg(controller_type="pid"))
         trace_b, _ = run_simulation(small_cfg(controller_type="pid", duration=20.0))
         with pytest.raises(ValueError, match="time grids"):
             compare_runs([trace_a, trace_b])
+        # same length, different dt
+        trace_c, _ = run_simulation(small_cfg(controller_type="pid", dt=0.2, duration=80.0))
+        assert len(trace_c) == len(trace_a)
+        with pytest.raises(ValueError, match="time grids"):
+            compare_runs([trace_a, trace_c])
 
     def test_single_trace_rejected(self):
         trace, _ = run_simulation(small_cfg(controller_type="pid"))
