@@ -12,8 +12,7 @@ from dpsim.controllers import (BackstepGains, ErrorState, InvalidGainError,
                                compute_alpha1, compute_alpha1_dot, dissipation_params,
                                error_state, lyapunov_eval, saturate, ultimate_bound,
                                weight_derivative, weighted_l2_norm)
-from dpsim.disturbance import (ConstantDisturbance, DisturbanceBound, MarkovBias,
-                               constant_delta, markov_bias_step, markov_delta)
+from dpsim.disturbance import ConstantDisturbance, DisturbanceBound, MarkovBias
 from dpsim.simulate import (RunMetrics, SimulationAbort, compare_runs,
                             metrics_from_trace, run_simulation, simulate_adaptive,
                             simulate_pid)

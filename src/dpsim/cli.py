@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from dpsim.approximators import AdaptiveWeights, write_weight_csv
-from dpsim.config import ConfigError, default_scenario, load_scenario
+from dpsim.config import ConfigError, load_scenario, parse_scenario, read_scenario
 from dpsim.simulate import SimulationAbort, compare_runs, run_simulation
 from dpsim.traces import read_trace_csv, write_trace_csv
 
@@ -43,29 +43,32 @@ def _metrics_line(metrics) -> str:
             f"weight_sup={metrics.weight_sup:.6g}")
 
 
+# command-line flag -> (scenario section, key) it overrides
+_OVERRIDES = {
+    "controller": ("controller", "type"),
+    "disturbance": ("disturbance", "type"),
+    "duration": ("simulation", "duration"),
+    "dt": ("simulation", "dt"),
+    "decimate": ("simulation", "decimation"),
+    "grid": ("rbf", "points_per_dim"),
+}
+
+
 def _load_config(args):
-    cfg = load_scenario(args.config) if args.config else default_scenario()
-    if getattr(args, "controller", None):
-        cfg.controller_type = args.controller
-    if getattr(args, "disturbance", None):
-        cfg.disturbance_type = args.disturbance
-    if getattr(args, "seed", None) is not None:
-        cfg.weight_seed = args.seed
-        cfg.disturbance_seed = args.seed + 1
-    if getattr(args, "duration", None) is not None:
-        cfg.duration = args.duration
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = args.dt
-    if getattr(args, "decimate", None) is not None:
-        cfg.decimation = args.decimate
-    if getattr(args, "grid", None) is not None:
-        cfg.points_per_dim = args.grid
-    steps = cfg.duration / cfg.dt
-    if abs(steps - round(steps)) > 1e-6 or cfg.duration < cfg.dt:
-        raise ConfigError("duration must be a positive integer number of dt steps")
-    if int(round(steps)) % cfg.decimation != 0:
-        raise ConfigError("decimation must divide the step count")
-    return cfg
+    """The scenario with the command-line overrides written in, then validated."""
+    raw = read_scenario(args.config) if args.config else {}
+    values = {spot: getattr(args, flag, None) for flag, spot in _OVERRIDES.items()}
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        values["rbf", "weight_seed"] = seed
+        values["disturbance", "seed"] = seed + 1
+    for (section, key), value in values.items():
+        if value is None or not isinstance(raw, dict):
+            continue
+        part = raw.setdefault(section, {})
+        if isinstance(part, dict):  # otherwise parse_scenario rejects the section
+            part[key] = value
+    return parse_scenario(raw)
 
 
 def _add_run_overrides(parser):

@@ -331,8 +331,8 @@ def _validate(cfg: ScenarioConfig):
                 raise ConfigError(f"controller.{name} must be positive definite")
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Load and validate a JSON scenario file."""
+def read_scenario(path):
+    """The parsed JSON object of a scenario file, not yet validated; blank is {}."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -347,7 +347,12 @@ def load_scenario(path) -> ScenarioConfig:
             raise ConfigError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    return parse_scenario(raw)
+    return raw
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Load and validate a JSON scenario file."""
+    return parse_scenario(read_scenario(path))
 
 
 def default_scenario() -> ScenarioConfig:

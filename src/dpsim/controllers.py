@@ -111,13 +111,6 @@ class PidController:
         return g.Kp @ err + g.Ki @ self.integral + g.Kd @ err_rate
 
 
-def pid_control(gains: PidGains, eta, eta_d, nu, dt: float,
-                state: PidController | None = None) -> np.ndarray:
-    """Functional single-call form; pass a PidController to carry integral state."""
-    ctrl = state if state is not None else PidController(gains)
-    return ctrl.control(eta, nu, eta_d, dt)
-
-
 @dataclass
 class BackstepGains:
     """Gains of the adaptive backstepping controller.

@@ -79,18 +79,3 @@ class MarkovBias:
     def body_delta(self, psi_angle: float) -> np.ndarray:
         return rotation_matrix(psi_angle).T @ self.b
 
-
-def constant_delta(cfg: ConstantDisturbance, t: float) -> np.ndarray:
-    """Constant load, independent of time."""
-    return cfg.sample(t)
-
-
-def markov_bias_step(state: MarkovBias, dt: float) -> MarkovBias:
-    """Advance the bias state in place; returned for chaining."""
-    state.step(dt)
-    return state
-
-
-def markov_delta(state: MarkovBias, psi_angle: float) -> np.ndarray:
-    """Earth-frame bias rotated into the body frame at heading ``psi_angle``."""
-    return state.body_delta(psi_angle)

@@ -1,11 +1,12 @@
-"""Closed-loop simulation driver, run metrics, and run comparison.
+"""Closed-loop simulation engine, run metrics, and run comparison.
 
-One run advances plant + controller + disturbance (and, for the adaptive
-controller, the network weights) with a fixed-step RK4 integrator.  Adapted
-weights are part of the integrated state, so their update is stage-consistent
-with the plant; frozen weights are held outside it.  The disturbance is held
-constant across the sub-stages of each step.  Metrics are always computed
-from the full-rate sample stream regardless of trace decimation.
+``_closed_loop`` advances plant + control law + disturbance with a fixed-step
+RK4 integrator, one loop for every controller.  A law appends its own state to
+the pose and velocity: the adapted weights, so their update is stage-consistent
+with the plant, and nothing for frozen weights or PID, which holds its output
+over each step.  The disturbance is held constant across the sub-stages of each
+step.  Metrics come from every full-rate sample, through the same function as
+``metrics_from_trace``, so trace decimation does not change them.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class SimulationAbort(RuntimeError):
     def __init__(self, t_failed, t_last, pose, velocity):
         self.t_failed = float(t_failed)
         self.t_last = float(t_last)
-        self.pose = np.asarray(pose, dtype=float)
-        self.velocity = np.asarray(velocity, dtype=float)
+        self.pose = np.array(pose, dtype=float)
+        self.velocity = np.array(velocity, dtype=float)
         super().__init__(
             f"simulation diverged at t={self.t_failed:.6g} s; last finite sample: "
             f"t={self.t_last:.6g} s pose={self.pose.tolist()} velocity={self.velocity.tolist()}")
@@ -64,69 +65,99 @@ class RunMetrics:
     weight_sup: float
 
 
-class _RunRecorder:
-    """Full-rate metric accumulation plus decimated trace assembly."""
-
-    def __init__(self, steps, dt, decimation, duration, eta_d,
-                 pos_band, psi_band, tail_window):
-        self.dt = dt
-        self.decimation = decimation
-        self.eta_d = eta_d
-        self.pos_band = pos_band
-        self.psi_band = psi_band
-        self.tail_start = max(0.0, duration - tail_window)
-        self.in_band = np.zeros(steps + 1, dtype=bool)
-        n_rows = steps // decimation + 1
-        self.rows = np.empty((n_rows, 18))
-        self._tail_pos_sq = 0.0
-        self._tail_psi_sq = 0.0
-        self._tail_count = 0
-        self.peak_tau = np.zeros(3)
-        self.weight_sup = 0.0
-        self.t = np.arange(steps + 1) * dt
-        self.last_sample = (0.0, np.zeros(3), np.zeros(3))
-
-    def record(self, k, eta, nu, tau, delta, theta_norms, v1, v2a):
-        t = self.t[k]
-        pos_err = math.hypot(eta[0] - self.eta_d[0], eta[1] - self.eta_d[1])
-        psi_err = float(wrap_angle(eta[2] - self.eta_d[2]))
-        self.in_band[k] = pos_err < self.pos_band and abs(psi_err) < self.psi_band
-        if t >= self.tail_start - 1e-9:
-            self._tail_pos_sq += pos_err * pos_err
-            self._tail_psi_sq += psi_err * psi_err
-            self._tail_count += 1
-        np.maximum(self.peak_tau, np.abs(tau), out=self.peak_tau)
-        self.weight_sup = max(self.weight_sup, float(theta_norms.max()))
-        self.last_sample = (t, eta.copy(), nu.copy())
-        if k % self.decimation == 0:
-            self.rows[k // self.decimation] = (
-                t, eta[0], eta[1], float(wrap_angle(eta[2])), nu[0], nu[1], nu[2],
-                tau[0], tau[1], tau[2], delta[0], delta[1], delta[2],
-                theta_norms[0], theta_norms[1], theta_norms[2], v1, v2a)
-
-    def finish(self, meta, final_theta=None):
-        out_idx = np.nonzero(~self.in_band)[0]
-        if out_idx.size == 0:
-            convergence = 0.0
-        elif out_idx[-1] == self.in_band.shape[0] - 1:
-            convergence = math.inf
-        else:
-            convergence = float(self.t[out_idx[-1] + 1])
-        rms_pos = math.sqrt(self._tail_pos_sq / self._tail_count)
-        rms_psi = math.sqrt(self._tail_psi_sq / self._tail_count)
-        metrics = RunMetrics(convergence, rms_pos, rms_psi, self.peak_tau, self.weight_sup)
-        r = self.rows
-        trace = RunTrace(
-            t=r[:, 0].copy(), pose=r[:, 1:4].copy(), velocity=r[:, 4:7].copy(),
-            tau=r[:, 7:10].copy(), delta=r[:, 10:13].copy(),
-            theta_norms=r[:, 13:16].copy(), v1=r[:, 16].copy(),
-            v2a_partial=r[:, 17].copy(), meta=dict(meta), final_theta=final_theta)
-        return trace, metrics
+def _run_metrics(t, pose, tau, theta_norms, target, window, pos_band, psi_band) -> RunMetrics:
+    """Run metrics of a uniformly sampled run with wrapped or unwrapped yaw."""
+    pos_err = np.hypot(pose[:, 0] - target[0], pose[:, 1] - target[1])
+    psi_err = wrap_angle(pose[:, 2] - target[2])
+    in_band = (pos_err < pos_band) & (np.abs(psi_err) < psi_band)
+    out_idx = np.nonzero(~in_band)[0]
+    if out_idx.size == 0:
+        convergence = 0.0
+    elif out_idx[-1] == in_band.shape[0] - 1:
+        convergence = math.inf
+    else:
+        convergence = float(t[out_idx[-1] + 1])
+    tail = t >= t[-1] - window - 1e-9
+    rms_pos = float(np.sqrt(np.mean(pos_err[tail] ** 2)))
+    rms_psi = float(np.sqrt(np.mean(psi_err[tail] ** 2)))
+    peak_tau = np.abs(tau).max(axis=0)
+    weight_sup = float(theta_norms.max())
+    return RunMetrics(convergence, rms_pos, rms_psi, peak_tau, weight_sup)
 
 
-def _abort(t_next, recorder):
-    t_last, pose, velocity = recorder.last_sample
-    raise SimulationAbort(t_next, t_last, pose, velocity)
+def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, decimation,
+                 pos_band, psi_band, tail_window, meta, probe):
+    """Integrate plant, control law and disturbance.
+
+    Returns the trace, the metrics and a copy of the law's final state.
+
+    ``law = (state0, sample, stage)``: ``state0`` is the law's own state, appended
+    to ``[eta, nu]``.  ``sample(y, R, dy)`` runs at every full-rate sample and
+    returns ``(tau, z2, theta_norms, probe_fields)``; ``stage(y, R, dy)`` runs at
+    the three later RK4 stages and returns ``tau``.  Both write the derivative of
+    the law's state into ``dy[6:]``; ``R`` is the rotation matrix at ``y[2]``.
+    """
+    steps = int(round(duration / dt))
+    t = np.arange(steps + 1) * dt
+    markov = isinstance(disturbance, MarkovBias)
+    M, M_inv, D = plant.M, plant.M_inv, plant.D
+    state0, sample, stage_tau = law
+
+    y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float),
+                        state0])
+    stage = np.empty_like(y)
+    d1, d2, d3, d4 = (np.empty_like(y) for _ in range(4))
+    # t, x, y, psi (unwrapped until the end), u, v, r, tau, delta, theta norms, V1, V2a
+    rows = np.empty((steps + 1, 18))
+    rows[:, 0] = t
+
+    def plant_rate(yv, R, tau, delta, dy):
+        nu = yv[3:6]
+        dy[0:3] = R @ nu
+        dy[3:6] = M_inv @ (tau + delta - D @ nu)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            delta = disturbance.body_delta(y[2]) if markov else disturbance.sample(t[k])
+            R = rotation_matrix(y[2])
+            tau, z2, norms, fields = sample(y, R, d1)
+            plant_rate(y, R, tau, delta, d1)
+            z1 = y[:3] - eta_d
+            v1 = 0.5 * float(z1 @ z1)
+            row = rows[k]
+            row[1:7] = y[:6]
+            row[7:10] = tau
+            row[10:13] = delta
+            row[13:16] = norms
+            row[16] = v1
+            row[17] = v1 + 0.5 * float(z2 @ (M @ z2))
+            if probe is not None:
+                info = dict(eta=y[:3], nu=y[3:6], **fields, tau=tau, delta=delta)
+                probe(t[k], {key: value.copy() for key, value in info.items()})
+            if k == steps:
+                break
+            for d_in, h, d_out in ((d1, 0.5 * dt, d2), (d2, 0.5 * dt, d3), (d3, dt, d4)):
+                np.multiply(d_in, h, out=stage)
+                stage += y
+                R = rotation_matrix(stage[2])
+                plant_rate(stage, R, stage_tau(stage, R, d_out), delta, d_out)
+            # y + (dt/6) * (d1 + 2 d2 + 2 d3 + d4), same operation order, in place
+            d2 *= 2.0
+            d2 += d1
+            d3 *= 2.0
+            d2 += d3
+            d2 += d4
+            d2 *= dt / 6.0
+            y += d2
+            if not np.isfinite(y).all():
+                raise SimulationAbort(t[k + 1], t[k], rows[k, 1:4], rows[k, 4:7])
+            if markov:
+                disturbance.step(dt)
+
+    rows[:, 3] = wrap_angle(rows[:, 3])
+    metrics = _run_metrics(t, rows[:, 1:4], rows[:, 7:10], rows[:, 13:16], eta_d,
+                           tail_window, pos_band, psi_band)
+    return RunTrace.from_columns(rows[::decimation], meta), metrics, y[6:].copy()
 
 
 def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNetwork,
@@ -149,26 +180,16 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     if weights0.node_count != n_nodes:
         raise ValueError("initial weights do not match the network size")
     eta_d = np.asarray(eta_d, dtype=float)
-    steps = int(round(duration / dt))
-    recorder = _RunRecorder(steps, dt, decimation, duration, eta_d,
-                            pos_band, psi_band, tail_window)
     K1, K2 = gains.K1, gains.K2
     drive, leak = gains.law_signs
-    markov = isinstance(disturbance, MarkovBias)
-
-    pose_vel = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float)])
-    y = np.concatenate([pose_vel, weights0.theta.ravel()]) if adapt else pose_vel
     frozen_norms = None if adapt else weights0.norms()
-    stage = np.empty_like(y)
-    d1, d2, d3, d4 = (np.empty_like(y) for _ in range(4))
     g_buf = np.empty(n_nodes)
     z_buf = np.empty(9)
 
-    def evaluate(yv, delta, dy):
+    def control(yv, R, dy):
         eta = yv[:3]
         nu = yv[3:6]
         theta = yv[6:].reshape(3, n_nodes) if adapt else weights0.theta
-        R = rotation_matrix(eta[2])
         z1 = eta - eta_d
         alpha1 = -(R.T @ (K1 @ z1))
         z2 = nu - alpha1
@@ -180,45 +201,21 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                                    z_buf, theta, z2, gains.gamma, gains.sigma,
                                    drive, leak, g_buf, theta_dot)
         tau = saturate(-(R.T @ z1) - K2 @ z2 + nn, limits)
-        dy[0:3] = R @ nu
-        dy[3:6] = plant.M_inv @ (tau + delta - plant.D @ nu)
-        return eta, nu, theta, z1, z2, alpha1, tau
+        return tau, theta, z1, z2, alpha1
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            delta_k = (disturbance.body_delta(y[2]) if markov
-                       else disturbance.sample(recorder.t[k]))
-            eta, nu, theta, z1, z2, alpha1, tau = evaluate(y, delta_k, d1)
-            norms = np.linalg.norm(theta, axis=1) if adapt else frozen_norms
-            v1 = 0.5 * float(z1 @ z1)
-            v2a = v1 + 0.5 * float(z2 @ (plant.M @ z2))
-            recorder.record(k, eta, nu, tau, delta_k, norms, v1, v2a)
-            if probe is not None:
-                probe(recorder.t[k], dict(eta=eta.copy(), nu=nu.copy(), theta=theta.copy(),
-                                          z1=z1.copy(), z2=z2.copy(), alpha1=alpha1.copy(),
-                                          basis=g_buf.copy(), tau=tau.copy(),
-                                          delta=delta_k.copy()))
-            if k == steps:
-                break
-            for d_in, h, d_out in ((d1, 0.5 * dt, d2), (d2, 0.5 * dt, d3), (d3, dt, d4)):
-                np.multiply(d_in, h, out=stage)
-                stage += y
-                evaluate(stage, delta_k, d_out)
-            # y + (dt/6) * (d1 + 2 d2 + 2 d3 + d4), same operation order, in place
-            d2 *= 2.0
-            d2 += d1
-            d3 *= 2.0
-            d2 += d3
-            d2 += d4
-            d2 *= dt / 6.0
-            y += d2
-            if not np.isfinite(y).all():
-                _abort(recorder.t[k + 1], recorder)
-            if markov:
-                disturbance.step(dt)
+    def sample(y, R, dy):
+        tau, theta, z1, z2, alpha1 = control(y, R, dy)
+        norms = np.linalg.norm(theta, axis=1) if adapt else frozen_norms
+        return tau, z2, norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1, basis=g_buf)
 
-    final_theta = (y[6:].reshape(3, n_nodes) if adapt else weights0.theta).copy()
-    return recorder.finish(meta or {}, final_theta=final_theta)
+    state0 = weights0.theta.ravel() if adapt else np.empty(0)
+    law = (state0, sample, lambda yv, R, dy: control(yv, R, dy)[0])
+    trace, metrics, theta = _closed_loop(
+        plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
+        duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
+        tail_window=tail_window, meta=meta, probe=probe)
+    trace.final_theta = theta.reshape(3, n_nodes) if adapt else weights0.theta.copy()
+    return trace, metrics
 
 
 def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
@@ -228,48 +225,21 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
                  tail_window=DEFAULT_TAIL_WINDOW_S, meta=None, probe=None):
     """Run the PID loop: one control update per step, zero-order hold."""
     eta_d = np.asarray(eta_d, dtype=float)
-    steps = int(round(duration / dt))
-    recorder = _RunRecorder(steps, dt, decimation, duration, eta_d,
-                            pos_band, psi_band, tail_window)
-    markov = isinstance(disturbance, MarkovBias)
     controller.reset()
     zeros3 = np.zeros(3)
+    tau = zeros3
 
-    y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float)])
+    def sample(y, R, dy):
+        nonlocal tau
+        tau = saturate(controller.control(y[:3], y[3:6], eta_d, dt), limits)
+        return tau, y[3:6], zeros3, {}
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            eta = y[:3]
-            nu = y[3:6]
-            delta_k = (disturbance.body_delta(eta[2]) if markov
-                       else disturbance.sample(recorder.t[k]))
-            tau = saturate(controller.control(eta, nu, eta_d, dt), limits)
-            v1 = 0.5 * float((eta - eta_d) @ (eta - eta_d))
-            v2a = v1 + 0.5 * float(nu @ (plant.M @ nu))
-            recorder.record(k, eta, nu, tau, delta_k, zeros3, v1, v2a)
-            if probe is not None:
-                probe(recorder.t[k], dict(eta=eta.copy(), nu=nu.copy(), tau=tau.copy(),
-                                          delta=delta_k.copy()))
-            if k == steps:
-                break
-
-            def deriv(yv):
-                R = rotation_matrix(yv[2])
-                return np.concatenate([
-                    R @ yv[3:6],
-                    plant.M_inv @ (tau + delta_k - plant.D @ yv[3:6])])
-
-            d1 = deriv(y)
-            d2 = deriv(y + (0.5 * dt) * d1)
-            d3 = deriv(y + (0.5 * dt) * d2)
-            d4 = deriv(y + dt * d3)
-            y = y + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            if not np.isfinite(y).all():
-                _abort(recorder.t[k + 1], recorder)
-            if markov:
-                disturbance.step(dt)
-
-    return recorder.finish(meta or {})
+    law = (np.empty(0), sample, lambda yv, R, dy: tau)
+    trace, metrics, _ = _closed_loop(
+        plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
+        duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
+        tail_window=tail_window, meta=meta, probe=probe)
+    return trace, metrics
 
 
 def run_simulation(cfg: ScenarioConfig):
@@ -310,22 +280,8 @@ def metrics_from_trace(trace: RunTrace, window=DEFAULT_TAIL_WINDOW_S,
     raw = trace.meta.get("target_pose_rad")
     if raw:
         target = np.array([float(v) for v in raw.split()])
-    pos_err = np.hypot(trace.pose[:, 0] - target[0], trace.pose[:, 1] - target[1])
-    psi_err = wrap_angle(trace.pose[:, 2] - target[2])
-    in_band = (pos_err < pos_band) & (np.abs(psi_err) < psi_band)
-    out_idx = np.nonzero(~in_band)[0]
-    if out_idx.size == 0:
-        convergence = 0.0
-    elif out_idx[-1] == in_band.shape[0] - 1:
-        convergence = math.inf
-    else:
-        convergence = float(trace.t[out_idx[-1] + 1])
-    tail = trace.t >= trace.t[-1] - window - 1e-9
-    rms_pos = float(np.sqrt(np.mean(pos_err[tail] ** 2)))
-    rms_psi = float(np.sqrt(np.mean(psi_err[tail] ** 2)))
-    peak_tau = np.abs(trace.tau).max(axis=0)
-    weight_sup = float(trace.theta_norms.max())
-    return RunMetrics(convergence, rms_pos, rms_psi, peak_tau, weight_sup)
+    return _run_metrics(trace.t, trace.pose, trace.tau, trace.theta_norms, target,
+                        window, pos_band, psi_band)
 
 
 @dataclass

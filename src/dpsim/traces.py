@@ -41,6 +41,15 @@ class RunTrace:
     def __len__(self):
         return self.t.shape[0]
 
+    @classmethod
+    def from_columns(cls, data, meta=None) -> "RunTrace":
+        """Trace holding copies of the columns of an (n, 18) array in TRACE_COLUMNS order."""
+        return cls(t=data[:, 0].copy(), pose=data[:, 1:4].copy(),
+                   velocity=data[:, 4:7].copy(), tau=data[:, 7:10].copy(),
+                   delta=data[:, 10:13].copy(), theta_norms=data[:, 13:16].copy(),
+                   v1=data[:, 16].copy(), v2a_partial=data[:, 17].copy(),
+                   meta=dict(meta or {}))
+
     def columns(self) -> np.ndarray:
         """All logged columns as one (n, 18) array in TRACE_COLUMNS order."""
         return np.column_stack([
@@ -83,15 +92,4 @@ def read_trace_csv(path) -> RunTrace:
             rows.append([float(v) for v in record])
     if not header_seen or not rows:
         raise ValueError(f"{path}: no trace data found")
-    data = np.array(rows)
-    return RunTrace(
-        t=data[:, 0],
-        pose=data[:, 1:4],
-        velocity=data[:, 4:7],
-        tau=data[:, 7:10],
-        delta=data[:, 10:13],
-        theta_norms=data[:, 13:16],
-        v1=data[:, 16],
-        v2a_partial=data[:, 17],
-        meta=meta,
-    )
+    return RunTrace.from_columns(np.array(rows), meta)

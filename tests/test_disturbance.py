@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsim.disturbance import (ConstantDisturbance, DisturbanceBound, MarkovBias,
-                               constant_delta, markov_bias_step, markov_delta)
+from dpsim.disturbance import ConstantDisturbance, DisturbanceBound, MarkovBias
 
 
 class TestConstant:
     def test_default_value(self):
         cfg = ConstantDisturbance([1000.0, 2000.0, 1500.0])
-        np.testing.assert_array_equal(constant_delta(cfg, 0.0), [1000.0, 2000.0, 1500.0])
+        np.testing.assert_array_equal(cfg.sample(0.0), [1000.0, 2000.0, 1500.0])
 
     def test_time_invariant(self):
         cfg = ConstantDisturbance([1000.0, 2000.0, 1500.0])
-        np.testing.assert_array_equal(constant_delta(cfg, 500.0), constant_delta(cfg, 0.0))
+        np.testing.assert_array_equal(cfg.sample(500.0), cfg.sample(0.0))
 
     def test_zero(self):
-        np.testing.assert_array_equal(constant_delta(ConstantDisturbance([0, 0, 0]), 1.0),
+        np.testing.assert_array_equal(ConstantDisturbance([0, 0, 0]).sample(1.0),
                                       np.zeros(3))
 
     def test_validation(self):
@@ -44,8 +43,8 @@ class TestMarkovBias:
         a = MarkovBias([1000.0] * 3, [1000.0] * 3, seed=42)
         b = MarkovBias([1000.0] * 3, [1000.0] * 3, seed=42)
         for _ in range(200):
-            markov_bias_step(a, 0.1)
-            markov_bias_step(b, 0.1)
+            a.step(0.1)
+            b.step(0.1)
             np.testing.assert_array_equal(a.b, b.b)
 
     def test_distinct_seeds_differ(self):
@@ -67,18 +66,18 @@ class TestMarkovBias:
 class TestBodyRotation:
     def test_identity_heading(self):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=[3.0, -4.0, 5.0])
-        np.testing.assert_array_equal(markov_delta(bias, 0.0), [3.0, -4.0, 5.0])
+        np.testing.assert_array_equal(bias.body_delta(0.0), [3.0, -4.0, 5.0])
 
     def test_quarter_turn(self):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=[1.0, 0.0, 0.0])
-        np.testing.assert_allclose(markov_delta(bias, np.pi / 2), [0.0, -1.0, 0.0],
+        np.testing.assert_allclose(bias.body_delta(np.pi / 2), [0.0, -1.0, 0.0],
                                    atol=1e-15)
 
     @given(st.floats(-20.0, 20.0, allow_nan=False),
            st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3))
     def test_norm_preserved(self, psi, b0):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=b0)
-        delta = markov_delta(bias, psi)
+        delta = bias.body_delta(psi)
         assert np.linalg.norm(delta) == pytest.approx(np.linalg.norm(b0), abs=1e-9)
 
 

@@ -14,6 +14,8 @@ from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
 from dpsim.traces import TRACE_COLUMNS, read_trace_csv, write_trace_csv
 from dpsim.vessel import VesselParams
 
+CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
+
 
 def small_cfg(**overrides):
     """512-node grid, short horizon; fast enough for per-test runs."""
@@ -54,31 +56,38 @@ class TestRunSimulation:
         write_trace_csv(pb, trace_b)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_decimation_leaves_metrics_unchanged(self):
-        _, m_full = run_simulation(small_cfg(decimation=1))
-        _, m_dec = run_simulation(small_cfg(decimation=10))
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_decimation_leaves_metrics_unchanged(self, controller):
+        _, m_full = run_simulation(small_cfg(controller_type=controller, decimation=1))
+        _, m_dec = run_simulation(small_cfg(controller_type=controller, decimation=10))
         assert m_full.convergence_time == m_dec.convergence_time
         assert m_full.steady_rms_pos == m_dec.steady_rms_pos
         assert m_full.steady_rms_psi == m_dec.steady_rms_psi
         np.testing.assert_array_equal(m_full.peak_tau, m_dec.peak_tau)
         assert m_full.weight_sup == m_dec.weight_sup
 
-    def test_metrics_from_trace_matches_run(self):
-        cfg = small_cfg(controller_type="pid")
-        trace, metrics = run_simulation(cfg)
+    @pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
+    def test_metrics_from_trace_matches_run(self, controller):
+        # an undecimated trace with a zero target holds exactly what the run's
+        # metrics were computed from
+        trace, metrics = run_simulation(small_cfg(controller_type=controller))
         recomputed = metrics_from_trace(trace)
         assert recomputed.convergence_time == metrics.convergence_time
-        assert recomputed.steady_rms_pos == pytest.approx(metrics.steady_rms_pos, rel=1e-6)
-        assert recomputed.steady_rms_psi == pytest.approx(metrics.steady_rms_psi, rel=1e-6)
+        assert recomputed.steady_rms_pos == metrics.steady_rms_pos
+        assert recomputed.steady_rms_psi == metrics.steady_rms_psi
+        np.testing.assert_array_equal(recomputed.peak_tau, metrics.peak_tau)
+        assert recomputed.weight_sup == metrics.weight_sup
 
-    def test_blowup_aborts_with_last_finite_sample(self):
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_blowup_aborts_with_last_finite_sample(self, controller):
         # dt far beyond the RK4 stability limit of the stiff yaw axis
-        cfg = small_cfg(controller_type="pid", dt=50.0, duration=20000.0)
+        cfg = small_cfg(controller_type=controller, dt=50.0, duration=20000.0)
         with pytest.raises(SimulationAbort) as excinfo:
             run_simulation(cfg)
         abort = excinfo.value
-        assert abort.t_failed > abort.t_last
+        assert abort.t_failed == pytest.approx(abort.t_last + cfg.dt)
         assert np.isfinite(abort.pose).all()
+        assert np.isfinite(abort.velocity).all()
         assert "last finite sample" in str(abort)
 
     def test_unstable_adaptation_law_is_selectable(self):
@@ -226,6 +235,16 @@ class TestCli:
         code = cli_main(["run", "--config", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [["--decimate", "0"], ["--grid", "5"],
+                                          ["--grid", "1"], ["--dt", "-0.1"]],
+                             ids="=".join)
+    def test_bad_override_is_a_config_error(self, override, capsys):
+        code = cli_main(["run", "--duration", "1", *override])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_unknown_flag(self, capsys):
         assert cli_main(["run", "--warp-drive"]) == 1
