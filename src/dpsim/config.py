@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dpsim.approximators import DEFAULT_INPUT_RANGES, GRID_NODE_CEILING
+from dpsim.traces import TRACE_COLUMNS
 
 DEFAULT_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 DEFAULT_D = np.array([
@@ -41,6 +42,12 @@ DEFAULT_WEIGHT_SEED = 1
 
 DEFAULT_INITIAL_POSE_DEG = (10.0, 10.0, 10.0)
 DEFAULT_TARGET_POSE_DEG = (0.0, 0.0, 0.0)
+
+# The simulator logs every step as one row of len(TRACE_COLUMNS) doubles
+# (144 B) in a single (steps + 1)-row buffer; a scenario whose buffer would
+# exceed 1 GiB is rejected before anything is allocated.
+MAX_ROW_BUFFER_BYTES = 2 ** 30
+MAX_STEPS = MAX_ROW_BUFFER_BYTES // (8 * len(TRACE_COLUMNS)) - 1
 
 CONTROLLER_TYPES = ("adaptive-nn", "pid", "nn-fixed")
 DISTURBANCE_TYPES = ("constant", "markov")
@@ -107,7 +114,8 @@ class ScenarioConfig:
             "disturbance_seed": str(self.disturbance_seed),
             "adaptation_law": self.adaptation_law,
             "grid_points_per_dim": str(self.points_per_dim),
-            "target_pose_rad": " ".join(f"{v:.9g}" for v in self.target_pose),
+            # round-trip precision: metrics_from_trace recomputes from this target
+            "target_pose_rad": " ".join(f"{v:.17g}" for v in self.target_pose),
         }
 
 
@@ -309,6 +317,10 @@ def _validate(cfg: ScenarioConfig):
     if cfg.duration < cfg.dt:
         raise ConfigError("simulation.duration must be at least one dt")
     steps = cfg.duration / cfg.dt
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"simulation.duration / simulation.dt = {steps:.6g} steps exceeds the "
+            f"{MAX_STEPS} steps whose trace rows fit in {MAX_ROW_BUFFER_BYTES} bytes")
     if abs(steps - round(steps)) > 1e-6:
         raise ConfigError("simulation.duration must be an integer number of dt steps")
     if int(round(steps)) % cfg.decimation != 0:

@@ -115,11 +115,12 @@ class PidController:
 class BackstepGains:
     """Gains of the adaptive backstepping controller.
 
-    ``gamma`` holds the diagonal entries of the per-axis adaptation gain
-    matrices as a (3, l) array (scalars/per-axis scalars broadcast); only
-    diagonal adaptation gains are supported.  ``sigma`` are the per-axis leak
-    rates.  K1 and K2 must be symmetric positive definite; K2 > I/2 is
-    required by the dissipation analysis and is warned about if violated.
+    ``gamma`` holds the per-axis adaptation gains as a 3-vector (a scalar
+    broadcasts): axis i adapts with ``Gamma_i = gamma_i * I``.  ``sigma`` are
+    the per-axis leak rates.  ``node_count`` records the network size the
+    gains are meant for; the gains themselves do not depend on it.  K1 and K2
+    must be symmetric positive definite; K2 > I/2 is required by the
+    dissipation analysis and is warned about if violated.
     """
 
     K1: np.ndarray
@@ -138,17 +139,11 @@ class BackstepGains:
         if not (self.sigma >= 0).all():
             raise ValueError("sigma entries must be non-negative")
         gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.ndim == 0:
-            gamma = np.full((3, self.node_count), float(gamma))
-        elif gamma.shape == (3,):
-            gamma = np.repeat(gamma[:, None], self.node_count, axis=1)
-        elif gamma.ndim == 2 and gamma.shape[0] == 3:
-            self.node_count = gamma.shape[1]
-        else:
-            raise ValueError("gamma must be scalar, per-axis (3,), or diagonal (3, l)")
+        if gamma.shape not in ((), (3,)):
+            raise ValueError("gamma must be a scalar or a per-axis 3-vector")
         if not (gamma > 0).all():
             raise ValueError("gamma entries must be positive")
-        self.gamma = np.ascontiguousarray(gamma)
+        self.gamma = gamma * np.ones(3)
         if self.law not in ADAPTATION_LAWS:
             raise ValueError(f"law must be one of {sorted(ADAPTATION_LAWS)}")
         if np.linalg.eigvalsh(self.K2).min() <= 0.5:
@@ -235,8 +230,8 @@ def weight_derivative(gains: BackstepGains, basis_vec, z2, theta) -> np.ndarray:
     drive, leak = gains.law_signs
     basis_vec = np.asarray(basis_vec, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    return gains.gamma * (drive * (z2[:, None] * basis_vec[None, :])
-                          + leak * (gains.sigma[:, None] * theta))
+    return gains.gamma[:, None] * (drive * (z2[:, None] * basis_vec[None, :])
+                                   + leak * (gains.sigma[:, None] * theta))
 
 
 def adapt_weights(gains: BackstepGains, weights: AdaptiveWeights, basis_vec, z2,
@@ -244,8 +239,8 @@ def adapt_weights(gains: BackstepGains, weights: AdaptiveWeights, basis_vec, z2,
     """Advance the weights over one step with basis and z2 held constant.
 
     In the closed-loop simulator the weights are integrated jointly with the
-    plant (stage-consistent RK4); this standalone form serves tests and
-    offline experiments.
+    plant (stage-consistent RK4, in the span of the weights and the step's
+    basis vectors); this dense form serves tests and offline experiments.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -280,8 +275,9 @@ def lyapunov_eval(eta, nu, eta_d, params, k1=None, weights: AdaptiveWeights | No
 
     With ``k1`` the velocity error is taken against the virtual command;
     otherwise z2 = nu.  The weight-error term needs a reference ``theta_star``
-    (a (3, l) array) and the diagonal adaptation gains ``gamma``; without one
-    the result is flagged partial.
+    (a (3, l) array) and the adaptation gains ``gamma``, a scalar or per-axis
+    3-vector like ``BackstepGains.gamma``; without one the result is flagged
+    partial.
     """
     eta = np.asarray(eta, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -292,7 +288,7 @@ def lyapunov_eval(eta, nu, eta_d, params, k1=None, weights: AdaptiveWeights | No
     v2 = v1 + 0.5 * float(z2 @ (params.M @ z2))
     if theta_star is not None and weights is not None and gamma is not None:
         err = weights.theta - np.asarray(theta_star, dtype=float)
-        gamma = np.asarray(gamma, dtype=float) * np.ones_like(err)
+        gamma = np.asarray(gamma, dtype=float).reshape(-1, 1) * np.ones_like(err)
         v2a = v2 + 0.5 * float((err * err / gamma).sum())
         return LyapunovTrace(v1, v2a, partial=False)
     return LyapunovTrace(v1, v2, partial=True)

@@ -7,6 +7,9 @@ factorises over the input dimensions:
 ``e_d = exp(-(z_d - a_d)^2 / (2 h^2))`` over the p nodes ``a_d`` of axis d.
 That takes m*p ``exp`` calls instead of p^m, and the outer products keep the
 lexicographic node order of the grid (first dimension slowest).
+
+The weight update is not computed here: the simulator integrates it in the
+span of the weights and the step's basis vectors (see ``dpsim.simulate``).
 """
 
 from __future__ import annotations
@@ -29,23 +32,11 @@ def basis_into(nodes, inv_two_h2, coef, z, out):
     return out
 
 
-def adaptive_core(nodes, inv_two_h2, coef, z, theta, z2, gamma, sigma,
-                  drive, leak, g_out, theta_dot_out):
-    """Fused basis + per-axis network output + weight derivative.
+def adaptive_core(nodes, inv_two_h2, coef, z, theta, g_out):
+    """Fused basis + per-axis network output.
 
-    Returns the 3-vector of per-axis network outputs ``theta_i . g``; fills
-    ``g_out`` with the basis vector and, unless ``theta_dot_out`` is None,
-    ``theta_dot_out`` with ``gamma * (drive * g * z2_i + leak * sigma_i * theta_i)``
-    per axis.
+    Fills ``g_out`` with the basis vector at ``z`` and returns the 3-vector
+    of per-axis outputs ``theta_i . g``.
     """
     basis_into(nodes, inv_two_h2, coef, z, g_out)
-    nn = theta @ g_out
-    if theta_dot_out is not None:
-        # in place, with the rounding of gamma * (drive * (z2 g) + leak * (sigma theta))
-        np.multiply(sigma[:, None], theta, out=theta_dot_out)
-        theta_dot_out *= leak
-        drive_term = np.multiply.outer(z2, g_out)
-        drive_term *= drive
-        theta_dot_out += drive_term
-        theta_dot_out *= gamma
-    return nn
+    return theta @ g_out

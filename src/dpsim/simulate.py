@@ -2,11 +2,13 @@
 
 ``_closed_loop`` advances plant + control law + disturbance with a fixed-step
 RK4 integrator, one loop for every controller.  A law appends its own state to
-the pose and velocity: the adapted weights, so their update is stage-consistent
-with the plant, and nothing for frozen weights or PID, which holds its output
-over each step.  The disturbance is held constant across the sub-stages of each
-step.  Metrics come from every full-rate sample, through the same function as
-``metrics_from_trace``, so trace decimation does not change them.
+the pose and velocity and may fold it back at the end of each step: the
+adaptive law appends 15 coordinates of its weights and forms the weights once
+per step (see ``simulate_adaptive``); frozen weights and PID append nothing,
+and PID holds its output over each step.  The disturbance is held constant
+across the sub-stages of each step.  Metrics come from every full-rate sample,
+through the same function as ``metrics_from_trace``, so trace decimation does
+not change them.
 """
 
 from __future__ import annotations
@@ -87,21 +89,22 @@ def _run_metrics(t, pose, tau, theta_norms, target, window, pos_band, psi_band) 
 
 def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, decimation,
                  pos_band, psi_band, tail_window, meta, probe):
-    """Integrate plant, control law and disturbance.
+    """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
-    Returns the trace, the metrics and a copy of the law's final state.
-
-    ``law = (state0, sample, stage)``: ``state0`` is the law's own state, appended
-    to ``[eta, nu]``.  ``sample(y, R, dy)`` runs at every full-rate sample and
-    returns ``(tau, z2, theta_norms, probe_fields)``; ``stage(y, R, dy)`` runs at
-    the three later RK4 stages and returns ``tau``.  Both write the derivative of
-    the law's state into ``dy[6:]``; ``R`` is the rotation matrix at ``y[2]``.
+    ``law = (state0, sample, stage, end_step)``: ``state0`` is the law's own
+    state, appended to ``[eta, nu]``.  ``sample(y, R, dy)`` runs at every
+    full-rate sample and returns ``(tau, z2, theta_norms, probe_fields)``;
+    ``stage(y, R, dy)`` runs at the three later RK4 stages and returns ``tau``.
+    Both write the derivative of the law's state into ``dy[6:]``; ``R`` is the
+    rotation matrix at ``y[2]``.  ``end_step(y)`` runs after each RK4 combine,
+    may rewrite ``y[6:]``, and returns False when the law's state went
+    non-finite, which aborts the run like a non-finite ``y``.
     """
     steps = int(round(duration / dt))
     t = np.arange(steps + 1) * dt
     markov = isinstance(disturbance, MarkovBias)
     M, M_inv, D = plant.M, plant.M_inv, plant.D
-    state0, sample, stage_tau = law
+    state0, sample, stage_tau, end_step = law
 
     y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float),
                         state0])
@@ -149,7 +152,7 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
             d2 += d4
             d2 *= dt / 6.0
             y += d2
-            if not np.isfinite(y).all():
+            if not (end_step(y) and np.isfinite(y).all()):
                 raise SimulationAbort(t[k + 1], t[k], rows[k, 1:4], rows[k, 4:7])
             if markov:
                 disturbance.step(dt)
@@ -157,7 +160,16 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     rows[:, 3] = wrap_angle(rows[:, 3])
     metrics = _run_metrics(t, rows[:, 1:4], rows[:, 7:10], rows[:, 13:16], eta_d,
                            tail_window, pos_band, psi_band)
-    return RunTrace.from_columns(rows[::decimation], meta), metrics, y[6:].copy()
+    return RunTrace.from_columns(rows[::decimation], meta), metrics
+
+
+def _no_state_end_step(y):
+    return True
+
+
+def _row_norms(theta):
+    """Euclidean norm of each weight row, one dot product per row."""
+    return np.sqrt([row @ row for row in theta])
 
 
 def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNetwork,
@@ -168,53 +180,104 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                       tail_window=DEFAULT_TAIL_WINDOW_S, meta=None, probe=None):
     """Run the adaptive (or frozen-weight) backstepping loop.
 
-    ``adapt=False`` keeps the initial weights for the whole run; they are then
-    held outside the integrated state, which is only the pose and velocity.
+    ``adapt=False`` keeps the initial weights for the whole run; the
+    integrated state is then only the pose and velocity.  With adaptation,
+    the update ``theta_dot_i = gamma_i (drive z2_i g + leak sigma_i theta_i)``
+    is linear in ``theta_i`` with a scalar gain per axis, so every RK4 stage
+    value of ``theta_i`` lies in the span of ``theta_i(t_k)``, the weights at
+    the start of the step, and ``g_1 .. g_4``, the basis vectors of the
+    step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
+    coordinates, reset to ``[1, 0, 0, 0, 0]`` each step; the end-of-step
+    hook folds them back into ``theta``.  This is the same RK4 as integrating
+    all 3 l weights, up to rounding.
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
     diagnostics.
     """
     n_nodes = network.node_count
-    if gains.gamma.shape[1] != n_nodes:
-        raise ValueError(f"gains sized for {gains.gamma.shape[1]} nodes, network has {n_nodes}")
     if weights0.node_count != n_nodes:
         raise ValueError("initial weights do not match the network size")
     eta_d = np.asarray(eta_d, dtype=float)
     K1, K2 = gains.K1, gains.K2
     drive, leak = gains.law_signs
-    frozen_norms = None if adapt else weights0.norms()
-    g_buf = np.empty(n_nodes)
+    theta = weights0.theta.copy()
     z_buf = np.empty(9)
 
-    def control(yv, R, dy):
+    def control(yv, R, g):
+        """Error coordinates and network output ``theta . g`` at one stage state."""
         eta = yv[:3]
-        nu = yv[3:6]
-        theta = yv[6:].reshape(3, n_nodes) if adapt else weights0.theta
         z1 = eta - eta_d
         alpha1 = -(R.T @ (K1 @ z1))
-        z2 = nu - alpha1
+        z2 = yv[3:6] - alpha1
         z_buf[0:3] = eta
-        z_buf[3:6] = nu
+        z_buf[3:6] = yv[3:6]
         z_buf[6:9] = alpha1
-        theta_dot = dy[6:].reshape(3, n_nodes) if adapt else None
         nn = kernels.adaptive_core(network.nodes, network._inv_two_h2, network._coef,
-                                   z_buf, theta, z2, gains.gamma, gains.sigma,
-                                   drive, leak, g_buf, theta_dot)
-        tau = saturate(-(R.T @ z1) - K2 @ z2 + nn, limits)
-        return tau, theta, z1, z2, alpha1
+                                   z_buf, theta, g)
+        return z1, z2, alpha1, nn
 
-    def sample(y, R, dy):
-        tau, theta, z1, z2, alpha1 = control(y, R, dy)
-        norms = np.linalg.norm(theta, axis=1) if adapt else frozen_norms
-        return tau, z2, norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1, basis=g_buf)
+    if adapt:
+        basis = np.empty((4, n_nodes))      # g_1 .. g_4 of the current step
+        decay = gains.gamma * leak * gains.sigma
+        gain = gains.gamma * drive
+        unit = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], 3)
+        norms = _row_norms(theta)
+        stage_index = 0
 
-    state0 = weights0.theta.ravel() if adapt else np.empty(0)
-    law = (state0, sample, lambda yv, R, dy: control(yv, R, dy)[0])
-    trace, metrics, theta = _closed_loop(
+        def law_stage(yv, R, dy):
+            z1, z2, alpha1, nn = control(yv, R, basis[stage_index])
+            x = yv[6:].reshape(3, 5)
+            gram = basis[:stage_index] @ basis[stage_index]
+            nn = x[:, 0] * nn + x[:, 1:stage_index + 1] @ gram
+            dx = dy[6:].reshape(3, 5)
+            np.multiply(decay[:, None], x, out=dx)
+            dx[:, stage_index + 1] += gain * z2
+            return saturate(-(R.T @ z1) - K2 @ z2 + nn, limits), z1, z2, alpha1
+
+        def sample(y, R, dy):
+            nonlocal stage_index
+            stage_index = 0
+            tau, z1, z2, alpha1 = law_stage(y, R, dy)
+            return tau, z2, norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
+                                        basis=basis[0])
+
+        def stage(yv, R, dy):
+            nonlocal stage_index
+            stage_index += 1
+            return law_stage(yv, R, dy)[0]
+
+        def end_step(y):
+            nonlocal norms, theta
+            x = y[6:].reshape(3, 5)
+            theta *= x[:, :1]
+            theta += x[:, 1:] @ basis
+            y[6:] = unit
+            norms = _row_norms(theta)
+            # a norm overflows before the weights do, so only then look closer
+            return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
+
+        law = (unit, sample, stage, end_step)
+    else:
+        g_buf = np.empty(n_nodes)
+        frozen_norms = weights0.norms()
+
+        def frozen_tau(yv, R):
+            z1, z2, alpha1, nn = control(yv, R, g_buf)
+            return saturate(-(R.T @ z1) - K2 @ z2 + nn, limits), z1, z2, alpha1
+
+        def sample(y, R, dy):
+            tau, z1, z2, alpha1 = frozen_tau(y, R)
+            return tau, z2, frozen_norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
+                                               basis=g_buf)
+
+        law = (np.empty(0), sample, lambda yv, R, dy: frozen_tau(yv, R)[0],
+               _no_state_end_step)
+
+    trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
         duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
         tail_window=tail_window, meta=meta, probe=probe)
-    trace.final_theta = theta.reshape(3, n_nodes) if adapt else weights0.theta.copy()
+    trace.final_theta = theta
     return trace, metrics
 
 
@@ -234,8 +297,8 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
         tau = saturate(controller.control(y[:3], y[3:6], eta_d, dt), limits)
         return tau, y[3:6], zeros3, {}
 
-    law = (np.empty(0), sample, lambda yv, R, dy: tau)
-    trace, metrics, _ = _closed_loop(
+    law = (np.empty(0), sample, lambda yv, R, dy: tau, _no_state_end_step)
+    trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
         duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
         tail_window=tail_window, meta=meta, probe=probe)

@@ -222,21 +222,10 @@ class TestSeparableBasis:
         net = self.NETWORKS[name]()
         rng = np.random.default_rng(4)
         theta = rng.normal(size=(3, net.node_count))
-        gamma = rng.uniform(0.1, 2.0, size=(3, net.node_count))
-        sigma = np.array([2.13, 2.13, 0.302])
         for z in self.inputs(net, rng):
-            z2 = rng.normal(size=3)
             g_ref = dense_basis(net, z)
             g = np.empty(net.node_count)
-            theta_dot = np.empty_like(theta)
-            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta, z2,
-                                       gamma, sigma, -1.0, -1.0, g, theta_dot)
+            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta, g)
             np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=np.finfo(float).tiny)
             # sums of mixed-sign terms: relative to the size of the terms
             assert_close_to_terms(nn, theta @ g_ref, np.abs(theta) @ g_ref)
-            drive_term, leak_term = z2[:, None] * g_ref, sigma[:, None] * theta
-            assert_close_to_terms(theta_dot, gamma * (-drive_term - leak_term),
-                                  gamma * (np.abs(drive_term) + np.abs(leak_term)))
-            frozen = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta,
-                                           z2, gamma, sigma, -1.0, -1.0, g, None)
-            np.testing.assert_array_equal(frozen, nn)

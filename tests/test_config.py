@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dpsim.config import (DEFAULT_D, DEFAULT_K1, DEFAULT_K2, DEFAULT_KD, DEFAULT_KI,
-                          DEFAULT_KP, DEFAULT_M, ConfigError, default_scenario,
-                          load_scenario, parse_scenario)
+                          DEFAULT_KP, DEFAULT_M, MAX_STEPS, ConfigError,
+                          default_scenario, load_scenario, parse_scenario)
 
 
 def write(tmp_path, payload):
@@ -74,6 +74,17 @@ class TestValidation:
     def test_duration_not_multiple_of_dt(self):
         with pytest.raises(ConfigError, match="integer number"):
             parse_scenario({"simulation": {"dt": 0.3, "duration": 1.0}})
+
+    def test_step_count_ceiling(self, tmp_path):
+        # 1e18 steps would ask for an exabyte-sized row buffer
+        path = write(tmp_path, {"controller": {"type": "pid"},
+                                "simulation": {"duration": 1e9, "dt": 1e-9}})
+        with pytest.raises(ConfigError, match="steps"):
+            load_scenario(path)
+        with pytest.raises(ConfigError, match="steps"):
+            parse_scenario({"simulation": {"duration": (MAX_STEPS + 1) * 0.5, "dt": 0.5}})
+        assert parse_scenario({"simulation": {"duration": MAX_STEPS * 0.5,
+                                              "dt": 0.5}}).steps() == MAX_STEPS
 
     def test_decimation_must_divide_steps(self):
         with pytest.raises(ConfigError, match="decimation"):

@@ -189,6 +189,15 @@ class TestBackstepControl:
         with pytest.raises(ValueError):
             BackstepGains(BENCH_K1, BENCH_K2, 0.1, (1.0, 1.0, 1.0), law="sideways")
 
+    def test_gamma_is_per_axis(self):
+        gains = BackstepGains(BENCH_K1, BENCH_K2, 0.5, (1.0, 1.0, 1.0), node_count=7)
+        np.testing.assert_array_equal(gains.gamma, [0.5, 0.5, 0.5])
+        gains = BackstepGains(BENCH_K1, BENCH_K2, (0.5, 1.0, 2.0), (1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(gains.gamma, [0.5, 1.0, 2.0])
+        for bad in (np.ones((3, 4)), (1.0, 2.0), (0.5, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="gamma"):
+                BackstepGains(BENCH_K1, BENCH_K2, bad, (1.0, 1.0, 1.0))
+
     def test_weak_k2_warns(self):
         with pytest.warns(UserWarning, match="K2"):
             BackstepGains(BENCH_K1, 0.25 * np.eye(3), 0.1, (1.0, 1.0, 1.0))
@@ -214,10 +223,9 @@ class TestAdaptation:
         theta = np.array([[1.0, -0.5], [0.2, 0.0], [0.0, 1.0]])
         basis = np.array([0.3, 0.6])
         z2 = np.array([0.1, -0.4, 0.2])
-        leakless = (weight_derivative(gains, basis, z2, theta)
-                    + gains.gamma * gains.sigma[:, None] * theta)
-        doubled = (weight_derivative(gains, basis, 2 * z2, theta)
-                   + gains.gamma * gains.sigma[:, None] * theta)
+        leak = (gains.gamma * gains.sigma)[:, None] * theta
+        leakless = weight_derivative(gains, basis, z2, theta) + leak
+        doubled = weight_derivative(gains, basis, 2 * z2, theta) + leak
         np.testing.assert_allclose(doubled, 2.0 * leakless, rtol=1e-12)
 
     def test_leak_decays_norms_monotonically(self):
@@ -230,7 +238,7 @@ class TestAdaptation:
         diffs = np.diff(np.array(norms), axis=0)
         assert (diffs <= 0).all()
         # decay rate gamma*sigma per axis against the closed form
-        expected = norms[0] * np.exp(-gains.gamma[:, 0] * gains.sigma * 5.0)
+        expected = norms[0] * np.exp(-gains.gamma * gains.sigma * 5.0)
         np.testing.assert_allclose(norms[-1], expected, rtol=1e-6)
 
     def test_unstable_law_grows(self):
@@ -281,6 +289,15 @@ class TestLyapunov:
         assert trace.v1 == 0.0
         assert trace.v2a == 0.0
         assert not trace.partial
+
+    def test_weight_term_uses_per_axis_gains(self):
+        params = VesselParams(BENCH_M, BENCH_D)
+        weights = AdaptiveWeights(np.ones((3, 2)))
+        trace = lyapunov_eval(np.zeros(3), np.zeros(3), np.zeros(3), params,
+                              weights=weights, gamma=(0.5, 1.0, 2.0),
+                              theta_star=np.zeros((3, 2)))
+        # 0.5 * sum_i |theta_i|^2 / gamma_i with |theta_i|^2 = 2
+        assert trace.v2a == pytest.approx(2.0 + 1.0 + 0.5, rel=1e-15)
 
     def test_pose_term(self):
         params = VesselParams(BENCH_M, BENCH_D)

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dpsim.approximators import AdaptiveWeights, RbfNetwork
+from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
-from dpsim.config import default_scenario
-from dpsim.controllers import BackstepGains
+from dpsim.config import default_scenario, parse_scenario
+from dpsim.controllers import (BackstepGains, backstep_control, compute_alpha1,
+                               weight_derivative)
 from dpsim.disturbance import ConstantDisturbance
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive)
 from dpsim.traces import TRACE_COLUMNS, read_trace_csv, write_trace_csv
-from dpsim.vessel import VesselParams
+from dpsim.vessel import VesselParams, plant_derivative, rk4_step
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -66,11 +67,17 @@ class TestRunSimulation:
         np.testing.assert_array_equal(m_full.peak_tau, m_dec.peak_tau)
         assert m_full.weight_sup == m_dec.weight_sup
 
-    @pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
-    def test_metrics_from_trace_matches_run(self, controller):
-        # an undecimated trace with a zero target holds exactly what the run's
-        # metrics were computed from
-        trace, metrics = run_simulation(small_cfg(controller_type=controller))
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(controller_type="pid"), id="pid"),
+        pytest.param(dict(controller_type="adaptive-nn"), id="adaptive-nn"),
+        pytest.param(dict(controller_type="pid", pid_frame="earth",
+                          target_pose=np.array([3.0, -2.0, math.radians(-100.0)])),
+                     id="pid-earth-nonzero-target"),
+    ])
+    def test_metrics_from_trace_matches_run(self, overrides):
+        # an undecimated trace holds exactly what the run's metrics were
+        # computed from, the target included
+        trace, metrics = run_simulation(small_cfg(**overrides))
         recomputed = metrics_from_trace(trace)
         assert recomputed.convergence_time == metrics.convergence_time
         assert recomputed.steady_rms_pos == metrics.steady_rms_pos
@@ -89,6 +96,62 @@ class TestRunSimulation:
         assert np.isfinite(abort.pose).all()
         assert np.isfinite(abort.velocity).all()
         assert "last finite sample" in str(abort)
+
+    def test_overflowing_weights_abort_at_the_same_step(self):
+        # gamma 100 under the unstable law multiplies the weights by about 1e4
+        # per step until they overflow; the values are those of integrating
+        # all 3 l weights as RK4 state, which aborted at the same step
+        cfg = parse_scenario({"controller": {"adaptation_law": "unstable", "gamma": 100.0},
+                              "rbf": {"points_per_dim": 2},
+                              "simulation": {"duration": 20.0}})
+        with pytest.raises(SimulationAbort) as excinfo:
+            run_simulation(cfg)
+        abort = excinfo.value
+        assert abort.t_failed == 7.7
+        assert abort.t_last == 76 * 0.1
+        np.testing.assert_allclose(
+            abort.pose, [-279.91581757641865, 949.4279792475497, 3.93392623205799],
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            abort.velocity, [204.56861414934735, 128.88222598159047, 0.8503632026575093],
+            rtol=1e-12)
+
+    @pytest.mark.parametrize("law", ["stable", "unstable"])
+    def test_adaptive_run_matches_dense_joint_rk4(self, law):
+        # oracle: all 3 l weights integrated as ordinary RK4 state with the plant
+        cfg = small_cfg(duration=5.0)
+        steps = cfg.steps()
+        plant = VesselParams(cfg.m_matrix, cfg.d_matrix)
+        network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width)
+        weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
+        gains = BackstepGains(cfg.k1, cfg.k2, (0.5, 2.0, 6.0), cfg.sigma, law=law)
+        n = network.node_count
+
+        def deriv(y):
+            eta, nu, theta = y[:3], y[3:6], y[6:].reshape(3, n)
+            z1 = eta - cfg.target_pose
+            alpha1 = compute_alpha1(gains.K1, eta[2], z1)
+            z2 = nu - alpha1
+            g = gaussian_basis(network, np.concatenate([eta, nu, alpha1]))
+            tau = backstep_control(gains, eta[2], z1, z2, g, AdaptiveWeights(theta))
+            eta_dot, nu_dot = plant_derivative(eta, nu, plant, tau, cfg.constant_delta)
+            return np.concatenate([eta_dot, nu_dot,
+                                   weight_derivative(gains, g, z2, theta).ravel()])
+
+        y = np.concatenate([cfg.initial_pose, cfg.initial_velocity, weights0.theta.ravel()])
+        for _ in range(steps):
+            y = rk4_step(y, cfg.dt, deriv)
+        trace, _ = simulate_adaptive(
+            plant, gains, network, weights0, ConstantDisturbance(cfg.constant_delta),
+            eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
+            dt=cfg.dt, duration=cfg.duration)
+        assert len(trace) == steps + 1
+        np.testing.assert_allclose(trace.pose[-1], y[:3], rtol=1e-12)
+        np.testing.assert_allclose(trace.velocity[-1], y[3:6], rtol=1e-12)
+        np.testing.assert_allclose(trace.final_theta, y[6:].reshape(3, n), rtol=1e-12)
+        # the weights moved well beyond rounding on every axis
+        change = np.linalg.norm(trace.final_theta - weights0.theta, axis=1)
+        assert (change > 1e-3 * weights0.norms()).all()
 
     def test_unstable_adaptation_law_is_selectable(self):
         stable, _ = run_simulation(small_cfg())
@@ -237,7 +300,10 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [["--decimate", "0"], ["--grid", "5"],
-                                          ["--grid", "1"], ["--dt", "-0.1"]],
+                                          ["--grid", "1"], ["--dt", "-0.1"],
+                                          # 1e18 steps: an exabyte-sized row buffer
+                                          ["--controller", "pid", "--duration", "1e9",
+                                           "--dt", "1e-9"]],
                              ids="=".join)
     def test_bad_override_is_a_config_error(self, override, capsys):
         code = cli_main(["run", "--duration", "1", *override])
