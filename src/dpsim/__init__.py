@@ -18,7 +18,7 @@ from dpsim.simulate import (RunMetrics, SimulationAbort, compare_runs,
                             simulate_pid)
 from dpsim.traces import RunTrace, read_trace_csv, write_trace_csv
 from dpsim.vessel import (BodyVelocity, NonFiniteStateError, Pose,
-                          SingularInertiaError, VesselParams, VesselState,
+                          SingularInertiaError, VesselParams,
                           plant_derivative, rk4_step, rotation_matrix,
                           rotation_rate_matrix, wrap_angle, yaw_rate_skew)
 

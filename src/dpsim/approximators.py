@@ -48,14 +48,15 @@ def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) ->
         raise ValueError("ranges must be a sequence of (lo, hi) pairs")
     if points_per_dim < 2:
         raise ValueError("points_per_dim must be at least 2")
-    for lo, hi in ranges:
+    for i, (lo, hi) in enumerate(ranges):
         if not lo < hi:
-            raise ValueError(f"range [{lo}, {hi}] must have lo < hi")
+            raise ValueError(f"ranges[{i}] = [{lo}, {hi}] must have lo < hi")
     n_dims = len(ranges)
     count = points_per_dim ** n_dims
     if count > ceiling:
         raise GridCapacityError(
-            f"{points_per_dim}^{n_dims} = {count} nodes exceeds ceiling {ceiling}")
+            f"points_per_dim gives {points_per_dim}^{n_dims} = {count} nodes, "
+            f"over the node ceiling {ceiling}")
     return np.array([np.linspace(lo, hi, points_per_dim) for lo, hi in ranges])
 
 

@@ -8,7 +8,7 @@ Subcommands:
                   recorded on the same time grid.
 * ``figures``  -- run the six canonical scenarios ({pid, adaptive-nn,
                   nn-fixed} x {constant, markov}) and emit one trace CSV each.
-* ``validate`` -- lint a scenario file without running it.
+* ``validate`` -- build everything ``run`` builds from a scenario file, run nothing.
 
 Exit codes: 0 success, 1 usage/validation error, 2 runtime abort (diverged).
 """
@@ -20,8 +20,10 @@ import sys
 from pathlib import Path
 
 from dpsim.approximators import AdaptiveWeights, write_weight_csv
-from dpsim.config import ConfigError, load_scenario, parse_scenario, read_scenario
-from dpsim.simulate import SimulationAbort, compare_runs, run_simulation
+from dpsim.config import (CONTROLLER_TYPES, DISTURBANCE_TYPES, ConfigError, load_scenario,
+                          parse_scenario, read_scenario)
+from dpsim.simulate import (DEFAULT_TAIL_WINDOW_S, SimulationAbort, compare_runs,
+                            run_simulation)
 from dpsim.traces import read_trace_csv, write_trace_csv
 
 FIGURE_SCENARIOS = (
@@ -72,8 +74,8 @@ def _load_config(args):
 
 
 def _add_run_overrides(parser):
-    parser.add_argument("--controller", choices=("pid", "adaptive-nn", "nn-fixed"))
-    parser.add_argument("--disturbance", choices=("constant", "markov"))
+    parser.add_argument("--controller", help=f"one of {', '.join(CONTROLLER_TYPES)}")
+    parser.add_argument("--disturbance", help=f"one of {', '.join(DISTURBANCE_TYPES)}")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--duration", type=float)
     parser.add_argument("--dt", type=float)
@@ -149,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="compare recorded traces")
     compare.add_argument("traces", nargs="+", help="trace CSV files")
     compare.add_argument("--out", help="write the report to this path")
-    compare.add_argument("--window", type=float, default=200.0,
-                         help="steady-state window in seconds (default 200)")
+    compare.add_argument("--window", type=float, default=DEFAULT_TAIL_WINDOW_S,
+                         help="steady-state window in seconds (default %(default)g)")
     compare.set_defaults(func=_cmd_compare)
 
     figures = sub.add_parser("figures", help="run the six canonical scenarios")

@@ -1,22 +1,35 @@
-"""Scenario configuration: strict JSON schema, defaults, validation.
+"""Scenario configuration: strict JSON schema, defaults, and the run's builder.
 
 Angles cross the config boundary in degrees (pose yaw, target yaw, initial
 yaw rate in deg/s) and are stored in radians.  Unknown keys are rejected so
 typos fail loudly.  An empty config yields the full default benchmark
 scenario: the supply-vessel plant below, the adaptive backstepping
 controller with its benchmark gains, and the constant disturbance.
+
+This module checks the JSON shape and types and the rules of the run as a
+whole: the time grid, its step and memory ceilings, and finite poses.  Every
+other value is checked by the object that uses it: ``parse_scenario`` calls
+:func:`build_components`, the same function ``run_simulation`` builds its
+run with, and reports a constructor's ``ValueError`` as a ``ConfigError``
+on the scenario key.  So a scenario that validates also builds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from dpsim.approximators import DEFAULT_INPUT_RANGES, GRID_NODE_CEILING
+from dpsim.approximators import DEFAULT_INPUT_RANGES, GRID_NODE_CEILING, RbfNetwork
+from dpsim.controllers import (BackstepGains, PidController, PidGains,
+                               SaturationLimits)
+from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.traces import TRACE_COLUMNS
+from dpsim.vessel import VesselParams
 
 DEFAULT_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 DEFAULT_D = np.array([
@@ -40,19 +53,17 @@ DEFAULT_NOISE_SCALE = (1000.0, 1000.0, 1000.0)
 DEFAULT_DISTURBANCE_SEED = 2
 DEFAULT_WEIGHT_SEED = 1
 
-DEFAULT_INITIAL_POSE_DEG = (10.0, 10.0, 10.0)
-DEFAULT_TARGET_POSE_DEG = (0.0, 0.0, 0.0)
-
-# The simulator logs every step as one row of len(TRACE_COLUMNS) doubles
-# (144 B) in a single (steps + 1)-row buffer; a scenario whose buffer would
-# exceed 1 GiB is rejected before anything is allocated.
-MAX_ROW_BUFFER_BYTES = 2 ** 30
-MAX_STEPS = MAX_ROW_BUFFER_BYTES // (8 * len(TRACE_COLUMNS)) - 1
+# A scenario whose largest buffers would exceed 1 GiB is rejected before
+# anything is allocated.  The simulator logs every step as one row of
+# len(TRACE_COLUMNS) doubles (144 B) in a single (steps + 1)-row buffer, and
+# an adaptive run holds ten doubles per grid node: the weights (3 rows), their
+# initial copy (3 rows) and the four stage-basis rows.
+MEMORY_BUDGET_BYTES = 2 ** 30
+MAX_STEPS = MEMORY_BUDGET_BYTES // (8 * len(TRACE_COLUMNS)) - 1
+MAX_NODES = MEMORY_BUDGET_BYTES // (8 * 10)
 
 CONTROLLER_TYPES = ("adaptive-nn", "pid", "nn-fixed")
 DISTURBANCE_TYPES = ("constant", "markov")
-ADAPTATION_LAW_NAMES = ("stable", "unstable")
-PID_FRAMES = ("body", "earth")
 
 
 class ConfigError(ValueError):
@@ -131,7 +142,7 @@ def _reject_unknown(section: dict, allowed, where):
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
-def _num(value, where, positive=False, nonneg=False):
+def _num(value, where, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
     v = float(value)
@@ -139,18 +150,20 @@ def _num(value, where, positive=False, nonneg=False):
         raise ConfigError(f"{where} must be finite")
     if positive and v <= 0:
         raise ConfigError(f"{where} must be positive")
-    if nonneg and v < 0:
-        raise ConfigError(f"{where} must be non-negative")
     return v
 
 
-def _vec3(value, where, scale=None):
+def _vec3(value, where):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where} must be a list of 3 numbers")
-    out = np.array([_num(v, f"{where}[{i}]") for i, v in enumerate(value)])
-    if scale is not None:
-        out = out * scale
-    return out
+    return np.array([_num(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def _scalar_or_vec3(value, where):
+    """A 3-vector, or a scalar broadcast to all three axes."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return np.full(3, _num(value, where))
+    return _vec3(value, where)
 
 
 def _matrix3(value, where):
@@ -166,161 +179,106 @@ def _matrix3(value, where):
     return np.stack(rows)
 
 
-def _choice(value, options, where):
+def _choice(value, where, options):
     if value not in options:
         raise ConfigError(f"{where} must be one of {list(options)}, got {value!r}")
     return value
 
 
-def _int(value, where, minimum=None):
+def _int(value, where, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where} must be <= {maximum}")
     return value
+
+
+def _pose(value, where):
+    """[x, y, yaw] (or their rates) with the yaw in degrees, stored in radians."""
+    pose = _vec3(value, where)
+    return np.array([pose[0], pose[1], math.radians(pose[2])])
+
+
+def _ranges(value, where):
+    if not isinstance(value, (list, tuple)) or len(value) != 9:
+        raise ConfigError(f"{where} must list 9 [lo, hi] pairs")
+    parsed = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{where}[{i}] must be a [lo, hi] pair")
+        parsed.append((_num(pair[0], f"{where}[{i}][0]"), _num(pair[1], f"{where}[{i}][1]")))
+    return np.array(parsed)
+
+
+def _as_is(value, where):
+    """A value that only its component can check (a law or frame name)."""
+    return value
+
+
+# section -> key -> (ScenarioConfig field, parser(value, where)); a key is
+# parsed in this order when present
+_SCHEMA = {
+    "plant": {"M": ("m_matrix", _matrix3), "D": ("d_matrix", _matrix3)},
+    "controller": {
+        "type": ("controller_type", partial(_choice, options=CONTROLLER_TYPES)),
+        "K1": ("k1", _matrix3), "K2": ("k2", _matrix3),
+        "gamma": ("gamma", _scalar_or_vec3), "sigma": ("sigma", _vec3),
+        "adaptation_law": ("adaptation_law", _as_is),
+        "tau_max": ("tau_max", lambda v, where: None if v is None
+                    else _scalar_or_vec3(v, where)),
+        "Kp": ("kp", _matrix3), "Ki": ("ki", _matrix3), "Kd": ("kd", _matrix3),
+        "error_frame": ("pid_frame", _as_is),
+    },
+    "disturbance": {
+        "type": ("disturbance_type", partial(_choice, options=DISTURBANCE_TYPES)),
+        "delta": ("constant_delta", _vec3), "time_constants": ("time_constants", _vec3),
+        "noise_scale": ("noise_scale", _vec3), "seed": ("disturbance_seed", _int),
+        "initial_bias": ("initial_bias", _vec3),
+    },
+    "rbf": {
+        "points_per_dim": ("points_per_dim", _int), "ranges": ("rbf_ranges", _ranges),
+        "width": ("rbf_width", _num),
+        "weight_seed": ("weight_seed", partial(_int, minimum=0)),
+        "node_ceiling": ("node_ceiling", partial(_int, minimum=1, maximum=MAX_NODES)),
+    },
+    "simulation": {
+        "dt": ("dt", partial(_num, positive=True)),
+        "duration": ("duration", partial(_num, positive=True)),
+        "decimation": ("decimation", partial(_int, minimum=1)),
+        "initial_pose": ("initial_pose", _pose),
+        "initial_velocity": ("initial_velocity", _pose),
+        "target_pose": ("target_pose", _pose),
+    },
+}
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON object."""
     raw = _expect_mapping(raw, "scenario")
-    _reject_unknown(raw, ("plant", "controller", "disturbance", "simulation", "rbf"),
-                    "scenario")
+    _reject_unknown(raw, _SCHEMA, "scenario")
     cfg = ScenarioConfig()
-
-    plant = _expect_mapping(raw.get("plant", {}), "plant")
-    _reject_unknown(plant, ("M", "D"), "plant")
-    if "M" in plant:
-        cfg.m_matrix = _matrix3(plant["M"], "plant.M")
-    if "D" in plant:
-        cfg.d_matrix = _matrix3(plant["D"], "plant.D")
-
-    ctrl = _expect_mapping(raw.get("controller", {}), "controller")
-    _reject_unknown(ctrl, ("type", "K1", "K2", "gamma", "sigma", "adaptation_law",
-                           "tau_max", "Kp", "Ki", "Kd", "error_frame"), "controller")
-    if "type" in ctrl:
-        cfg.controller_type = _choice(ctrl["type"], CONTROLLER_TYPES, "controller.type")
-    if "K1" in ctrl:
-        cfg.k1 = _matrix3(ctrl["K1"], "controller.K1")
-    if "K2" in ctrl:
-        cfg.k2 = _matrix3(ctrl["K2"], "controller.K2")
-    if "gamma" in ctrl:
-        g = ctrl["gamma"]
-        if isinstance(g, (int, float)) and not isinstance(g, bool):
-            cfg.gamma = np.full(3, _num(g, "controller.gamma", positive=True))
-        else:
-            cfg.gamma = _vec3(g, "controller.gamma")
-        if not (cfg.gamma > 0).all():
-            raise ConfigError("controller.gamma entries must be positive")
-    if "sigma" in ctrl:
-        cfg.sigma = _vec3(ctrl["sigma"], "controller.sigma")
-        if not (cfg.sigma > 0).all():
-            raise ConfigError("controller.sigma entries must be positive")
-    if "adaptation_law" in ctrl:
-        cfg.adaptation_law = _choice(ctrl["adaptation_law"], ADAPTATION_LAW_NAMES,
-                                     "controller.adaptation_law")
-    if "tau_max" in ctrl:
-        if ctrl["tau_max"] is None:
-            cfg.tau_max = None
-        else:
-            t = ctrl["tau_max"]
-            if isinstance(t, (int, float)) and not isinstance(t, bool):
-                cfg.tau_max = np.full(3, _num(t, "controller.tau_max", positive=True))
-            else:
-                cfg.tau_max = _vec3(t, "controller.tau_max")
-                if not (cfg.tau_max > 0).all():
-                    raise ConfigError("controller.tau_max entries must be positive")
-    if "Kp" in ctrl:
-        cfg.kp = _matrix3(ctrl["Kp"], "controller.Kp")
-    if "Ki" in ctrl:
-        cfg.ki = _matrix3(ctrl["Ki"], "controller.Ki")
-    if "Kd" in ctrl:
-        cfg.kd = _matrix3(ctrl["Kd"], "controller.Kd")
-    if "error_frame" in ctrl:
-        cfg.pid_frame = _choice(ctrl["error_frame"], PID_FRAMES, "controller.error_frame")
-
-    dist = _expect_mapping(raw.get("disturbance", {}), "disturbance")
-    _reject_unknown(dist, ("type", "delta", "time_constants", "noise_scale", "seed",
-                           "initial_bias"), "disturbance")
-    if "type" in dist:
-        cfg.disturbance_type = _choice(dist["type"], DISTURBANCE_TYPES, "disturbance.type")
-    if "delta" in dist:
-        cfg.constant_delta = _vec3(dist["delta"], "disturbance.delta")
-    if "time_constants" in dist:
-        cfg.time_constants = _vec3(dist["time_constants"], "disturbance.time_constants")
-        if not (cfg.time_constants > 0).all():
-            raise ConfigError("disturbance.time_constants must be positive")
-    if "noise_scale" in dist:
-        cfg.noise_scale = _vec3(dist["noise_scale"], "disturbance.noise_scale")
-        if not (cfg.noise_scale >= 0).all():
-            raise ConfigError("disturbance.noise_scale must be non-negative")
-    if "seed" in dist:
-        cfg.disturbance_seed = _int(dist["seed"], "disturbance.seed", minimum=0)
-    if "initial_bias" in dist:
-        cfg.initial_bias = _vec3(dist["initial_bias"], "disturbance.initial_bias")
-
-    rbf = _expect_mapping(raw.get("rbf", {}), "rbf")
-    _reject_unknown(rbf, ("points_per_dim", "ranges", "width", "weight_seed",
-                          "node_ceiling"), "rbf")
-    if "points_per_dim" in rbf:
-        cfg.points_per_dim = _int(rbf["points_per_dim"], "rbf.points_per_dim", minimum=2)
-    if "ranges" in rbf:
-        ranges = rbf["ranges"]
-        if not isinstance(ranges, (list, tuple)) or len(ranges) != 9:
-            raise ConfigError("rbf.ranges must list 9 [lo, hi] pairs")
-        parsed = []
-        for i, pair in enumerate(ranges):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"rbf.ranges[{i}] must be a [lo, hi] pair")
-            lo = _num(pair[0], f"rbf.ranges[{i}][0]")
-            hi = _num(pair[1], f"rbf.ranges[{i}][1]")
-            if not lo < hi:
-                raise ConfigError(f"rbf.ranges[{i}] must have lo < hi")
-            parsed.append((lo, hi))
-        cfg.rbf_ranges = np.array(parsed)
-    if "width" in rbf:
-        cfg.rbf_width = _num(rbf["width"], "rbf.width", positive=True)
-    if "weight_seed" in rbf:
-        cfg.weight_seed = _int(rbf["weight_seed"], "rbf.weight_seed", minimum=0)
-    if "node_ceiling" in rbf:
-        cfg.node_ceiling = _int(rbf["node_ceiling"], "rbf.node_ceiling", minimum=1)
-
-    sim = _expect_mapping(raw.get("simulation", {}), "simulation")
-    _reject_unknown(sim, ("dt", "duration", "decimation", "initial_pose",
-                          "initial_velocity", "target_pose"), "simulation")
-    if "dt" in sim:
-        cfg.dt = _num(sim["dt"], "simulation.dt", positive=True)
-    if "duration" in sim:
-        cfg.duration = _num(sim["duration"], "simulation.duration", positive=True)
-    if "decimation" in sim:
-        cfg.decimation = _int(sim["decimation"], "simulation.decimation", minimum=1)
-    if "initial_pose" in sim:
-        pose = _vec3(sim["initial_pose"], "simulation.initial_pose")
-        cfg.initial_pose = np.array([pose[0], pose[1], math.radians(pose[2])])
-    if "initial_velocity" in sim:
-        vel = _vec3(sim["initial_velocity"], "simulation.initial_velocity")
-        cfg.initial_velocity = np.array([vel[0], vel[1], math.radians(vel[2])])
-    if "target_pose" in sim:
-        pose = _vec3(sim["target_pose"], "simulation.target_pose")
-        cfg.target_pose = np.array([pose[0], pose[1], math.radians(pose[2])])
-
+    for name, keys in _SCHEMA.items():
+        section = _expect_mapping(raw.get(name, {}), name)
+        _reject_unknown(section, keys, name)
+        for key, (attr, parse) in keys.items():
+            if key in section:
+                setattr(cfg, attr, parse(section[key], f"{name}.{key}"))
     _validate(cfg)
+    build_components(cfg)
     return cfg
 
 
 def _validate(cfg: ScenarioConfig):
-    from dpsim.vessel import SingularInertiaError, VesselParams
-
-    try:
-        VesselParams(cfg.m_matrix, cfg.d_matrix)
-    except (ValueError, SingularInertiaError) as exc:
-        raise ConfigError(f"plant: {exc}") from exc
+    """The rules of the run as a whole; each component checks its own values."""
     if cfg.duration < cfg.dt:
         raise ConfigError("simulation.duration must be at least one dt")
     steps = cfg.duration / cfg.dt
     if steps > MAX_STEPS:
         raise ConfigError(
             f"simulation.duration / simulation.dt = {steps:.6g} steps exceeds the "
-            f"{MAX_STEPS} steps whose trace rows fit in {MAX_ROW_BUFFER_BYTES} bytes")
+            f"{MAX_STEPS} steps whose trace rows fit in {MEMORY_BUDGET_BYTES} bytes")
     if abs(steps - round(steps)) > 1e-6:
         raise ConfigError("simulation.duration must be an integer number of dt steps")
     if int(round(steps)) % cfg.decimation != 0:
@@ -330,17 +288,58 @@ def _validate(cfg: ScenarioConfig):
                       ("target_pose", cfg.target_pose)):
         if not np.isfinite(arr).all():
             raise ConfigError(f"simulation.{name} must be finite")
-    if cfg.controller_type in ("adaptive-nn", "nn-fixed"):
-        count = cfg.points_per_dim ** len(cfg.rbf_ranges)
-        if count > cfg.node_ceiling:
-            raise ConfigError(
-                f"rbf grid {cfg.points_per_dim}^{len(cfg.rbf_ranges)} = {count} "
-                f"exceeds node ceiling {cfg.node_ceiling}")
-        for name, mat in (("K1", cfg.k1), ("K2", cfg.k2)):
-            if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-9):
-                raise ConfigError(f"controller.{name} must be symmetric")
-            if np.linalg.eigvalsh(mat).min() <= 0:
-                raise ConfigError(f"controller.{name} must be positive definite")
+
+
+@dataclass(frozen=True)
+class Components:
+    """The objects one run is built from; ``network`` is None for PID."""
+
+    plant: VesselParams
+    disturbance: ConstantDisturbance | MarkovBias
+    limits: SaturationLimits | None
+    pid: PidController
+    gains: BackstepGains
+    network: RbfNetwork | None
+
+
+@contextmanager
+def _section(name):
+    """Report a constructor's ValueError, which names the key, under its section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
+
+
+def build_components(cfg: ScenarioConfig) -> Components:
+    """Construct the run's plant, controllers, limits, disturbance and network.
+
+    The plant, both controllers, the limits and the Markov bias are built
+    whatever the scenario selects, so their values are checked for every
+    scenario.  A PID run has no network: its rbf section is checked on a grid
+    of at most 2 points per dimension, which neither allocates the configured
+    grid nor counts against the node ceiling.
+    """
+    with _section("plant"):
+        plant = VesselParams(cfg.m_matrix, cfg.d_matrix)
+    with _section("controller"):
+        gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma, law=cfg.adaptation_law)
+        limits = None if cfg.tau_max is None else SaturationLimits(cfg.tau_max)
+        pid = PidController(PidGains(cfg.kp, cfg.ki, cfg.kd), cfg.pid_frame)
+    with _section("disturbance"):
+        markov = MarkovBias(cfg.time_constants, cfg.noise_scale, cfg.disturbance_seed,
+                            cfg.initial_bias)
+        disturbance = (markov if cfg.disturbance_type == "markov"
+                       else ConstantDisturbance(cfg.constant_delta))
+    with _section("rbf"):
+        if cfg.controller_type == "pid":
+            RbfNetwork.grid(cfg.rbf_ranges, min(cfg.points_per_dim, 2), cfg.rbf_width,
+                            math.inf)
+            network = None
+        else:
+            network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width,
+                                      cfg.node_ceiling)
+    return Components(plant, disturbance, limits, pid, gains, network)
 
 
 def read_scenario(path):

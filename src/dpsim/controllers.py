@@ -28,7 +28,8 @@ import numpy as np
 from dpsim.approximators import AdaptiveWeights
 from dpsim.vessel import rk4_step, rotation_matrix, yaw_rate_skew
 
-ADAPTATION_LAWS = {"stable": (-1.0, -1.0), "unstable": (1.0, 1.0)}
+ADAPTATION_LAWS = ("stable", "unstable")
+PID_FRAMES = ("body", "earth")
 
 
 class InvalidGainError(ValueError):
@@ -72,12 +73,13 @@ class PidController:
     ``frame="body"`` (default) rotates the position error into the body frame
     and takes the yaw error directly, since thrust acts along body axes; the
     derivative term then uses -nu.  ``frame="earth"`` works on eta_d - eta
-    with derivative -R nu.  The integral state resets at run start.
+    with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.  The
+    integral state resets at run start.
     """
 
     def __init__(self, gains: PidGains, frame: str = "body"):
-        if frame not in ("body", "earth"):
-            raise ValueError("frame must be 'body' or 'earth'")
+        if frame not in PID_FRAMES:
+            raise ValueError(f"error_frame must be one of {list(PID_FRAMES)}, got {frame!r}")
         self.gains = gains
         self.frame = frame
         self.integral = np.zeros(3)
@@ -117,7 +119,8 @@ class BackstepGains:
 
     ``gamma`` holds the per-axis adaptation gains as a 3-vector (a scalar
     broadcasts): axis i adapts with ``Gamma_i = gamma_i * I``.  ``sigma`` are
-    the per-axis leak rates.  ``node_count`` records the network size the
+    the per-axis leak rates, all positive.  ``law`` is the scenario's
+    ``adaptation_law``.  ``node_count`` records the network size the
     gains are meant for; the gains themselves do not depend on it.  K1 and K2
     must be symmetric positive definite; K2 > I/2 is required by the
     dissipation analysis and is warned about if violated.
@@ -136,8 +139,8 @@ class BackstepGains:
         _require_spd(self.K1, "K1")
         _require_spd(self.K2, "K2")
         self.sigma = np.asarray(self.sigma, dtype=float) * np.ones(3)
-        if not (self.sigma >= 0).all():
-            raise ValueError("sigma entries must be non-negative")
+        if not (self.sigma > 0).all():
+            raise ValueError("sigma entries must be positive")
         gamma = np.asarray(self.gamma, dtype=float)
         if gamma.shape not in ((), (3,)):
             raise ValueError("gamma must be a scalar or a per-axis 3-vector")
@@ -145,14 +148,17 @@ class BackstepGains:
             raise ValueError("gamma entries must be positive")
         self.gamma = gamma * np.ones(3)
         if self.law not in ADAPTATION_LAWS:
-            raise ValueError(f"law must be one of {sorted(ADAPTATION_LAWS)}")
+            raise ValueError(f"adaptation_law must be one of {list(ADAPTATION_LAWS)}, "
+                             f"got {self.law!r}")
         if np.linalg.eigvalsh(self.K2).min() <= 0.5:
             warnings.warn("K2 <= I/2: the closed-loop dissipation bound does not apply",
                           stacklevel=2)
 
     @property
     def law_signs(self):
-        return ADAPTATION_LAWS[self.law]
+        """(drive, leak) signs of the weight update: -1 for the stable law, +1 otherwise."""
+        sign = -1.0 if self.law == "stable" else 1.0
+        return sign, sign
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ invariant at ``noise_scale_i^2 * time_constant_i / 2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +57,23 @@ class MarkovBias:
         T = np.asarray(time_constants, dtype=float) * np.ones(3)
         psi = np.asarray(noise_scale, dtype=float) * np.ones(3)
         if not (T > 0).all():
-            raise ValueError("time constants must be positive")
+            raise ValueError("time_constants must be positive")
         if not (psi >= 0).all():
-            raise ValueError("noise scale entries must be non-negative")
+            raise ValueError("noise_scale entries must be non-negative")
         self.time_constants = T
         self.noise_scale = psi
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
         if self.b.shape != (3,) or not np.isfinite(self.b).all():
-            raise ValueError("initial bias must be a finite 3-vector")
-        self._rng = np.random.default_rng(self.seed)
+            raise ValueError("initial_bias must be a finite 3-vector")
+
+    @cached_property
+    def _rng(self):
+        # made on the first step: validation builds a bias it never steps, and
+        # the first generator of a process pays for importing numpy.random
+        return np.random.default_rng(self.seed)
 
     def step(self, dt: float) -> np.ndarray:
         """Advance the bias by one Euler-Maruyama step; returns the new bias."""

@@ -21,10 +21,10 @@ import numpy as np
 
 from dpsim import kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork
-from dpsim.config import ScenarioConfig
-from dpsim.controllers import (BackstepGains, PidController, PidGains,
-                               SaturationLimits, saturate)
-from dpsim.disturbance import ConstantDisturbance, MarkovBias
+from dpsim.config import ScenarioConfig, build_components
+from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
+                               saturate)
+from dpsim.disturbance import MarkovBias
 from dpsim.traces import RunTrace
 from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle
 
@@ -307,27 +307,17 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
 
 def run_simulation(cfg: ScenarioConfig):
     """Execute one configured scenario; returns (RunTrace, RunMetrics)."""
-    plant = VesselParams(cfg.m_matrix, cfg.d_matrix)
-    if cfg.disturbance_type == "constant":
-        dist = ConstantDisturbance(cfg.constant_delta)
-    else:
-        dist = MarkovBias(cfg.time_constants, cfg.noise_scale,
-                          cfg.disturbance_seed, cfg.initial_bias)
-    limits = SaturationLimits(cfg.tau_max) if cfg.tau_max is not None else None
+    parts = build_components(cfg)
     meta = {"version": VERSION, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                   dt=cfg.dt, duration=cfg.duration, decimation=cfg.decimation,
-                  limits=limits, meta=meta)
-    if cfg.controller_type == "pid":
-        controller = PidController(PidGains(cfg.kp, cfg.ki, cfg.kd), cfg.pid_frame)
-        return simulate_pid(plant, controller, dist, **common)
-    network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim,
-                              cfg.rbf_width, cfg.node_ceiling)
-    meta["nodes"] = str(network.node_count)
-    weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
-    gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma,
-                          law=cfg.adaptation_law, node_count=network.node_count)
-    return simulate_adaptive(plant, gains, network, weights0, dist,
+                  limits=parts.limits, meta=meta)
+    if parts.network is None:
+        return simulate_pid(parts.plant, parts.pid, parts.disturbance, **common)
+    meta["nodes"] = str(parts.network.node_count)
+    weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
+    return simulate_adaptive(parts.plant, parts.gains, parts.network, weights0,
+                             parts.disturbance,
                              adapt=(cfg.controller_type == "adaptive-nn"), **common)
 
 

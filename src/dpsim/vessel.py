@@ -69,15 +69,6 @@ class BodyVelocity:
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
-@dataclass(frozen=True)
-class VesselState:
-    pose: Pose
-    velocity: BodyVelocity
-
-    def as_arrays(self):
-        return self.pose.as_array(), self.velocity.as_array()
-
-
 def _check_structural_zeros(mat, name):
     # surge is decoupled from sway/yaw in both the inertia and damping matrices
     for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
@@ -104,9 +95,9 @@ class VesselParams:
         try:
             M_inv = np.linalg.inv(M)
         except np.linalg.LinAlgError as exc:
-            raise SingularInertiaError("inertia matrix M is singular") from exc
+            raise SingularInertiaError("M is singular") from exc
         if not np.isfinite(M_inv).all():
-            raise SingularInertiaError("inertia matrix M is numerically singular")
+            raise SingularInertiaError("M is numerically singular")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "M_inv", M_inv)

@@ -188,6 +188,8 @@ class TestBackstepControl:
                           BENCH_K2, 0.1, (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             BackstepGains(BENCH_K1, BENCH_K2, 0.1, (1.0, 1.0, 1.0), law="sideways")
+        with pytest.raises(ValueError, match="sigma"):
+            BackstepGains(BENCH_K1, BENCH_K2, 0.1, (1.0, 0.0, 1.0))
 
     def test_gamma_is_per_axis(self):
         gains = BackstepGains(BENCH_K1, BENCH_K2, 0.5, (1.0, 1.0, 1.0), node_count=7)
@@ -211,12 +213,18 @@ class TestAdaptation:
                             method="euler")
         assert out.theta[0, 0] == pytest.approx(0.99787, abs=1e-10)
 
-    def test_frozen_without_drive_or_leak(self):
-        gains = small_gains(sigma=(0.0, 0.0, 0.0))
+    def test_leak_only_rk4_step(self):
+        # zero basis: the drive vanishes and RK4 on theta' = -gamma sigma theta
+        # gives theta times the degree-4 Taylor polynomial of exp(x)
+        gains = small_gains()
         weights = AdaptiveWeights(np.array([[1.0], [2.0], [-1.0]]))
+        dt = 0.5
         out = adapt_weights(gains, weights, np.zeros(1), np.array([1.0, -2.0, 3.0]),
-                            dt=0.5)
-        np.testing.assert_array_equal(out.theta, weights.theta)
+                            dt=dt, method="rk4")
+        x = -gains.gamma * gains.sigma * dt
+        factor = 1 + x + x ** 2 / 2 + x ** 3 / 6 + x ** 4 / 24
+        np.testing.assert_allclose(out.theta, weights.theta * factor[:, None],
+                                   rtol=1e-15, atol=0)
 
     def test_drive_term_scales_linearly(self):
         gains = small_gains(node_count=2)
