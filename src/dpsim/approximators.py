@@ -51,6 +51,8 @@ def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) ->
     for i, (lo, hi) in enumerate(ranges):
         if not lo < hi:
             raise ValueError(f"ranges[{i}] = [{lo}, {hi}] must have lo < hi")
+        if not np.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"ranges[{i}] = [{lo}, {hi}] must span a finite width")
     n_dims = len(ranges)
     count = points_per_dim ** n_dims
     if count > ceiling:

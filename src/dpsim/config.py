@@ -10,21 +10,24 @@ This module checks the JSON shape and types and the rules of the run as a
 whole: the time grid, its step and memory ceilings, and finite poses.  Every
 other value is checked by the object that uses it: ``parse_scenario`` calls
 :func:`build_components`, the same function ``run_simulation`` builds its
-run with, and reports a constructor's ``ValueError`` as a ``ConfigError``
-on the scenario key.  So a scenario that validates also builds.
+run with (keeping no grid network), and reports a constructor's
+``ValueError`` as a ``ConfigError`` on the scenario key.  So a scenario that
+validates also builds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from dpsim.approximators import DEFAULT_INPUT_RANGES, GRID_NODE_CEILING, RbfNetwork
+from dpsim.approximators import (DEFAULT_INPUT_RANGES, GRID_NODE_CEILING, RbfNetwork,
+                                 grid_nodes)
 from dpsim.controllers import (BackstepGains, PidController, PidGains,
                                SaturationLimits)
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
@@ -173,10 +176,7 @@ def _matrix3(value, where):
         return np.diag(_vec3(value, where))
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where} must be a 3x3 matrix or a 3-entry diagonal")
-    rows = []
-    for i, row in enumerate(value):
-        rows.append(_vec3(row, f"{where}[{i}]"))
-    return np.stack(rows)
+    return np.stack([_vec3(row, f"{where}[{i}]") for i, row in enumerate(value)])
 
 
 def _choice(value, where, options):
@@ -266,7 +266,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             if key in section:
                 setattr(cfg, attr, parse(section[key], f"{name}.{key}"))
     _validate(cfg)
-    build_components(cfg)
+    build_components(cfg, network=False)
     return cfg
 
 
@@ -311,18 +311,24 @@ def _section(name):
         raise ConfigError(f"{name}.{exc}") from exc
 
 
-def build_components(cfg: ScenarioConfig) -> Components:
+def build_components(cfg: ScenarioConfig, network: bool = True) -> Components:
     """Construct the run's plant, controllers, limits, disturbance and network.
 
-    The plant, both controllers, the limits and the Markov bias are built
-    whatever the scenario selects, so their values are checked for every
-    scenario.  A PID run has no network: its rbf section is checked on a grid
-    of at most 2 points per dimension, which neither allocates the configured
-    grid nor counts against the node ceiling.
+    The plant, both controllers, the limits and the Markov bias are built for
+    every scenario, so their values are always checked; only the backstepping
+    controllers warn about a weak K2.  The grid network is built for
+    ``adaptive-nn`` and ``nn-fixed`` if ``network``; otherwise (validation,
+    which leaves the grid to the run) the rbf section is only checked, by the
+    grid's two parts ``grid_nodes`` and ``RbfNetwork``.  PID uses no grid, so
+    its section is checked on at most 2 points per dimension with no ceiling.
     """
+    uses_grid = cfg.controller_type != "pid"
     with _section("plant"):
         plant = VesselParams(cfg.m_matrix, cfg.d_matrix)
-    with _section("controller"):
+    # only for PID: leaving catch_warnings resets the once-per-location record
+    with _section("controller"), nullcontext() if uses_grid else warnings.catch_warnings():
+        if not uses_grid:
+            warnings.simplefilter("ignore")
         gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma, law=cfg.adaptation_law)
         limits = None if cfg.tau_max is None else SaturationLimits(cfg.tau_max)
         pid = PidController(PidGains(cfg.kp, cfg.ki, cfg.kd), cfg.pid_frame)
@@ -332,14 +338,14 @@ def build_components(cfg: ScenarioConfig) -> Components:
         disturbance = (markov if cfg.disturbance_type == "markov"
                        else ConstantDisturbance(cfg.constant_delta))
     with _section("rbf"):
-        if cfg.controller_type == "pid":
-            RbfNetwork.grid(cfg.rbf_ranges, min(cfg.points_per_dim, 2), cfg.rbf_width,
-                            math.inf)
-            network = None
+        points, ceiling = ((cfg.points_per_dim, cfg.node_ceiling) if uses_grid
+                           else (min(cfg.points_per_dim, 2), math.inf))
+        if uses_grid and network:
+            net = RbfNetwork.grid(cfg.rbf_ranges, points, cfg.rbf_width, ceiling)
         else:
-            network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width,
-                                      cfg.node_ceiling)
-    return Components(plant, disturbance, limits, pid, gains, network)
+            net = None
+            RbfNetwork(grid_nodes(cfg.rbf_ranges, points, ceiling), cfg.rbf_width)
+    return Components(plant, disturbance, limits, pid, gains, net)
 
 
 def read_scenario(path):
@@ -350,15 +356,13 @@ def read_scenario(path):
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     if not text.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return raw
+        return {}
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

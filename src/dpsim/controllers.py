@@ -151,8 +151,9 @@ class BackstepGains:
             raise ValueError(f"adaptation_law must be one of {list(ADAPTATION_LAWS)}, "
                              f"got {self.law!r}")
         if np.linalg.eigvalsh(self.K2).min() <= 0.5:
+            # stacklevel 3 skips the dataclass __init__ to name the caller
             warnings.warn("K2 <= I/2: the closed-loop dissipation bound does not apply",
-                          stacklevel=2)
+                          stacklevel=3)
 
     @property
     def law_signs(self):

@@ -9,7 +9,6 @@ invariant at ``noise_scale_i^2 * time_constant_i / 2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,12 +67,7 @@ class MarkovBias:
         self.b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
         if self.b.shape != (3,) or not np.isfinite(self.b).all():
             raise ValueError("initial_bias must be a finite 3-vector")
-
-    @cached_property
-    def _rng(self):
-        # made on the first step: validation builds a bias it never steps, and
-        # the first generator of a process pays for importing numpy.random
-        return np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self.seed)
 
     def step(self, dt: float) -> np.ndarray:
         """Advance the bias by one Euler-Maruyama step; returns the new bias."""

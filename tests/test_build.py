@@ -1,12 +1,14 @@
 """One builder behind validation and the run: what validates also builds."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsim.cli import main as cli_main
+from dpsim.approximators import DEFAULT_INPUT_RANGES, RbfNetwork
 from dpsim.config import (CONTROLLER_TYPES, DEFAULT_K1, MAX_NODES, ConfigError,
                           build_components, parse_scenario)
 
@@ -62,6 +64,34 @@ def test_every_value_is_checked_under_every_controller(controller, section, key,
         parse_scenario(raw)
 
 
+@pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
+def test_range_span_beyond_a_double_is_a_config_error(controller):
+    ranges = [list(pair) for pair in DEFAULT_INPUT_RANGES]
+    ranges[2] = [-1e308, 1e308]
+    with pytest.raises(ConfigError, match=r"rbf\.ranges\[2\]"):
+        parse_scenario({"controller": {"type": controller}, "rbf": {"ranges": ranges}})
+
+
+def test_validation_leaves_the_grid_to_the_run(monkeypatch):
+    grids = []
+    build_grid = RbfNetwork.grid
+    monkeypatch.setattr(RbfNetwork, "grid",
+                        lambda *args: grids.append(args) or build_grid(*args))
+    cfg = parse_scenario({"rbf": {"points_per_dim": 2}})
+    assert grids == []
+    assert build_components(cfg).network.node_count == 2 ** 9
+    assert len(grids) == 1
+
+
+@pytest.mark.parametrize("controller, warned", [("pid", 0), ("adaptive-nn", 1)])
+def test_weak_k2_warns_only_for_backstepping(controller, warned):
+    raw = {"controller": {"type": controller, "K2": [0.1, 0.1, 0.1]}}
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        parse_scenario(raw)
+    assert len(record) == warned
+
+
 def test_builder_reports_a_mutated_config():
     cfg = parse_scenario({})
     cfg.sigma = np.array([1.0, -1.0, 1.0])
@@ -77,8 +107,8 @@ scale3 = st.lists(st.floats(-10.0, 1e4), min_size=3, max_size=3)
 def scenarios(draw):
     k1 = np.array(DEFAULT_K1)
     k1[0, 1] = draw(st.floats(0.0, 1e-8))
-    ranges = draw(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-                           min_size=9, max_size=9))
+    bound = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
+    ranges = draw(st.lists(st.tuples(bound, bound), min_size=9, max_size=9))
     return {
         "controller": {"type": draw(st.sampled_from(CONTROLLER_TYPES)), "K1": k1.tolist(),
                        "sigma": draw(vec3), "gamma": draw(vec3), "tau_max": draw(vec3)},

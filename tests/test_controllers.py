@@ -204,6 +204,11 @@ class TestBackstepControl:
         with pytest.warns(UserWarning, match="K2"):
             BackstepGains(BENCH_K1, 0.25 * np.eye(3), 0.1, (1.0, 1.0, 1.0))
 
+    def test_weak_k2_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="K2") as record:
+            BackstepGains(BENCH_K1, 0.25 * np.eye(3), 0.1, (1.0, 1.0, 1.0))
+        assert record[0].filename == __file__
+
 
 class TestAdaptation:
     def test_leak_only_euler_step(self):
