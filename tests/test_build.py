@@ -55,6 +55,8 @@ def test_node_ceiling_is_bounded(tmp_path, capsys):
     ("disturbance", "noise_scale", [-1.0, 1000.0, 1000.0]),
     ("rbf", "width", 0.0),
     ("rbf", "points_per_dim", 1),
+    # a span beyond a double gives NaN grid nodes
+    ("rbf", "ranges", [[-1e308, 1e308]] + [list(pair) for pair in DEFAULT_INPUT_RANGES[1:]]),
 ])
 def test_every_value_is_checked_under_every_controller(controller, section, key, value):
     # the disturbance stays constant: the Markov values are checked all the same
@@ -62,14 +64,6 @@ def test_every_value_is_checked_under_every_controller(controller, section, key,
     raw.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         parse_scenario(raw)
-
-
-@pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
-def test_range_span_beyond_a_double_is_a_config_error(controller):
-    ranges = [list(pair) for pair in DEFAULT_INPUT_RANGES]
-    ranges[2] = [-1e308, 1e308]
-    with pytest.raises(ConfigError, match=r"rbf\.ranges\[2\]"):
-        parse_scenario({"controller": {"type": controller}, "rbf": {"ranges": ranges}})
 
 
 def test_validation_leaves_the_grid_to_the_run(monkeypatch):
