@@ -82,7 +82,9 @@ class RbfNetwork:
     """Immutable basis on a Cartesian grid: per-dimension nodes (m, p), one width.
 
     The centers are the p^m grid points in the lexicographic order of
-    :func:`build_grid_centers`; they are derived on demand, not stored.
+    :func:`build_grid_centers`; they are derived on demand, not stored.  The
+    kernels' gather index of the basis's two factors (see ``dpsim.kernels``)
+    is computed once here.
     """
 
     nodes: np.ndarray
@@ -101,6 +103,7 @@ class RbfNetwork:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "_inv_two_h2", 1.0 / (2.0 * width ** 2))
         object.__setattr__(self, "_coef", 1.0 / (np.sqrt(2.0 * np.pi) * width))
+        object.__setattr__(self, "_index", kernels.factor_index(nodes))
 
     @property
     def node_count(self) -> int:
@@ -130,7 +133,7 @@ def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
         out = np.empty(net.node_count)
     elif out.shape != (net.node_count,) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous vector of {net.node_count} values")
-    return kernels.basis_into(net.nodes, net._inv_two_h2, net._coef, z, out)
+    return kernels.basis_into(net.nodes, net._inv_two_h2, net._coef, net._index, z, out)
 
 
 class AdaptiveWeights:

@@ -7,7 +7,8 @@ scenario: the supply-vessel plant below, the adaptive backstepping
 controller with its benchmark gains, and the constant disturbance.
 
 This module checks the JSON shape and types and the rules of the run as a
-whole: the time grid, its step and memory ceilings, and finite poses.  Every
+whole: the time grid, its step and memory ceilings, finite poses, and an
+adaptation gain whose weight leak RK4 can integrate at that step.  Every
 other value is checked by the object that uses it: ``parse_scenario`` calls
 :func:`build_components`, the same function ``run_simulation`` builds its
 run with (keeping no grid network), and reports a constructor's
@@ -59,8 +60,11 @@ DEFAULT_WEIGHT_SEED = 1
 # A scenario whose largest buffers would exceed 1 GiB is rejected before
 # anything is allocated.  The simulator logs every step as one row of
 # len(TRACE_COLUMNS) doubles (144 B) in a single (steps + 1)-row buffer, and
-# an adaptive run holds ten doubles per grid node: the weights (3 rows), their
-# initial copy (3 rows) and the four stage-basis rows.
+# an adaptive run holds nine doubles per grid node: the weights (3 rows),
+# their initial copy (3 rows) and the product of the once-per-step weight fold
+# (3 rows).  The four stages keep only the two factors of their basis vectors,
+# p^4 + p^5 values each.  The node ceiling below still counts ten doubles per
+# node, which leaves headroom.
 MEMORY_BUDGET_BYTES = 2 ** 30
 MAX_STEPS = MEMORY_BUDGET_BYTES // (8 * len(TRACE_COLUMNS)) - 1
 MAX_NODES = MEMORY_BUDGET_BYTES // (8 * 10)
@@ -266,7 +270,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             if key in section:
                 setattr(cfg, attr, parse(section[key], f"{name}.{key}"))
     _validate(cfg)
-    build_components(cfg, network=False)
+    _check_weight_leak(cfg, build_components(cfg, network=False).gains)
     return cfg
 
 
@@ -288,6 +292,23 @@ def _validate(cfg: ScenarioConfig):
                       ("target_pose", cfg.target_pose)):
         if not np.isfinite(arr).all():
             raise ConfigError(f"simulation.{name} must be finite")
+
+
+def _check_weight_leak(cfg: ScenarioConfig, gains: BackstepGains):
+    """A rule of the run as a whole: RK4 at dt must damp the stable law's leak.
+
+    Beyond the limit the weights grow every step and the run aborts after
+    seconds of run time.  A config changed after parsing runs as given.
+    """
+    if cfg.controller_type != "adaptive-nn" or gains.law != "stable":
+        return
+    damped = gains.rk4_damps_leak(cfg.dt)
+    if not damped.all():
+        axis = ("surge", "sway", "yaw")[int(np.argmin(damped))]
+        raise ConfigError(
+            f"controller.gamma: gamma * sigma * simulation.dt reaches the RK4 limit of "
+            f"about 2.785 in {axis}, where the stable law's weight leak grows each step; "
+            f"lower gamma or simulation.dt")
 
 
 @dataclass(frozen=True)

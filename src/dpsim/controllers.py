@@ -161,6 +161,17 @@ class BackstepGains:
         sign = -1.0 if self.law == "stable" else 1.0
         return sign, sign
 
+    def rk4_damps_leak(self, dt) -> np.ndarray:
+        """Per axis, whether classical RK4 at step ``dt`` damps the stable law's leak.
+
+        With ``z = -gamma sigma dt`` one step multiplies leak-only weights by
+        ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``, which is positive for real z.
+        So ``|R(z)| < 1`` iff ``(R(z) - 1) / z = 1 + z/2 + z^2/6 + z^3/24 > 0``,
+        that is iff ``gamma sigma dt`` is below about 2.785.
+        """
+        z = -self.gamma * self.sigma * dt
+        return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0 > 0.0
+
 
 @dataclass(frozen=True)
 class SaturationLimits:

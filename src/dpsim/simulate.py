@@ -189,10 +189,12 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
     coordinates, reset to ``[1, 0, 0, 0, 0]`` each step; the end-of-step
     hook folds them back into ``theta``.  This is the same RK4 as integrating
-    all 3 l weights, up to rounding.
+    all 3 l weights, up to rounding.  Each stage keeps only the two tensor
+    factors of its basis vector (see ``dpsim.kernels``): the network output,
+    the Gram products ``g_j . g_s`` and the fold are all taken on the factors.
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
-    diagnostics.
+    diagnostics; only then is the sample's basis vector formed.
     """
     n_nodes = network.node_count
     if weights0.node_count != n_nodes:
@@ -202,9 +204,13 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     drive, leak = gains.law_signs
     theta = weights0.theta.copy()
     z_buf = np.empty(9)
+    nodes, index = network.nodes, network._index
 
-    def control(yv, R, g):
-        """Error coordinates and network output ``theta . g`` at one stage state."""
+    def control(yv, R, f):
+        """Error coordinates and network output ``theta . g`` at one stage state.
+
+        The factors of the stage's basis vector are written into ``f``.
+        """
         eta = yv[:3]
         z1 = eta - eta_d
         alpha1 = -(R.T @ (K1 @ z1))
@@ -212,12 +218,19 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         z_buf[0:3] = eta
         z_buf[3:6] = yv[3:6]
         z_buf[6:9] = alpha1
-        nn = kernels.adaptive_core(network.nodes, network._inv_two_h2, network._coef,
-                                   z_buf, theta, g)
+        nn = kernels.adaptive_core(nodes, network._inv_two_h2, network._coef, index,
+                                   z_buf, theta, f)
         return z1, z2, alpha1, nn
 
+    def probe_fields(z1, z2, alpha1, f):
+        if probe is None:
+            return None
+        return dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
+                    basis=kernels.basis_from_factors(nodes, f, np.empty(n_nodes)))
+
     if adapt:
-        basis = np.empty((4, n_nodes))      # g_1 .. g_4 of the current step
+        factors = np.empty((4, index.shape[1]))     # factors of g_1 .. g_4 of the step
+        fold_out = np.empty_like(theta)
         decay = gains.gamma * leak * gains.sigma
         gain = gains.gamma * drive
         unit = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], 3)
@@ -225,9 +238,10 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         stage_index = 0
 
         def law_stage(yv, R, dy):
-            z1, z2, alpha1, nn = control(yv, R, basis[stage_index])
+            f = factors[stage_index]
+            z1, z2, alpha1, nn = control(yv, R, f)
             x = yv[6:].reshape(3, 5)
-            gram = basis[:stage_index] @ basis[stage_index]
+            gram = kernels.gram_row(nodes, factors[:stage_index], f)
             nn = x[:, 0] * nn + x[:, 1:stage_index + 1] @ gram
             dx = dy[6:].reshape(3, 5)
             np.multiply(decay[:, None], x, out=dx)
@@ -238,8 +252,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             nonlocal stage_index
             stage_index = 0
             tau, z1, z2, alpha1 = law_stage(y, R, dy)
-            return tau, z2, norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
-                                        basis=basis[0])
+            return tau, z2, norms, probe_fields(z1, z2, alpha1, factors[0])
 
         def stage(yv, R, dy):
             nonlocal stage_index
@@ -247,10 +260,8 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             return law_stage(yv, R, dy)[0]
 
         def end_step(y):
-            nonlocal norms, theta
-            x = y[6:].reshape(3, 5)
-            theta *= x[:, :1]
-            theta += x[:, 1:] @ basis
+            nonlocal norms
+            kernels.fold(nodes, theta, y[6:].reshape(3, 5), factors, fold_out)
             y[6:] = unit
             norms = _row_norms(theta)
             # a norm overflows before the weights do, so only then look closer
@@ -258,17 +269,16 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         law = (unit, sample, stage, end_step)
     else:
-        g_buf = np.empty(n_nodes)
+        f_buf = np.empty(index.shape[1])
         frozen_norms = weights0.norms()
 
         def frozen_tau(yv, R):
-            z1, z2, alpha1, nn = control(yv, R, g_buf)
+            z1, z2, alpha1, nn = control(yv, R, f_buf)
             return saturate(-(R.T @ z1) - K2 @ z2 + nn, limits), z1, z2, alpha1
 
         def sample(y, R, dy):
             tau, z1, z2, alpha1 = frozen_tau(y, R)
-            return tau, z2, frozen_norms, dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
-                                               basis=g_buf)
+            return tau, z2, frozen_norms, probe_fields(z1, z2, alpha1, f_buf)
 
         law = (np.empty(0), sample, lambda yv, R, dy: frozen_tau(yv, R)[0],
                _no_state_end_step)

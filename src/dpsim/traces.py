@@ -58,16 +58,23 @@ class RunTrace:
         ])
 
 
+# one data row: what csv.writer writes for the 9-digit values, which need no quoting
+_ROW_FORMAT = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\r\n"
+# rows formatted per write: one write per block keeps the text of a long
+# trace from being held in memory all at once
+_ROWS_PER_WRITE = 256
+
+
 def write_trace_csv(path, trace: RunTrace) -> None:
     data = trace.columns()
     with open(path, "w", newline="") as fh:
         fh.write(f"# {FORMAT_NAME} {FORMAT_VERSION}\r\n")
         for key, value in trace.meta.items():
             fh.write(f"# {key}: {value}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in data:
-            writer.writerow([f"{v:.9g}" for v in row])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(data), _ROWS_PER_WRITE):
+            block = data[start:start + _ROWS_PER_WRITE].tolist()
+            fh.write("".join([_ROW_FORMAT % tuple(row) for row in block]))
 
 
 def read_trace_csv(path) -> RunTrace:

@@ -220,6 +220,11 @@ class TestSeparableBasis:
             np.testing.assert_allclose(gaussian_basis(net, z), dense_basis(net, z),
                                        rtol=1e-12, atol=np.finfo(float).tiny)
 
+    @staticmethod
+    def factors(net, z):
+        f = np.empty(net._index.shape[1])
+        return kernels.factors_into(net.nodes, net._inv_two_h2, net._coef, net._index, z, f)
+
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_adaptive_core_matches_dense_formula(self, name):
         net = self.NETWORKS[name]()
@@ -227,8 +232,36 @@ class TestSeparableBasis:
         theta = rng.normal(size=(3, net.node_count))
         for z in self.inputs(net, rng):
             g_ref = dense_basis(net, z)
-            g = np.empty(net.node_count)
-            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, z, theta, g)
+            f = np.empty(net._index.shape[1])
+            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, net._index, z,
+                                       theta, f)
+            g = kernels.basis_from_factors(net.nodes, f, np.empty(net.node_count))
             np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=np.finfo(float).tiny)
             # sums of mixed-sign terms: relative to the size of the terms
             assert_close_to_terms(nn, theta @ g_ref, np.abs(theta) @ g_ref)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_gram_from_factors_matches_dense_dot_products(self, name):
+        net = self.NETWORKS[name]()
+        rng = np.random.default_rng(5)
+        points = self.inputs(net, rng)
+        factors = np.stack([self.factors(net, z) for z in points])
+        dense = np.stack([dense_basis(net, z) for z in points])
+        for s, z in enumerate(points):
+            gram = kernels.gram_row(net.nodes, factors, factors[s])
+            # dot products of positive terms; underflowed ones carry no digits
+            np.testing.assert_allclose(gram, dense @ dense[s], rtol=1e-12,
+                                       atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_fold_matches_dense_combination(self, name):
+        net = self.NETWORKS[name]()
+        rng = np.random.default_rng(6)
+        points = self.inputs(net, rng)[3:7]
+        factors = np.stack([self.factors(net, z) for z in points])
+        dense = np.stack([dense_basis(net, z) for z in points])
+        theta = rng.normal(size=(3, net.node_count))
+        x = rng.normal(size=(3, 5))
+        want = x[:, :1] * theta + x[:, 1:] @ dense
+        got = kernels.fold(net.nodes, theta.copy(), x, factors, np.empty_like(theta))
+        assert_close_to_terms(got, want, np.abs(x[:, :1] * theta) + np.abs(x[:, 1:]) @ dense)

@@ -66,6 +66,27 @@ def test_every_value_is_checked_under_every_controller(controller, section, key,
         parse_scenario(raw)
 
 
+def test_stable_law_beyond_the_rk4_leak_limit_is_a_config_error(tmp_path, capsys):
+    # gamma 100: gamma * sigma * dt = 21.3 in surge, so RK4 would grow the leak;
+    # the run used to abort after 8 s of simulated time
+    code, err = _cli(tmp_path, capsys, "run", {"controller": {"gamma": 100.0}})
+    assert code == 1
+    assert "controller.gamma" in err
+    assert "Traceback" not in err
+    code, _ = _cli(tmp_path, capsys, "run", {"controller": {"gamma": 10.0}},
+                   "--duration", "1", "--grid", "2")
+    assert code == 0
+    # the limit is the real root of 1 + z/2 + z^2/6 + z^3/24, about -2.7853
+    sigma, dt = 2.13, 0.1
+    parse_scenario({"controller": {"gamma": 2.785 / (sigma * dt)}})
+    with pytest.raises(ConfigError, match="controller.gamma.*surge"):
+        parse_scenario({"controller": {"gamma": 2.786 / (sigma * dt)}})
+    # the unstable law diverges by design, and frozen weights do not adapt
+    for controller in ({"adaptation_law": "unstable", "gamma": 100.0},
+                       {"type": "nn-fixed", "gamma": 100.0}):
+        parse_scenario({"controller": controller})
+
+
 def test_validation_leaves_the_grid_to_the_run(monkeypatch):
     grids = []
     build_grid = RbfNetwork.grid

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -12,7 +14,7 @@ from dpsim.controllers import (BackstepGains, backstep_control, compute_alpha1,
 from dpsim.disturbance import ConstantDisturbance
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive)
-from dpsim.traces import TRACE_COLUMNS, read_trace_csv, write_trace_csv
+from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
 from dpsim.vessel import VesselParams, plant_derivative, rk4_step
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
@@ -186,6 +188,23 @@ class TestRunSimulation:
         for theta in seen:
             np.testing.assert_array_equal(theta, weights0.theta)
 
+    @pytest.mark.parametrize("adapt", [True, False], ids=["adaptive-nn", "nn-fixed"])
+    def test_probe_basis_is_the_basis_at_the_probed_state(self, adapt):
+        cfg = small_cfg(duration=2.0)
+        network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width)
+        weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
+        gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma)
+        seen = []
+        simulate_adaptive(
+            VesselParams(cfg.m_matrix, cfg.d_matrix), gains, network, weights0,
+            ConstantDisturbance(cfg.constant_delta), eta0=cfg.initial_pose,
+            nu0=cfg.initial_velocity, eta_d=cfg.target_pose, dt=cfg.dt,
+            duration=cfg.duration, adapt=adapt, probe=lambda t, info: seen.append(info))
+        assert len(seen) == cfg.steps() + 1
+        for info in seen:
+            z = np.concatenate([info["eta"], info["nu"], info["alpha1"]])
+            np.testing.assert_array_equal(info["basis"], gaussian_basis(network, z))
+
     def test_saturation_respected(self):
         cfg = small_cfg(controller_type="pid", tau_max=np.array([1e4, 1e4, 1e5]))
         trace, metrics = run_simulation(cfg)
@@ -234,6 +253,25 @@ class TestTraceCsv:
         write_trace_csv(first, trace)
         write_trace_csv(second, read_trace_csv(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_rows_are_the_bytes_of_csv_writer(self, tmp_path):
+        # oracle: the csv module writing each value with format(v, ".9g")
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5e-310, -1e300,
+                   1.0 / 3.0, 123456789012.0, 1e-5]
+        # more rows than one write formats, so the blocks' seams are checked too
+        data = np.resize(np.array(special), (600, len(TRACE_COLUMNS)))
+        data[:, 0] = np.arange(600) * 0.1
+        trace = RunTrace.from_columns(data, {"controller": "pid"})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        want = io.StringIO(newline="")
+        want.write("# dpsim-trace 1\r\n# controller: pid\r\n")
+        writer = csv.writer(want)
+        writer.writerow(TRACE_COLUMNS)
+        for row in data:
+            writer.writerow([f"{v:.9g}" for v in row])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert b"inf,-inf,nan,-0,4.94065646e-324" in path.read_bytes()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
