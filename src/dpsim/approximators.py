@@ -11,12 +11,11 @@ controlled axes; each axis has its own weight vector.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from dpsim import kernels
+from dpsim import kernels, traces
 
 GRID_NODE_CEILING = 1_000_000
 
@@ -178,9 +177,10 @@ def rbf_output(net: RbfNetwork, weights: AdaptiveWeights, z) -> np.ndarray:
 
 
 def write_weight_csv(path, weights: AdaptiveWeights) -> None:
-    """Snapshot the weights as CSV rows (node_index, theta1, theta2, theta3)."""
+    """Snapshot the weights as CSV rows (node_index, theta1, theta2, theta3).
+
+    The bytes are those of ``csv.writer`` writing each weight as ``f"{v:.9g}"``.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "theta1", "theta2", "theta3"])
-        for j in range(weights.node_count):
-            writer.writerow([j] + [f"{weights.theta[i, j]:.9g}" for i in range(3)])
+        fh.write("node_index,theta1,theta2,theta3\r\n")
+        traces.write_rows(fh, "%d,%.9g,%.9g,%.9g\r\n", weights.theta.T, numbered=True)

@@ -4,7 +4,7 @@ Two controller families:
 
 * :class:`PidController` -- baseline PID on the body-frame pose error
   (earth-frame variant selectable), trapezoidal integral, derivative from
-  measured velocity.
+  measured velocity; evaluated in floats with one stacked-gain product.
 * adaptive backstepping with a radial-basis network -- virtual velocity
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dpsim.approximators import AdaptiveWeights
-from dpsim.vessel import rk4_step, rotation_matrix, yaw_rate_skew
+from dpsim.vessel import rk4_step, rotation_matrix, yaw_cos_sin, yaw_rate_skew
 
 ADAPTATION_LAWS = ("stable", "unstable")
 PID_FRAMES = ("body", "earth")
@@ -73,8 +73,9 @@ class PidController:
     ``frame="body"`` (default) rotates the position error into the body frame
     and takes the yaw error directly, since thrust acts along body axes; the
     derivative term then uses -nu.  ``frame="earth"`` works on eta_d - eta
-    with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.  The
-    integral state resets at run start.
+    with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.
+    ``reset``, which the run calls at its start, zeroes ``integral`` (three
+    floats) and stacks the gains as ``[Kp Ki Kd]`` for one product per call.
     """
 
     def __init__(self, gains: PidGains, frame: str = "body"):
@@ -82,35 +83,43 @@ class PidController:
             raise ValueError(f"error_frame must be one of {list(PID_FRAMES)}, got {frame!r}")
         self.gains = gains
         self.frame = frame
-        self.integral = np.zeros(3)
-        self._prev_error = None
+        self.reset()
 
     def reset(self):
-        self.integral = np.zeros(3)
+        self.integral = (0.0, 0.0, 0.0)
         self._prev_error = None
+        self._stacked = np.hstack([self.gains.Kp, self.gains.Ki, self.gains.Kd])
+
+    def _error(self, eta, eta_d):
+        """The pose error as three floats, and the yaw's (cos, sin)."""
+        x, y, psi = np.asarray(eta, dtype=float).tolist()
+        xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
+        dx, dy = xd - x, yd - y
+        c, s = yaw_cos_sin(psi)
+        if self.frame == "earth":
+            return (dx, dy, psid - psi), c, s
+        return (c * dx + s * dy, c * dy - s * dx, psid - psi), c, s
 
     def error(self, eta, eta_d) -> np.ndarray:
-        diff = np.asarray(eta_d, dtype=float) - np.asarray(eta, dtype=float)
-        if self.frame == "earth":
-            return diff
-        R = rotation_matrix(eta[2])
-        body = R.T @ np.array([diff[0], diff[1], 0.0])
-        return np.array([body[0], body[1], diff[2]])
+        return np.array(self._error(eta, eta_d)[0])
 
     def control(self, eta, nu, eta_d, dt: float) -> np.ndarray:
         """Control force/moment for the current sample; advances the integral."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        err = self.error(eta, eta_d)
+        err, c, s = self._error(eta, eta_d)
         if self._prev_error is not None:
-            self.integral = self.integral + 0.5 * dt * (self._prev_error + err)
+            (i0, i1, i2), (p0, p1, p2), (e0, e1, e2) = self.integral, self._prev_error, err
+            half = 0.5 * dt
+            self.integral = (i0 + half * (p0 + e0), i1 + half * (p1 + e1),
+                             i2 + half * (p2 + e2))
         self._prev_error = err
+        u, v, r = np.asarray(nu, dtype=float).tolist()
         if self.frame == "earth":
-            err_rate = -(rotation_matrix(eta[2]) @ np.asarray(nu, dtype=float))
+            rate = (-(c * u - s * v), -(s * u + c * v), -r)
         else:
-            err_rate = -np.asarray(nu, dtype=float)
-        g = self.gains
-        return g.Kp @ err + g.Ki @ self.integral + g.Kd @ err_rate
+            rate = (-u, -v, -r)
+        return self._stacked @ np.array((*err, *self.integral, *rate))
 
 
 @dataclass

@@ -8,11 +8,12 @@ invariant at ``noise_scale_i^2 * time_constant_i / 2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dpsim.vessel import rotation_matrix
+from dpsim.vessel import yaw_cos_sin
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,9 @@ class MarkovBias:
     """Slowly varying earth-frame bias b: db = -b/T dt + Psi sqrt(dt) n.
 
     ``n`` is a standard Gaussian 3-vector from the seeded generator, so a
-    trajectory is fully determined by (seed, call count).  ``body_delta``
-    returns R(psi)^T b, the load felt in the body frame.
+    trajectory is fully determined by (seed, call count).  ``b`` holds the
+    bias as three floats.  ``body_load(cos psi, sin psi)`` returns R(psi)^T b,
+    the load felt in the body frame; ``body_delta(psi)`` as an array.
     """
 
     def __init__(self, time_constants, noise_scale, seed: int, b0=None):
@@ -64,20 +66,28 @@ class MarkovBias:
         self.seed = int(seed)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
-        if self.b.shape != (3,) or not np.isfinite(self.b).all():
+        b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
+        if b.shape != (3,) or not np.isfinite(b).all():
             raise ValueError("initial_bias must be a finite 3-vector")
+        self.b = tuple(b.tolist())
+        self._T, self._psi = T.tolist(), psi.tolist()
         self._rng = np.random.default_rng(self.seed)
 
-    def step(self, dt: float) -> np.ndarray:
+    def step(self, dt: float) -> tuple:
         """Advance the bias by one Euler-Maruyama step; returns the new bias."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        noise = self._rng.standard_normal(3)
-        self.b = self.b + dt * (-self.b / self.time_constants) \
-            + self.noise_scale * np.sqrt(dt) * noise
+        n0, n1, n2 = self._rng.standard_normal(3).tolist()
+        (b0, b1, b2), (T0, T1, T2), (p0, p1, p2) = self.b, self._T, self._psi
+        root = math.sqrt(dt)
+        self.b = (b0 + dt * (-b0 / T0) + p0 * root * n0,
+                  b1 + dt * (-b1 / T1) + p1 * root * n1,
+                  b2 + dt * (-b2 / T2) + p2 * root * n2)
         return self.b
 
-    def body_delta(self, psi_angle: float) -> np.ndarray:
-        return rotation_matrix(psi_angle).T @ self.b
+    def body_load(self, c: float, s: float) -> tuple:
+        b0, b1, b2 = self.b
+        return c * b0 + s * b1, c * b1 - s * b0, b2
 
+    def body_delta(self, psi_angle: float) -> np.ndarray:
+        return np.array(self.body_load(*yaw_cos_sin(psi_angle)))

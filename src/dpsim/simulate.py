@@ -6,9 +6,10 @@ the pose and velocity and may fold it back at the end of each step: the
 adaptive law appends 15 coordinates of its weights and forms the weights once
 per step (see ``simulate_adaptive``); frozen weights and PID append nothing,
 and PID holds its output over each step.  The disturbance is held constant
-across the sub-stages of each step.  Metrics come from every full-rate sample,
-through the same function as ``metrics_from_trace``, so trace decimation does
-not change them.
+across the sub-stages of each step.  The engine's own 3-vector arithmetic is
+written in floats, not numpy calls, since the call cost dominates at that size.
+Metrics come from every full-rate sample, through the same function as
+``metrics_from_trace``, so trace decimation does not change them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                saturate)
 from dpsim.disturbance import MarkovBias
 from dpsim.traces import RunTrace
-from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle
+# rotation_matrix is no longer called here; perfbench's tracer and tests still look it up
+from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin  # noqa: F401
 
 try:
     VERSION = _pkg_version("dpsim")
@@ -96,54 +98,72 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     full-rate sample and returns ``(tau, z2, theta_norms, probe_fields)``;
     ``stage(y, R, dy)`` runs at the three later RK4 stages and returns ``tau``.
     Both write the derivative of the law's state into ``dy[6:]``; ``R`` is the
-    rotation matrix at ``y[2]``.  ``end_step(y)`` runs after each RK4 combine,
-    may rewrite ``y[6:]``, and returns False when the law's state went
-    non-finite, which aborts the run like a non-finite ``y``.
+    rotation matrix at ``y[2]``, one array rewritten in place at each stage.
+    ``end_step(y)`` runs after each RK4 combine, may rewrite ``y[6:]``, and
+    returns False when the law's state went non-finite, which aborts the run
+    like a non-finite ``y``.  The plant's 3-vector arithmetic (rotation, rate,
+    body-frame load, trace row) is done in floats, with one cos/sin per stage.
     """
     steps = int(round(duration / dt))
     t = np.arange(steps + 1) * dt
     markov = isinstance(disturbance, MarkovBias)
-    M, M_inv, D = plant.M, plant.M_inv, plant.D
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = plant.M_inv.tolist()
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
+    xd, yd, psid = eta_d.tolist()
     state0, sample, stage_tau, end_step = law
 
     y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float),
                         state0])
     stage = np.empty_like(y)
     d1, d2, d3, d4 = (np.empty_like(y) for _ in range(4))
+    R = np.eye(3)
     # t, x, y, psi (unwrapped until the end), u, v, r, tau, delta, theta norms, V1, V2a
     rows = np.empty((steps + 1, 18))
     rows[:, 0] = t
 
-    def plant_rate(yv, R, tau, delta, dy):
-        nu = yv[3:6]
-        dy[0:3] = R @ nu
-        dy[3:6] = M_inv @ (tau + delta - D @ nu)
+    def rotate(yv):
+        """Rewrite R at the yaw of ``yv``; returns its pose and velocity and (c, s)."""
+        pv = yv[:6].tolist()
+        c, s = yaw_cos_sin(pv[2])
+        R[0, 0] = R[1, 1] = c
+        R[0, 1] = -s
+        R[1, 0] = s
+        return pv, c, s
+
+    def plant_rate(pv, c, s, tau, delta, dy):
+        """eta_dot = R nu, nu_dot = M^-1 (tau + delta - D nu) into dy[:6]; returns tau."""
+        u, v, r = pv[3:]
+        t0, t1, t2 = taus = tau.tolist()
+        f0 = t0 + delta[0] - (d00 * u + d01 * v + d02 * r)
+        f1 = t1 + delta[1] - (d10 * u + d11 * v + d12 * r)
+        f2 = t2 + delta[2] - (d20 * u + d21 * v + d22 * r)
+        dy[0:6] = (c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
+                   a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
+        return taus
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            delta = disturbance.body_delta(y[2]) if markov else disturbance.sample(t[k])
-            R = rotation_matrix(y[2])
+            pv, c, s = rotate(y)
+            delta = disturbance.body_load(c, s) if markov else disturbance.sample(t[k]).tolist()
             tau, z2, norms, fields = sample(y, R, d1)
-            plant_rate(y, R, tau, delta, d1)
-            z1 = y[:3] - eta_d
-            v1 = 0.5 * float(z1 @ z1)
-            row = rows[k]
-            row[1:7] = y[:6]
-            row[7:10] = tau
-            row[10:13] = delta
-            row[13:16] = norms
-            row[16] = v1
-            row[17] = v1 + 0.5 * float(z2 @ (M @ z2))
+            taus = plant_rate(pv, c, s, tau, delta, d1)
+            e0, e1, e2 = pv[0] - xd, pv[1] - yd, pv[2] - psid
+            v1 = 0.5 * (e0 * e0 + e1 * e1 + e2 * e2)
+            q0, q1, q2 = z2.tolist()
+            v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
+                m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
+            rows[k, 1:] = (*pv, *taus, *delta, *norms, v1, v2a)
             if probe is not None:
-                info = dict(eta=y[:3], nu=y[3:6], **fields, tau=tau, delta=delta)
+                info = dict(eta=y[:3], nu=y[3:6], **fields, tau=tau, delta=np.array(delta))
                 probe(t[k], {key: value.copy() for key, value in info.items()})
             if k == steps:
                 break
             for d_in, h, d_out in ((d1, 0.5 * dt, d2), (d2, 0.5 * dt, d3), (d3, dt, d4)):
                 np.multiply(d_in, h, out=stage)
                 stage += y
-                R = rotation_matrix(stage[2])
-                plant_rate(stage, R, stage_tau(stage, R, d_out), delta, d_out)
+                pv, c, s = rotate(stage)
+                plant_rate(pv, c, s, stage_tau(stage, R, d_out), delta, d_out)
             # y + (dt/6) * (d1 + 2 d2 + 2 d3 + d4), same operation order, in place
             d2 *= 2.0
             d2 += d1

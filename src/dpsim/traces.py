@@ -65,6 +65,16 @@ _ROW_FORMAT = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\r\n"
 _ROWS_PER_WRITE = 256
 
 
+def write_rows(fh, row_format, data, numbered=False) -> None:
+    """Write each row of a 2-D array through one %-format, a block of rows per
+    write; ``numbered`` puts each row's index before its values."""
+    for start in range(0, len(data), _ROWS_PER_WRITE):
+        block = data[start:start + _ROWS_PER_WRITE].tolist()
+        if numbered:
+            block = [(j, *row) for j, row in enumerate(block, start)]
+        fh.write("".join([row_format % tuple(row) for row in block]))
+
+
 def write_trace_csv(path, trace: RunTrace) -> None:
     data = trace.columns()
     with open(path, "w", newline="") as fh:
@@ -72,9 +82,7 @@ def write_trace_csv(path, trace: RunTrace) -> None:
         for key, value in trace.meta.items():
             fh.write(f"# {key}: {value}\r\n")
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for start in range(0, len(data), _ROWS_PER_WRITE):
-            block = data[start:start + _ROWS_PER_WRITE].tolist()
-            fh.write("".join([_ROW_FORMAT % tuple(row) for row in block]))
+        write_rows(fh, _ROW_FORMAT, data)
 
 
 def read_trace_csv(path) -> RunTrace:

@@ -8,6 +8,7 @@ unwrapped so error dynamics stay continuous; :func:`wrap_angle` maps to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,17 @@ class VesselParams:
         object.__setattr__(self, "M_inv", M_inv)
 
 
+def yaw_cos_sin(psi: float):
+    """``(cos psi, sin psi)`` as floats; nan for a non-finite yaw, as ``np.cos`` gives."""
+    try:
+        return math.cos(psi), math.sin(psi)
+    except ValueError:  # math.cos raises for +-inf
+        return math.nan, math.nan
+
+
 def rotation_matrix(psi: float) -> np.ndarray:
     """Body-to-earth rotation about the vertical axis; orthogonal, det = 1."""
-    c, s = np.cos(psi), np.sin(psi)
+    c, s = yaw_cos_sin(psi)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 

@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +175,26 @@ class TestWeights:
         assert lines[0] == "node_index,theta1,theta2,theta3"
         assert lines[1] == "0,1,3,5"
         assert len(lines) == 3
+
+    def test_csv_bytes_are_those_of_csv_writer(self, tmp_path):
+        # oracle: the csv module writing each weight with format(v, ".9g")
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5e-310, -1e300,
+                   1.0 / 3.0, 123456789012.0, 1e-5, 0.1]
+        # more rows than one write formats, so the blocks' seams are checked too
+        w = AdaptiveWeights.zeros(600)
+        w.theta = np.resize(np.array(special), (3, 600))   # past the finite check
+        path = tmp_path / "weights.csv"
+        write_weight_csv(path, w)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["node_index", "theta1", "theta2", "theta3"])
+        for j in range(600):
+            writer.writerow([j] + [f"{w.theta[i, j]:.9g}" for i in range(3)])
+        assert path.read_bytes() == want.getvalue().encode()
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[1:4] == [b"0,inf,-1e+300,-inf", b"1,-inf,0.333333333,nan",
+                              b"2,nan,1.23456789e+11,-0"]
+        assert lines[5].startswith(b"4,4.94065646e-324,")
 
 
 def assert_close_to_terms(got, want, term_size, rtol=1e-12):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpsim.approximators import AdaptiveWeights
-from dpsim.controllers import (BackstepGains, InvalidGainError, PidController,
+from dpsim.controllers import (PID_FRAMES, BackstepGains, InvalidGainError, PidController,
                                PidGains, SaturationLimits, adapt_weights,
                                backstep_control, compute_alpha1, compute_alpha1_dot,
                                dissipation_params, error_state, lyapunov_eval,
@@ -84,6 +84,56 @@ class TestPid:
         assert np.abs(pid.integral).max() > 0
         pid.reset()
         np.testing.assert_array_equal(pid.integral, np.zeros(3))
+
+
+    @pytest.mark.parametrize("frame", PID_FRAMES)
+    @pytest.mark.parametrize("psi", [np.inf, -np.inf, np.nan])
+    def test_non_finite_yaw_gives_nan(self, frame, psi):
+        pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD), frame=frame)
+        eta = np.array([1.0, 2.0, psi])
+        with np.errstate(invalid="ignore"):    # the engine runs under the same state
+            for _ in range(2):
+                tau = pid.control(eta, np.array([0.5, -0.2, 0.01]), np.zeros(3), dt=0.1)
+        assert np.isnan(tau).all()
+        err = pid.error(eta, np.zeros(3))
+        assert not np.isfinite(err[2])
+        assert np.isnan(err[:2]).all() == (frame == "body")
+
+    @given(frame=st.sampled_from(PID_FRAMES),
+           gains=st.lists(st.floats(-1e4, 1e4), min_size=27, max_size=27),
+           samples=st.lists(st.lists(st.floats(-100.0, 100.0), min_size=6, max_size=6),
+                            min_size=3, max_size=6),
+           eta_d=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+           dt=st.floats(1e-3, 10.0))
+    def test_control_is_the_three_products(self, frame, gains, samples, eta_d, dt):
+        # oracle: Kp err + Ki integral + Kd rate from numpy rotations, with the
+        # trapezoid integral over all calls so far
+        Kp, Ki, Kd = np.array(gains).reshape(3, 3, 3)
+        pid = PidController(PidGains(Kp, Ki, Kd), frame=frame)
+        eta_d = np.array(eta_d)
+        integral, prev = np.zeros(3), None
+        for sample in samples:
+            eta, nu = np.array(sample[:3]), np.array(sample[3:])
+            R = rotation_matrix(eta[2])
+            diff = eta_d - eta
+            if frame == "earth":
+                err, rate = diff, -(R @ nu)
+            else:
+                err, rate = np.append((R.T @ [diff[0], diff[1], 0.0])[:2], diff[2]), -nu
+            if prev is not None:
+                integral = integral + 0.5 * dt * (prev + err)
+            prev = err
+            got_err = pid.error(eta, eta_d)
+            assert isinstance(got_err, np.ndarray)
+            np.testing.assert_allclose(got_err, err, rtol=1e-12, atol=1e-12)
+            tau = pid.control(eta, nu, eta_d, dt)
+            assert isinstance(tau, np.ndarray) and tau.shape == (3,)
+            want = Kp @ err + Ki @ integral + Kd @ rate
+            terms = (np.abs(Kp) @ np.abs(err) + np.abs(Ki) @ np.abs(integral)
+                     + np.abs(Kd) @ np.abs(rate))
+            assert (np.abs(tau - want) <= 1e-12 * terms + 1e-300).all()
+        np.testing.assert_allclose(pid.integral, integral, rtol=1e-12,
+                                   atol=1e-12 * np.abs(integral).max())
 
 
 class TestVirtualControl:

@@ -8,14 +8,14 @@ import pytest
 
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
-from dpsim.config import default_scenario, parse_scenario
-from dpsim.controllers import (BackstepGains, backstep_control, compute_alpha1,
-                               weight_derivative)
-from dpsim.disturbance import ConstantDisturbance
+from dpsim.config import build_components, default_scenario, parse_scenario
+from dpsim.controllers import (BackstepGains, PidController, PidGains, backstep_control,
+                               compute_alpha1, weight_derivative)
+from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
-                            run_simulation, simulate_adaptive)
+                            run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
-from dpsim.vessel import VesselParams, plant_derivative, rk4_step
+from dpsim.vessel import VesselParams, plant_derivative, rk4_step, rotation_matrix
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -231,6 +231,137 @@ class TestRunSimulation:
         c_coarse, c_fine = conv(0.1), conv(0.05)
         assert math.isfinite(c_coarse)
         assert abs(c_coarse - c_fine) / c_coarse < 0.05
+
+
+# A plant with sway-yaw coupling in M and D, neither symmetric, so that a
+# transposed or shifted index in the engine's unrolled products shows.
+COUPLED_M = np.array([[5.3e6, 0.0, 0.0], [0.0, 8.3e6, -2.1e7], [0.0, 3.4e7, 3.7e9]])
+COUPLED_D = np.array([[5.0e4, 0.0, 0.0], [0.0, 2.7e5, -4.4e6], [0.0, -2.9e6, 4.2e8]])
+COUPLED_LOAD = np.array([1000.0, -2000.0, 1.5e5])
+COUPLED_START = dict(eta0=np.array([10.0, -6.0, 0.7]), nu0=np.array([0.2, -0.1, 0.01]),
+                     eta_d=np.array([1.0, 2.0, -0.3]), dt=0.1)
+
+
+def energies(eta, z2, eta_d, M):
+    """Oracle V1 = |eta - eta_d|^2 / 2 and V2 = V1 + z2' M z2 / 2, one per row."""
+    z1 = eta - eta_d
+    v1 = 0.5 * (z1 * z1).sum(axis=1)
+    return v1, v1 + 0.5 * np.einsum("ki,ij,kj->k", z2, M, z2)
+
+
+class TestFloatEngine:
+    """The engine's float arithmetic against numpy oracles built on vessel functions."""
+
+    @pytest.mark.parametrize("frame", ["body", "earth"])
+    def test_pid_on_coupled_plant_matches_plant_derivative(self, frame):
+        plant = VesselParams(COUPLED_M, COUPLED_D)
+        Kp = np.array([[3e3, 500.0, -20.0], [-400.0, 9e3, 1e3], [2e4, -3e4, 1e8]])
+        Ki = np.array([[5.0, 1.0, 0.0], [0.0, 50.0, -2.0], [3.0, 0.0, 30.0]])
+        Kd = np.array([[5e4, -1e3, 0.0], [2e3, 7e4, 1e4], [0.0, 5e3, 300.0]])
+        eta_d, dt, steps = COUPLED_START["eta_d"], COUPLED_START["dt"], 30
+        # oracle PID: the three products, trapezoid integral, numpy rotations;
+        # the plant is vessel.plant_derivative under rk4_step, tau held per step
+        y = np.concatenate([COUPLED_START["eta0"], COUPLED_START["nu0"]])
+        integral, prev, want = np.zeros(3), None, []
+        for _ in range(steps + 1):
+            R = rotation_matrix(y[2])
+            diff = eta_d - y[:3]
+            if frame == "earth":
+                err, rate = diff, -(R @ y[3:])
+            else:
+                err, rate = np.append((R.T @ [diff[0], diff[1], 0.0])[:2], diff[2]), -y[3:]
+            if prev is not None:
+                integral = integral + 0.5 * dt * (prev + err)
+            prev = err
+            tau = Kp @ err + Ki @ integral + Kd @ rate
+            want.append(np.concatenate([y, tau]))
+            y = rk4_step(y, dt, lambda s: np.concatenate(
+                plant_derivative(s[:3], s[3:], plant, tau, COUPLED_LOAD)))
+        want = np.array(want)
+
+        def run(run_plant):
+            return simulate_pid(run_plant, PidController(PidGains(Kp, Ki, Kd), frame),
+                                ConstantDisturbance(COUPLED_LOAD), duration=steps * dt,
+                                **COUPLED_START)[0]
+
+        trace = run(plant)
+        np.testing.assert_allclose(np.column_stack([trace.pose, trace.velocity, trace.tau]),
+                                   want, rtol=1e-12)
+        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (steps + 1, 1)))
+        v1, v2 = energies(want[:, :3], want[:, 3:6], eta_d, COUPLED_M)
+        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
+        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+        # the coupling terms move the run far beyond the tolerance above
+        diagonal = run(VesselParams(np.diag(np.diag(COUPLED_M)), np.diag(np.diag(COUPLED_D))))
+        assert np.abs(diagonal.velocity[-1] / trace.velocity[-1] - 1.0).max() > 1e-3
+
+    def test_adaptive_on_coupled_plant_matches_plant_derivative(self):
+        # oracle: all 3 l weights of a 2^9 grid integrated as ordinary RK4
+        # state with the plant, under non-diagonal K1 and K2
+        plant = VesselParams(COUPLED_M, COUPLED_D)
+        network = RbfNetwork.grid(points_per_dim=2)
+        n = network.node_count
+        weights0 = AdaptiveWeights.random_init(n, 3)
+        K1 = np.array([[0.04, 0.01, 0.002], [0.01, 0.06, -0.003], [0.002, -0.003, 0.8]])
+        K2 = np.array([[5e4, 1e4, 2e3], [1e4, 6e4, -3e3], [2e3, -3e3, 5e4]])
+        gains = BackstepGains(K1, K2, (0.5, 2.0, 6.0), (2.13, 2.13, 0.302))
+        eta_d, dt, steps = COUPLED_START["eta_d"], COUPLED_START["dt"], 20
+
+        def alpha1_of(eta):
+            return compute_alpha1(gains.K1, eta[2], eta - eta_d)
+
+        def deriv(y):
+            eta, nu, theta = y[:3], y[3:6], y[6:].reshape(3, n)
+            alpha1 = alpha1_of(eta)
+            z2 = nu - alpha1
+            g = gaussian_basis(network, np.concatenate([eta, nu, alpha1]))
+            tau = backstep_control(gains, eta[2], eta - eta_d, z2, g, AdaptiveWeights(theta))
+            eta_dot, nu_dot = plant_derivative(eta, nu, plant, tau, COUPLED_LOAD)
+            return np.concatenate([eta_dot, nu_dot,
+                                   weight_derivative(gains, g, z2, theta).ravel()])
+
+        states = [np.concatenate([COUPLED_START["eta0"], COUPLED_START["nu0"],
+                                  weights0.theta.ravel()])]
+        for _ in range(steps):
+            states.append(rk4_step(states[-1], dt, deriv))
+        states = np.array(states)
+        trace, _ = simulate_adaptive(plant, gains, network, weights0,
+                                     ConstantDisturbance(COUPLED_LOAD),
+                                     duration=steps * dt, **COUPLED_START)
+        np.testing.assert_allclose(trace.pose, states[:, :3], rtol=1e-12)
+        np.testing.assert_allclose(trace.velocity, states[:, 3:6], rtol=1e-12)
+        np.testing.assert_allclose(trace.final_theta, states[-1, 6:].reshape(3, n),
+                                   rtol=1e-12)
+        z2 = states[:, 3:6] - np.array([alpha1_of(s[:3]) for s in states])
+        v1, v2 = energies(states[:, :3], z2, eta_d, COUPLED_M)
+        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
+        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+
+    def test_markov_load_is_the_rotated_bias_stream(self):
+        # oracle: an independent MarkovBias with the run's seed, stepped once
+        # per step, and its Euler-Maruyama recursion written out in numpy
+        cfg = small_cfg(controller_type="pid", disturbance_type="markov",
+                        initial_pose=np.array([10.0, 10.0, math.radians(150.0)]),
+                        initial_bias=np.array([3e3, -2e3, 1e5]))
+        parts = build_components(cfg, network=False)
+        seen = []
+        trace, _ = simulate_pid(parts.plant, parts.pid, parts.disturbance,
+                                eta0=cfg.initial_pose, nu0=cfg.initial_velocity,
+                                eta_d=cfg.target_pose, dt=cfg.dt, duration=cfg.duration,
+                                probe=lambda t, info: seen.append(info["eta"][2]))
+        assert abs(seen[-1] - seen[0]) > 1.0     # the heading turns the load
+        bias = MarkovBias(cfg.time_constants, cfg.noise_scale, cfg.disturbance_seed,
+                          cfg.initial_bias)
+        rng = np.random.default_rng(cfg.disturbance_seed)
+        b = cfg.initial_bias.copy()
+        for psi, delta in zip(seen, trace.delta):
+            np.testing.assert_array_equal(bias.b, b)
+            np.testing.assert_array_equal(delta, bias.body_delta(psi))
+            np.testing.assert_allclose(delta, rotation_matrix(psi).T @ b, rtol=0,
+                                       atol=1e-15 * np.abs(b).max())
+            bias.step(cfg.dt)
+            b = (b + cfg.dt * (-b / cfg.time_constants)
+                 + cfg.noise_scale * np.sqrt(cfg.dt) * rng.standard_normal(3))
 
 
 class TestTraceCsv:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from dpsim.vessel import (BodyVelocity, NonFiniteStateError, Pose, SingularInertiaError,
                           VesselParams, plant_derivative, rk4_step, rotation_matrix,
-                          rotation_rate_matrix, wrap_angle)
+                          rotation_rate_matrix, wrap_angle, yaw_cos_sin)
 
 BENCH_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 BENCH_D = np.array([
@@ -42,6 +42,13 @@ class TestRotation:
         R = rotation_matrix(psi)
         assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
         assert abs(det3_cofactor(R) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("psi", [np.inf, -np.inf, np.nan])
+    def test_non_finite_yaw_gives_nan(self, psi):
+        # math.cos raises for +-inf; the engine's helper gives nan like np.cos
+        c, s = yaw_cos_sin(psi)
+        assert np.isnan(c) and np.isnan(s)
+        assert np.isnan(rotation_matrix(psi)[:2, :2]).all()
 
 
 class TestRotationRate:
