@@ -2,6 +2,9 @@
 and PID controllers, environmental disturbance models, and a scenario-driven
 simulation harness with CSV trace output."""
 
+# set before the submodules are imported: the trace header reads it
+__version__ = "0.1.0"
+
 from dpsim.anfis import AnfisModel, DegenerateFiringError, anfis_forward, anfis_layers
 from dpsim.approximators import (AdaptiveWeights, GridCapacityError, RbfNetwork,
                                  build_grid_centers, gaussian_basis, rbf_output)
@@ -20,6 +23,5 @@ from dpsim.traces import RunTrace, read_trace_csv, write_trace_csv
 from dpsim.vessel import (BodyVelocity, NonFiniteStateError, Pose,
                           SingularInertiaError, VesselParams,
                           plant_derivative, rk4_step, rotation_matrix,
-                          rotation_rate_matrix, wrap_angle, yaw_rate_skew)
+                          rotation_rate_matrix, ssa, wrap_angle, yaw_rate_skew)
 
-__version__ = "0.1.0"

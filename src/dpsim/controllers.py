@@ -8,7 +8,8 @@ Two controller families:
 * adaptive backstepping with a radial-basis network -- virtual velocity
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
-  of the per-axis weights.
+  of the per-axis weights; :func:`backstep_law` is the same law in floats.
+Both laws take the heading error as the smallest signed angle, ``ssa``.
 
 The weight update default (``law="stable"``) is
 ``theta_dot_i = -Gamma_i (g z2_i + sigma_i theta_i)``, the unique sign
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dpsim.approximators import AdaptiveWeights
-from dpsim.vessel import rk4_step, rotation_matrix, yaw_cos_sin, yaw_rate_skew
+from dpsim.vessel import rk4_step, rotation_matrix, ssa, yaw_cos_sin, yaw_rate_skew
 
 ADAPTATION_LAWS = ("stable", "unstable")
 PID_FRAMES = ("body", "earth")
@@ -96,9 +97,10 @@ class PidController:
         xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
         dx, dy = xd - x, yd - y
         c, s = yaw_cos_sin(psi)
+        dpsi = ssa(psid - psi)
         if self.frame == "earth":
-            return (dx, dy, psid - psi), c, s
-        return (c * dx + s * dy, c * dy - s * dx, psid - psi), c, s
+            return (dx, dy, dpsi), c, s
+        return (c * dx + s * dy, c * dy - s * dx, dpsi), c, s
 
     def error(self, eta, eta_d) -> np.ndarray:
         return np.array(self._error(eta, eta_d)[0])
@@ -230,10 +232,17 @@ class ErrorState:
     alpha1_dot: np.ndarray
 
 
+def pose_error(eta, eta_d) -> np.ndarray:
+    """z1 = eta - eta_d with the heading error taken as the smallest signed angle."""
+    z1 = np.asarray(eta, dtype=float) - np.asarray(eta_d, dtype=float)
+    z1[2] = ssa(float(z1[2]))
+    return z1
+
+
 def error_state(eta, nu, eta_d, k1) -> ErrorState:
     eta = np.asarray(eta, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    z1 = eta - np.asarray(eta_d, dtype=float)
+    z1 = pose_error(eta, eta_d)
     alpha1 = compute_alpha1(k1, eta[2], z1)
     z2 = nu - alpha1
     alpha1_dot = compute_alpha1_dot(k1, eta[2], nu[2], z1, nu)
@@ -250,6 +259,39 @@ def backstep_control(gains: BackstepGains, psi: float, z1, z2, basis_vec,
     nn = weights.theta @ basis_vec
     return -(rotation_matrix(psi).T @ np.asarray(z1, dtype=float)) \
         - gains.K2 @ np.asarray(z2, dtype=float) + nn
+
+
+def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
+    """The law in floats, gains unpacked once: ``errors(state, c, s)`` and ``torque``.
+
+    ``errors`` reads pose and velocity from ``state[:6]`` and the yaw's cosine
+    and sine and returns the triples z1, alpha1 and z2; ``torque(z1, z2, nn,
+    c, s)`` returns the clamped ``-R^T z1 - K2 z2 + nn``: :func:`compute_alpha1`,
+    :func:`backstep_control` and :func:`saturate` written out product by product.
+    """
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gains.K1.tolist()
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = gains.K2.tolist()
+    xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
+    bound = None if limits is None else limits.tau_max.tolist()
+
+    def errors(state, c, s):
+        x, y, psi, u, v, r = state[:6]
+        e0, e1, e2 = x - xd, y - yd, ssa(psi - psid)
+        w0 = k00 * e0 + k01 * e1 + k02 * e2
+        w1 = k10 * e0 + k11 * e1 + k12 * e2
+        w2 = k20 * e0 + k21 * e1 + k22 * e2
+        a0, a1, a2 = -(c * w0 + s * w1), -(c * w1 - s * w0), -w2
+        return (e0, e1, e2), (a0, a1, a2), (u - a0, v - a1, r - a2)
+
+    def torque(z1, z2, nn, c, s):
+        (e0, e1, e2), (q0, q1, q2) = z1, z2
+        tau = (-(c * e0 + s * e1) - (q00 * q0 + q01 * q1 + q02 * q2) + nn[0],
+               -(c * e1 - s * e0) - (q10 * q0 + q11 * q1 + q12 * q2) + nn[1],
+               -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2])
+        # max(nan, -m) is nan: nan passes through, as np.clip lets it
+        return tau if bound is None else tuple(min(max(t, -m), m) for t, m in zip(tau, bound))
+
+    return errors, torque
 
 
 def weight_derivative(gains: BackstepGains, basis_vec, z2, theta) -> np.ndarray:
@@ -308,7 +350,7 @@ def lyapunov_eval(eta, nu, eta_d, params, k1=None, weights: AdaptiveWeights | No
     """
     eta = np.asarray(eta, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    z1 = eta - np.asarray(eta_d, dtype=float)
+    z1 = pose_error(eta, eta_d)
     alpha1 = compute_alpha1(k1, eta[2], z1) if k1 is not None else np.zeros(3)
     z2 = nu - alpha1
     v1 = 0.5 * float(z1 @ z1)

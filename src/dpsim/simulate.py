@@ -6,8 +6,9 @@ the pose and velocity and may fold it back at the end of each step: the
 adaptive law appends 15 coordinates of its weights and forms the weights once
 per step (see ``simulate_adaptive``); frozen weights and PID append nothing,
 and PID holds its output over each step.  The disturbance is held constant
-across the sub-stages of each step.  The engine's own 3-vector arithmetic is
-written in floats, not numpy calls, since the call cost dominates at that size.
+across the sub-stages of each step.  The state is a list of floats and the
+engine's and the laws' 3-vector arithmetic is written in floats, not numpy
+calls, since the call cost dominates at that size.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``, so trace decimation does not change them.
 """
@@ -16,24 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
-from dpsim import kernels
+from dpsim import __version__, kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork
 from dpsim.config import ScenarioConfig, build_components
 from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
-                               saturate)
+                               backstep_law, saturate)
 from dpsim.disturbance import MarkovBias
 from dpsim.traces import RunTrace
 # rotation_matrix is no longer called here; perfbench's tracer and tests still look it up
-from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin  # noqa: F401
-
-try:
-    VERSION = _pkg_version("dpsim")
-except PackageNotFoundError:  # pragma: no cover - running from a source tree
-    VERSION = "0+unknown"
+from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin  # noqa: F401
 
 DEFAULT_POS_BAND_M = 0.5
 DEFAULT_PSI_BAND_RAD = math.radians(0.5)
@@ -93,16 +88,16 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
                  pos_band, psi_band, tail_window, meta, probe):
     """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
-    ``law = (state0, sample, stage, end_step)``: ``state0`` is the law's own
-    state, appended to ``[eta, nu]``.  ``sample(y, R, dy)`` runs at every
-    full-rate sample and returns ``(tau, z2, theta_norms, probe_fields)``;
-    ``stage(y, R, dy)`` runs at the three later RK4 stages and returns ``tau``.
-    Both write the derivative of the law's state into ``dy[6:]``; ``R`` is the
-    rotation matrix at ``y[2]``, one array rewritten in place at each stage.
-    ``end_step(y)`` runs after each RK4 combine, may rewrite ``y[6:]``, and
-    returns False when the law's state went non-finite, which aborts the run
-    like a non-finite ``y``.  The plant's 3-vector arithmetic (rotation, rate,
-    body-frame load, trace row) is done in floats, with one cos/sin per stage.
+    The state ``y`` is a list of floats: pose, velocity, then ``state0``, the
+    law's own state.  ``law = (state0, control, end_step)``.
+    ``control(y, c, s, stage)`` runs at RK4 stage 0 (the full-rate sample)
+    to 3, with ``(c, s)`` the cosine and sine of the stage's yaw, and returns
+    ``(tau, dstate, z2, theta_norms, probe_fields)``: ``tau`` and ``z2`` are
+    three floats, ``dstate`` the derivative of the law's state as floats;
+    the last three are read at stage 0 only.  ``end_step(y)``, if not None,
+    runs after each RK4 combine, may rewrite ``y[6:]``, and returns False when
+    the law's state went non-finite, which aborts the run like a non-finite
+    ``y``.  Probe arrays are built only when ``probe`` is given.
     """
     steps = int(round(duration / dt))
     t = np.arange(steps + 1) * dt
@@ -111,68 +106,55 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
     xd, yd, psid = eta_d.tolist()
-    state0, sample, stage_tau, end_step = law
+    state0, control, end_step = law
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    y = np.concatenate([np.asarray(eta0, dtype=float), np.asarray(nu0, dtype=float),
-                        state0])
-    stage = np.empty_like(y)
-    d1, d2, d3, d4 = (np.empty_like(y) for _ in range(4))
-    R = np.eye(3)
+    y = [*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist(),
+         *state0]
     # t, x, y, psi (unwrapped until the end), u, v, r, tau, delta, theta norms, V1, V2a
     rows = np.empty((steps + 1, 18))
     rows[:, 0] = t
 
-    def rotate(yv):
-        """Rewrite R at the yaw of ``yv``; returns its pose and velocity and (c, s)."""
-        pv = yv[:6].tolist()
-        c, s = yaw_cos_sin(pv[2])
-        R[0, 0] = R[1, 1] = c
-        R[0, 1] = -s
-        R[1, 0] = s
-        return pv, c, s
-
-    def plant_rate(pv, c, s, tau, delta, dy):
-        """eta_dot = R nu, nu_dot = M^-1 (tau + delta - D nu) into dy[:6]; returns tau."""
-        u, v, r = pv[3:]
-        t0, t1, t2 = taus = tau.tolist()
+    def rate(yv, c, s, tau, dstate):
+        """[R nu, M^-1 (tau + delta - D nu), dstate] at the held load ``delta``."""
+        u, v, r = yv[3:6]
+        t0, t1, t2 = tau
         f0 = t0 + delta[0] - (d00 * u + d01 * v + d02 * r)
         f1 = t1 + delta[1] - (d10 * u + d11 * v + d12 * r)
         f2 = t2 + delta[2] - (d20 * u + d21 * v + d22 * r)
-        dy[0:6] = (c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
-                   a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
-        return taus
+        return [c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
+                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2, *dstate]
+
+    def stage_rate(stage, h, d_in):
+        yv = [d * h + v for d, v in zip(d_in, y)]
+        c, s = yaw_cos_sin(yv[2])
+        return rate(yv, c, s, *control(yv, c, s, stage)[:2])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            pv, c, s = rotate(y)
+            c, s = yaw_cos_sin(y[2])
             delta = disturbance.body_load(c, s) if markov else disturbance.sample(t[k]).tolist()
-            tau, z2, norms, fields = sample(y, R, d1)
-            taus = plant_rate(pv, c, s, tau, delta, d1)
-            e0, e1, e2 = pv[0] - xd, pv[1] - yd, pv[2] - psid
+            tau, dstate, z2, norms, fields = control(y, c, s, 0)
+            d1 = rate(y, c, s, tau, dstate)
+            pv = y[:6]
+            e0, e1, e2 = pv[0] - xd, pv[1] - yd, ssa(pv[2] - psid)
             v1 = 0.5 * (e0 * e0 + e1 * e1 + e2 * e2)
-            q0, q1, q2 = z2.tolist()
+            q0, q1, q2 = z2
             v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
                 m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
-            rows[k, 1:] = (*pv, *taus, *delta, *norms, v1, v2a)
+            rows[k, 1:] = (*pv, *tau, *delta, *norms, v1, v2a)
             if probe is not None:
-                info = dict(eta=y[:3], nu=y[3:6], **fields, tau=tau, delta=np.array(delta))
-                probe(t[k], {key: value.copy() for key, value in info.items()})
+                info = dict(eta=pv[:3], nu=pv[3:], **fields, tau=tau, delta=delta)
+                probe(t[k], {key: np.array(value, dtype=float) for key, value in info.items()})
             if k == steps:
                 break
-            for d_in, h, d_out in ((d1, 0.5 * dt, d2), (d2, 0.5 * dt, d3), (d3, dt, d4)):
-                np.multiply(d_in, h, out=stage)
-                stage += y
-                pv, c, s = rotate(stage)
-                plant_rate(pv, c, s, stage_tau(stage, R, d_out), delta, d_out)
-            # y + (dt/6) * (d1 + 2 d2 + 2 d3 + d4), same operation order, in place
-            d2 *= 2.0
-            d2 += d1
-            d3 *= 2.0
-            d2 += d3
-            d2 += d4
-            d2 *= dt / 6.0
-            y += d2
-            if not (end_step(y) and np.isfinite(y).all()):
+            d2 = stage_rate(1, half, d1)
+            d3 = stage_rate(2, half, d2)
+            d4 = stage_rate(3, dt, d3)
+            # y + (dt/6) (d1 + 2 d2 + 2 d3 + d4); this summation order keeps the traces' bits
+            y = [v + (((g2 * 2.0 + g1) + g3 * 2.0) + g4) * sixth
+                 for v, g1, g2, g3, g4 in zip(y, d1, d2, d3, d4)]
+            if not ((end_step is None or end_step(y)) and all(map(math.isfinite, y))):
                 raise SimulationAbort(t[k + 1], t[k], rows[k, 1:4], rows[k, 4:7])
             if markov:
                 disturbance.step(dt)
@@ -181,10 +163,6 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     metrics = _run_metrics(t, rows[:, 1:4], rows[:, 7:10], rows[:, 13:16], eta_d,
                            tail_window, pos_band, psi_band)
     return RunTrace.from_columns(rows[::decimation], meta), metrics
-
-
-def _no_state_end_step(y):
-    return True
 
 
 def _row_norms(theta):
@@ -212,6 +190,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     all 3 l weights, up to rounding.  Each stage keeps only the two tensor
     factors of its basis vector (see ``dpsim.kernels``): the network output,
     the Gram products ``g_j . g_s`` and the fold are all taken on the factors.
+    The law's 3-vector arithmetic is ``controllers.backstep_law``, in floats.
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
     diagnostics; only then is the sample's basis vector formed.
@@ -220,88 +199,66 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     if weights0.node_count != n_nodes:
         raise ValueError("initial weights do not match the network size")
     eta_d = np.asarray(eta_d, dtype=float)
-    K1, K2 = gains.K1, gains.K2
     drive, leak = gains.law_signs
+    errors, torque = backstep_law(gains, eta_d, limits)
     theta = weights0.theta.copy()
     z_buf = np.empty(9)
     nodes, index = network.nodes, network._index
 
-    def control(yv, R, f):
-        """Error coordinates and network output ``theta . g`` at one stage state.
-
-        The factors of the stage's basis vector are written into ``f``.
-        """
-        eta = yv[:3]
-        z1 = eta - eta_d
-        alpha1 = -(R.T @ (K1 @ z1))
-        z2 = yv[3:6] - alpha1
-        z_buf[0:3] = eta
-        z_buf[3:6] = yv[3:6]
-        z_buf[6:9] = alpha1
+    def network_terms(yv, c, s, stage, f):
+        """Errors, network output and probe fields at a stage; the basis factors go to ``f``."""
+        z1, alpha1, z2 = errors(yv, c, s)
+        z_buf[:] = (*yv[:6], *alpha1)
         nn = kernels.adaptive_core(nodes, network._inv_two_h2, network._coef, index,
-                                   z_buf, theta, f)
-        return z1, z2, alpha1, nn
-
-    def probe_fields(z1, z2, alpha1, f):
-        if probe is None:
-            return None
-        return dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
-                    basis=kernels.basis_from_factors(nodes, f, np.empty(n_nodes)))
+                                   z_buf, theta, f).tolist()
+        fields = None
+        if probe is not None and stage == 0:
+            fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
+                          basis=kernels.basis_from_factors(nodes, f, np.empty(n_nodes)))
+        return z1, z2, nn, fields
 
     if adapt:
         factors = np.empty((4, index.shape[1]))     # factors of g_1 .. g_4 of the step
         fold_out = np.empty_like(theta)
-        decay = gains.gamma * leak * gains.sigma
-        gain = gains.gamma * drive
-        unit = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], 3)
+        decay = (gains.gamma * leak * gains.sigma).tolist()
+        gain = (gains.gamma * drive).tolist()
+        unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
         norms = _row_norms(theta)
-        stage_index = 0
 
-        def law_stage(yv, R, dy):
-            f = factors[stage_index]
-            z1, z2, alpha1, nn = control(yv, R, f)
-            x = yv[6:].reshape(3, 5)
-            gram = kernels.gram_row(nodes, factors[:stage_index], f)
-            nn = x[:, 0] * nn + x[:, 1:stage_index + 1] @ gram
-            dx = dy[6:].reshape(3, 5)
-            np.multiply(decay[:, None], x, out=dx)
-            dx[:, stage_index + 1] += gain * z2
-            return saturate(-(R.T @ z1) - K2 @ z2 + nn, limits), z1, z2, alpha1
-
-        def sample(y, R, dy):
-            nonlocal stage_index
-            stage_index = 0
-            tau, z1, z2, alpha1 = law_stage(y, R, dy)
-            return tau, z2, norms, probe_fields(z1, z2, alpha1, factors[0])
-
-        def stage(yv, R, dy):
-            nonlocal stage_index
-            stage_index += 1
-            return law_stage(yv, R, dy)[0]
+        def control(yv, c, s, stage):
+            f = factors[stage]
+            z1, z2, nn, fields = network_terms(yv, c, s, stage, f)
+            gram = kernels.gram_row(nodes, factors[:stage], f).tolist()
+            out, dx = [], []
+            for i in range(3):
+                x = yv[6 + 5 * i:11 + 5 * i]
+                span = 0.0
+                for xj, gj in zip(x[1:], gram):
+                    span += xj * gj
+                out.append(x[0] * nn[i] + span)
+                row = [decay[i] * xj for xj in x]
+                row[stage + 1] += gain[i] * z2[i]
+                dx += row
+            return torque(z1, z2, out, c, s), dx, z2, norms, fields
 
         def end_step(y):
             nonlocal norms
-            kernels.fold(nodes, theta, y[6:].reshape(3, 5), factors, fold_out)
+            kernels.fold(nodes, theta, np.array(y[6:]).reshape(3, 5), factors, fold_out)
             y[6:] = unit
             norms = _row_norms(theta)
             # a norm overflows before the weights do, so only then look closer
             return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
 
-        law = (unit, sample, stage, end_step)
+        law = (unit, control, end_step)
     else:
         f_buf = np.empty(index.shape[1])
         frozen_norms = weights0.norms()
 
-        def frozen_tau(yv, R):
-            z1, z2, alpha1, nn = control(yv, R, f_buf)
-            return saturate(-(R.T @ z1) - K2 @ z2 + nn, limits), z1, z2, alpha1
+        def control(yv, c, s, stage):
+            z1, z2, nn, fields = network_terms(yv, c, s, stage, f_buf)
+            return torque(z1, z2, nn, c, s), (), z2, frozen_norms, fields
 
-        def sample(y, R, dy):
-            tau, z1, z2, alpha1 = frozen_tau(y, R)
-            return tau, z2, frozen_norms, probe_fields(z1, z2, alpha1, f_buf)
-
-        law = (np.empty(0), sample, lambda yv, R, dy: frozen_tau(yv, R)[0],
-               _no_state_end_step)
+        law = ((), control, None)
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
@@ -319,26 +276,25 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
     """Run the PID loop: one control update per step, zero-order hold."""
     eta_d = np.asarray(eta_d, dtype=float)
     controller.reset()
-    zeros3 = np.zeros(3)
-    tau = zeros3
+    zeros3 = tau = (0.0, 0.0, 0.0)
 
-    def sample(y, R, dy):
+    def control(yv, c, s, stage):
         nonlocal tau
-        tau = saturate(controller.control(y[:3], y[3:6], eta_d, dt), limits)
-        return tau, y[3:6], zeros3, {}
+        if stage == 0:
+            tau = saturate(controller.control(yv[:3], yv[3:6], eta_d, dt), limits).tolist()
+        return tau, (), yv[3:6], zeros3, {}
 
-    law = (np.empty(0), sample, lambda yv, R, dy: tau, _no_state_end_step)
     trace, metrics = _closed_loop(
-        plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
-        duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
-        tail_window=tail_window, meta=meta, probe=probe)
+        plant, ((), control, None), disturbance, eta0=eta0, nu0=nu0,
+        eta_d=eta_d, dt=dt, duration=duration, decimation=decimation, pos_band=pos_band,
+        psi_band=psi_band, tail_window=tail_window, meta=meta, probe=probe)
     return trace, metrics
 
 
 def run_simulation(cfg: ScenarioConfig):
     """Execute one configured scenario; returns (RunTrace, RunMetrics)."""
     parts = build_components(cfg)
-    meta = {"version": VERSION, **cfg.meta()}
+    meta = {"version": __version__, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                   dt=cfg.dt, duration=cfg.duration, decimation=cfg.decimation,
                   limits=parts.limits, meta=meta)

@@ -3,7 +3,7 @@
 Conventions: earth-frame pose ``eta = [x, y, psi]`` (m, m, rad) and body-frame
 velocity ``nu = [u, v, r]`` (surge m/s, sway m/s, yaw rate rad/s).  Yaw is kept
 unwrapped so error dynamics stay continuous; :func:`wrap_angle` maps to
-(-pi, pi] for reporting.  All quantities SI.
+(-pi, pi] for reporting and :func:`ssa` the laws' heading error.  All SI.
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ def wrap_angle(psi):
     return -((-np.asarray(psi) + np.pi) % (2.0 * np.pi) - np.pi)
 
 
+def ssa(angle: float) -> float:
+    """Smallest signed angle (Fossen 2011): ``angle`` in (-pi, pi], unchanged if inside."""
+    if -math.pi < angle <= math.pi:
+        return angle
+    wrapped = -((math.pi - angle) % (2.0 * math.pi) - math.pi)
+    return math.pi if wrapped == -math.pi else wrapped   # the remainder may round to 2 pi
+
+
 @dataclass(frozen=True)
 class Pose:
     """Earth-frame position and heading; ``psi`` stored unwrapped, radians."""
@@ -41,10 +49,6 @@ class Pose:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi])
-
-    @classmethod
-    def from_array(cls, arr) -> "Pose":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
     def wrapped_yaw(self) -> float:
         return float(wrap_angle(self.psi))
@@ -64,10 +68,6 @@ class BodyVelocity:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v, self.r])
-
-    @classmethod
-    def from_array(cls, arr) -> "BodyVelocity":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 def _check_structural_zeros(mat, name):

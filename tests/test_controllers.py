@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 from dpsim.approximators import AdaptiveWeights
 from dpsim.controllers import (PID_FRAMES, BackstepGains, InvalidGainError, PidController,
                                PidGains, SaturationLimits, adapt_weights,
-                               backstep_control, compute_alpha1, compute_alpha1_dot,
-                               dissipation_params, error_state, lyapunov_eval,
-                               saturate, ultimate_bound, weight_derivative,
-                               weighted_l2_norm)
-from dpsim.vessel import VesselParams, rotation_matrix
+                               backstep_control, backstep_law, compute_alpha1,
+                               compute_alpha1_dot, dissipation_params, error_state,
+                               lyapunov_eval, pose_error, saturate, ultimate_bound,
+                               weight_derivative, weighted_l2_norm)
+from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
 
 BENCH_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 BENCH_D = np.array([
@@ -116,6 +116,8 @@ class TestPid:
             eta, nu = np.array(sample[:3]), np.array(sample[3:])
             R = rotation_matrix(eta[2])
             diff = eta_d - eta
+            if not -np.pi < diff[2] <= np.pi:   # the heading error is the smallest signed angle
+                diff[2] = wrap_angle(diff[2])
             if frame == "earth":
                 err, rate = diff, -(R @ nu)
             else:
@@ -182,6 +184,23 @@ class TestVirtualControl:
         np.testing.assert_allclose(es.z2, nu - es.alpha1, rtol=1e-15)
         np.testing.assert_allclose(
             es.alpha1_dot, compute_alpha1_dot(BENCH_K1, 0.3, 0.05, eta, nu), rtol=1e-15)
+
+    def test_heading_error_is_the_smallest_signed_angle(self):
+        # 170 deg against a target of -170 deg is 20 deg short of it, as
+        # against the same target written as 190 deg
+        eta, nu = np.array([1.0, 2.0, np.radians(170.0)]), np.array([0.1, -0.2, 0.05])
+        params = VesselParams(BENCH_M, BENCH_D)
+        for target in (-170.0, 190.0):
+            eta_d = np.array([0.5, -1.0, np.radians(target)])
+            es = error_state(eta, nu, eta_d, BENCH_K1)
+            assert es.z1[2] == pytest.approx(np.radians(-20.0), rel=1e-12)
+            np.testing.assert_allclose(
+                es.alpha1, compute_alpha1(BENCH_K1, eta[2], es.z1), rtol=1e-15)
+            v1 = lyapunov_eval(eta, nu, eta_d, params, k1=BENCH_K1).v1
+            assert v1 == pytest.approx(0.5 * (0.5 ** 2 + 3.0 ** 2 + np.radians(20.0) ** 2),
+                                       rel=1e-12)
+            pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
+            assert pid.error(eta, eta_d)[2] == pytest.approx(np.radians(20.0), rel=1e-12)
 
 
 class TestBackstepControl:
@@ -254,6 +273,51 @@ class TestBackstepControl:
         with pytest.warns(UserWarning, match="K2") as record:
             BackstepGains(BENCH_K1, 0.25 * np.eye(3), 0.1, (1.0, 1.0, 1.0))
         assert record[0].filename == __file__
+
+    @given(k1=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           k2=st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9),
+           state=st.lists(st.floats(-100.0, 100.0), min_size=6, max_size=6),
+           target=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+           seam=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-0.3, 0.3),
+                          st.integers(-2, 2), st.floats(-0.3, 0.3)),
+           nn=st.lists(st.floats(-1e5, 1e5), min_size=3, max_size=3),
+           tau_max=st.one_of(st.none(), st.lists(st.floats(1.0, 1e5), min_size=3,
+                                                 max_size=3)))
+    def test_float_law_is_the_numpy_law(self, k1, k2, state, target, seam, nn, tau_max):
+        # oracle: compute_alpha1, backstep_control and saturate on non-diagonal
+        # K1 and K2, with the heading and the target on either side of the
+        # +-pi seam (the yaw unwrapped by up to two turns)
+        spd = [np.eye(3) * floor + a @ a.T for a, floor in
+               ((np.reshape(k1, (3, 3)), 0.01), (np.reshape(k2, (3, 3)), 1.0))]
+        K1, K2 = (0.5 * (m + m.T) for m in spd)
+        gains = BackstepGains(K1, K2, 0.1, (1.0, 1.0, 1.0))
+        side, offset, turns, target_offset = seam
+        psi = side * np.pi + offset + 2.0 * np.pi * turns
+        eta_d = np.array([*target, -side * np.pi + target_offset])
+        limits = None if tau_max is None else SaturationLimits(tau_max)
+        eta, nu = np.array([*state[:2], psi]), np.array(state[3:])
+        c, s = yaw_cos_sin(psi)
+        errors, torque = backstep_law(gains, eta_d, limits)
+        z1, alpha1, z2 = errors([*eta, *nu], c, s)
+
+        want_z1 = pose_error(eta, eta_d)
+        assert abs(want_z1[2]) <= np.pi
+        want_alpha1 = compute_alpha1(K1, psi, want_z1)
+        want_tau = saturate(backstep_control(gains, psi, want_z1, nu - want_alpha1, [1.0],
+                                             AdaptiveWeights(np.array(nn)[:, None])), limits)
+        abs_rot = np.abs(rotation_matrix(psi))
+        # rtol 1e-12 of the sum of the magnitudes of each product's terms
+        alpha_scale = abs_rot.T @ (np.abs(K1) @ np.abs(want_z1))
+        tau_scale = (abs_rot.T @ np.abs(want_z1) + np.abs(K2) @ (np.abs(nu) + alpha_scale)
+                     + np.abs(nn))
+        np.testing.assert_array_equal(z1, want_z1)
+        assert (np.abs(np.array(alpha1) - want_alpha1) <= 1e-12 * alpha_scale).all()
+        assert (np.abs(np.array(z2) - (nu - want_alpha1)) <= 1e-12 * (
+            np.abs(nu) + alpha_scale)).all()
+        got_tau = np.array(torque(z1, z2, nn, c, s))
+        assert (np.abs(got_tau - want_tau) <= 1e-12 * tau_scale).all()
+        if limits is not None:
+            assert (np.abs(got_tau) <= limits.tau_max).all()
 
 
 class TestAdaptation:

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpsim
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
@@ -102,7 +107,9 @@ class TestRunSimulation:
     def test_overflowing_weights_abort_at_the_same_step(self):
         # gamma 100 under the unstable law multiplies the weights by about 1e4
         # per step until they overflow; the values are those of integrating
-        # all 3 l weights as RK4 state, which aborted at the same step
+        # all 3 l weights as RK4 state, which aborted at the same step (the
+        # heading passes pi, so they are those of the law with its heading
+        # error wrapped)
         cfg = parse_scenario({"controller": {"adaptation_law": "unstable", "gamma": 100.0},
                               "rbf": {"points_per_dim": 2},
                               "simulation": {"duration": 20.0}})
@@ -112,10 +119,10 @@ class TestRunSimulation:
         assert abort.t_failed == 7.7
         assert abort.t_last == 76 * 0.1
         np.testing.assert_allclose(
-            abort.pose, [-279.91581757641865, 949.4279792475497, 3.93392623205799],
+            abort.pose, [-279.9132717299111, 949.4268320604897, 3.9339613641945905],
             rtol=1e-12)
         np.testing.assert_allclose(
-            abort.velocity, [204.56861414934735, 128.88222598159047, 0.8503632026575093],
+            abort.velocity, [204.56862046081278, 128.88224194077802, 0.8504333944467191],
             rtol=1e-12)
 
     @pytest.mark.parametrize("law", ["stable", "unstable"])
@@ -217,6 +224,29 @@ class TestRunSimulation:
         pos_err = np.hypot(trace.pose[:, 0], trace.pose[:, 1])
         assert pos_err.max() < 10.0 * pos_err[0]
         assert metrics.weight_sup < 10.0 * trace.theta_norms[0].max()
+
+    @pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
+    def test_heading_target_across_the_seam_is_reached_the_short_way(self, controller):
+        # start at 170 deg, target -170 deg: the heading error is -20 deg, not
+        # 340 deg, so the run is that of the same target written as 190 deg
+        runs = []
+        for target_yaw in (-170.0, 190.0):
+            cfg = parse_scenario({"controller": {"type": controller},
+                                  "rbf": {"points_per_dim": 2},
+                                  "simulation": {"duration": 200.0,
+                                                 "initial_pose": [10.0, 10.0, 170.0],
+                                                 "target_pose": [0.0, 0.0, target_yaw]}})
+            runs.append(run_simulation(cfg))
+        (seam, seam_metrics), (plain, plain_metrics) = runs
+        yaw = np.degrees(np.unwrap(seam.pose[:, 2]))
+        assert yaw.min() > 169.0 and yaw.max() < 200.0      # it turns towards 190 deg
+        assert yaw[-1] > 175.0
+        np.testing.assert_allclose(seam.pose[:, 2], plain.pose[:, 2], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(seam.v1, plain.v1, rtol=1e-9)
+        np.testing.assert_allclose(seam_metrics.peak_tau[2], plain_metrics.peak_tau[2],
+                                   rtol=1e-9)
+        assert seam_metrics.steady_rms_psi == pytest.approx(plain_metrics.steady_rms_psi,
+                                                            rel=1e-9)
 
     def test_convergence_time_dt_halving(self, converging_gains):
         # strengthened gains give an actually converging loop; halving dt
@@ -441,6 +471,30 @@ class TestCompare:
         trace, _ = run_simulation(small_cfg(controller_type="pid"))
         with pytest.raises(ValueError, match="two traces"):
             compare_runs([trace])
+
+
+class TestVersion:
+    def test_header_version_is_the_package_version(self, tmp_path):
+        trace, _ = run_simulation(small_cfg(controller_type="pid", duration=1.0))
+        assert trace.meta["version"] == dpsim.__version__
+        write_trace_csv(tmp_path / "run.csv", trace)
+        assert f"# version: {dpsim.__version__}\n" in (tmp_path / "run.csv").read_text()
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == dpsim.__version__
+
+    def test_import_leaves_package_metadata_unloaded(self):
+        # importlib.metadata costs a fresh process 11-20 ms of imports
+        src = str(Path(dpsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dpsim; print(dpsim.__file__); print('importlib.metadata' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+        assert Path(out[0]).resolve() == Path(dpsim.__file__).resolve()
+        assert out[1] == "False"
 
 
 class TestCli:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from dpsim.vessel import (BodyVelocity, NonFiniteStateError, Pose, SingularInertiaError,
                           VesselParams, plant_derivative, rk4_step, rotation_matrix,
-                          rotation_rate_matrix, wrap_angle, yaw_cos_sin)
+                          rotation_rate_matrix, ssa, wrap_angle, yaw_cos_sin)
 
 BENCH_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 BENCH_D = np.array([
@@ -87,6 +87,33 @@ class TestWrapAngle:
         assert -np.pi < w <= np.pi
         # same direction modulo a full turn
         assert abs((psi - w) / (2 * np.pi) - round((psi - w) / (2 * np.pi))) < 1e-9
+
+
+class TestSmallestSignedAngle:
+    @given(st.floats(-np.pi, np.pi))
+    def test_inside_the_range_unchanged(self, angle):
+        hypothesis.assume(angle != -np.pi)
+        assert ssa(angle) == angle
+        assert np.copysign(1.0, ssa(angle)) == np.copysign(1.0, angle)
+
+    @given(st.floats(-1e3, 1e3))
+    def test_range_and_congruence(self, angle):
+        w = ssa(angle)
+        assert -np.pi < w <= np.pi
+        turns = (angle - w) / (2 * np.pi)
+        assert abs(turns - round(turns)) < 1e-9
+
+    @pytest.mark.parametrize("angle,expected", [
+        (-np.pi, np.pi), (np.radians(340.0), np.radians(-20.0)),
+        (np.radians(-340.0), np.radians(20.0)), (5 * np.pi, np.pi),
+        (np.nextafter(np.pi, 4.0), np.pi),     # -pi + 1 ulp rounds onto the seam
+    ])
+    def test_values(self, angle, expected):
+        assert ssa(angle) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gives_nan(self, angle):
+        assert np.isnan(ssa(angle))
 
 
 class TestDomainTypes:
