@@ -15,13 +15,12 @@ from dpsim.controllers import (BackstepGains, ErrorState, InvalidGainError,
                                compute_alpha1, compute_alpha1_dot, dissipation_params,
                                error_state, lyapunov_eval, saturate, ultimate_bound,
                                weight_derivative, weighted_l2_norm)
-from dpsim.disturbance import ConstantDisturbance, DisturbanceBound, MarkovBias
+from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (RunMetrics, SimulationAbort, compare_runs,
                             metrics_from_trace, run_simulation, simulate_adaptive,
                             simulate_pid)
 from dpsim.traces import RunTrace, read_trace_csv, write_trace_csv
-from dpsim.vessel import (BodyVelocity, NonFiniteStateError, Pose,
-                          SingularInertiaError, VesselParams,
-                          plant_derivative, rk4_step, rotation_matrix,
-                          rotation_rate_matrix, ssa, wrap_angle, yaw_rate_skew)
+from dpsim.vessel import (NonFiniteStateError, SingularInertiaError, VesselParams,
+                          plant_derivative, rk4_step, rotation_matrix, ssa, wrap_angle,
+                          yaw_rate_skew)
 

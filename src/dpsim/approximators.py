@@ -132,7 +132,9 @@ def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
         out = np.empty(net.node_count)
     elif out.shape != (net.node_count,) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous vector of {net.node_count} values")
-    return kernels.basis_into(net.nodes, net._inv_two_h2, net._coef, net._index, z, out)
+    factors = kernels.factors_into(net.nodes, net._inv_two_h2, net._coef, net._index, z,
+                                   np.empty(net._index.shape[1]))
+    return kernels.basis_from_factors(net.nodes, factors, out)
 
 
 class AdaptiveWeights:

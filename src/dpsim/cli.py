@@ -10,7 +10,8 @@ Subcommands:
                   nn-fixed} x {constant, markov}) and emit one trace CSV each.
 * ``validate`` -- build everything ``run`` builds from a scenario file, run nothing.
 
-Exit codes: 0 success, 1 usage/validation error, 2 runtime abort (diverged).
+Exit codes: 0 success, 1 usage/validation error (a bad scenario, a bad
+trace file, an unreadable or unwritable path), 2 runtime abort (diverged).
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    traces = [read_trace_csv(path) for path in args.traces]
     try:
-        report = compare_runs(traces, window=args.window)
+        report = compare_runs([read_trace_csv(path) for path in args.traces],
+                              window=args.window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     text = report.format()
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SimulationAbort as exc:

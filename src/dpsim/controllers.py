@@ -9,7 +9,8 @@ Two controller families:
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
   of the per-axis weights; :func:`backstep_law` is the same law in floats.
-Both laws take the heading error as the smallest signed angle, ``ssa``.
+Both laws take the heading error as the smallest signed angle, ``ssa``, and
+both clamp their output through :func:`saturate`, a float clamp.
 
 The weight update default (``law="stable"``) is
 ``theta_dot_i = -Gamma_i (g z2_i + sigma_i theta_i)``, the unique sign
@@ -77,6 +78,9 @@ class PidController:
     with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.
     ``reset``, which the run calls at its start, zeroes ``integral`` (three
     floats) and stacks the gains as ``[Kp Ki Kd]`` for one product per call.
+    ``control`` unpacks eta, nu and eta_d, any sequences of three numbers, in
+    floats; the gain product stays one numpy product, whose sums round
+    differently from a float loop's.
     """
 
     def __init__(self, gains: PidGains, frame: str = "body"):
@@ -93,8 +97,7 @@ class PidController:
 
     def _error(self, eta, eta_d):
         """The pose error as three floats, and the yaw's (cos, sin)."""
-        x, y, psi = np.asarray(eta, dtype=float).tolist()
-        xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
+        (x, y, psi), (xd, yd, psid) = eta, eta_d
         dx, dy = xd - x, yd - y
         c, s = yaw_cos_sin(psi)
         dpsi = ssa(psid - psi)
@@ -116,7 +119,7 @@ class PidController:
             self.integral = (i0 + half * (p0 + e0), i1 + half * (p1 + e1),
                              i2 + half * (p2 + e2))
         self._prev_error = err
-        u, v, r = np.asarray(nu, dtype=float).tolist()
+        u, v, r = nu
         if self.frame == "earth":
             rate = (-(c * u - s * v), -(s * u + c * v), -r)
         else:
@@ -197,12 +200,15 @@ class SaturationLimits:
         object.__setattr__(self, "tau_max", t)
 
 
-def saturate(tau, limits: SaturationLimits | None) -> np.ndarray:
-    """Componentwise clamp to [-tau_max, tau_max]; identity when disabled."""
-    tau = np.asarray(tau, dtype=float)
+def saturate(tau, limits: SaturationLimits | None) -> tuple:
+    """Three floats clamped componentwise to [-tau_max, tau_max]; unchanged when disabled.
+
+    A nan passes through, since ``max(nan, -m)`` is nan.
+    """
     if limits is None:
-        return tau
-    return np.clip(tau, -limits.tau_max, limits.tau_max)
+        return tuple(tau)
+    (t0, t1, t2), (m0, m1, m2) = tau, limits.tau_max.tolist()
+    return min(max(t0, -m0), m0), min(max(t1, -m1), m1), min(max(t2, -m2), m2)
 
 
 def compute_alpha1(k1, psi: float, z1) -> np.ndarray:
@@ -266,13 +272,13 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
 
     ``errors`` reads pose and velocity from ``state[:6]`` and the yaw's cosine
     and sine and returns the triples z1, alpha1 and z2; ``torque(z1, z2, nn,
-    c, s)`` returns the clamped ``-R^T z1 - K2 z2 + nn``: :func:`compute_alpha1`,
-    :func:`backstep_control` and :func:`saturate` written out product by product.
+    c, s)`` returns ``-R^T z1 - K2 z2 + nn`` clamped by :func:`saturate`:
+    :func:`compute_alpha1` and :func:`backstep_control` written out product by
+    product.
     """
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gains.K1.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = gains.K2.tolist()
     xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
-    bound = None if limits is None else limits.tau_max.tolist()
 
     def errors(state, c, s):
         x, y, psi, u, v, r = state[:6]
@@ -285,11 +291,9 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
 
     def torque(z1, z2, nn, c, s):
         (e0, e1, e2), (q0, q1, q2) = z1, z2
-        tau = (-(c * e0 + s * e1) - (q00 * q0 + q01 * q1 + q02 * q2) + nn[0],
-               -(c * e1 - s * e0) - (q10 * q0 + q11 * q1 + q12 * q2) + nn[1],
-               -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2])
-        # max(nan, -m) is nan: nan passes through, as np.clip lets it
-        return tau if bound is None else tuple(min(max(t, -m), m) for t, m in zip(tau, bound))
+        return saturate((-(c * e0 + s * e1) - (q00 * q0 + q01 * q1 + q02 * q2) + nn[0],
+                         -(c * e1 - s * e0) - (q10 * q0 + q11 * q1 + q12 * q2) + nn[1],
+                         -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2]), limits)
 
     return errors, torque
 

@@ -1,9 +1,13 @@
 """Environmental load generators: constant load and first-order Markov bias.
 
-The Markov bias is an Ornstein-Uhlenbeck force/moment vector in the earth
-frame, rotated into the body frame at query time.  Euler-Maruyama stepping
-with sqrt(dt) noise scaling keeps the stationary variance step-size
-invariant at ``noise_scale_i^2 * time_constant_i / 2``.
+Both expose the two calls the simulation engine makes: ``body_load(c, s)``,
+the body-frame load as three floats at a heading with cosine ``c`` and sine
+``s``, and ``step(dt)``, which advances the load by one step.
+The constant load ignores both the heading and the step.  The Markov bias
+is an Ornstein-Uhlenbeck force/moment vector in the earth frame, rotated
+into the body frame at query time.  Euler-Maruyama stepping with sqrt(dt)
+noise scaling keeps the stationary variance step-size invariant at
+``noise_scale_i^2 * time_constant_i / 2``.
 """
 
 from __future__ import annotations
@@ -13,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpsim.vessel import yaw_cos_sin
-
 
 @dataclass(frozen=True)
 class ConstantDisturbance:
-    """Fixed body-frame load [N, N, N*m]."""
+    """Fixed body-frame load [N, N, N*m], the same at every heading."""
 
     delta: np.ndarray
 
@@ -28,21 +30,11 @@ class ConstantDisturbance:
             raise ValueError("delta must be a finite 3-vector")
         object.__setattr__(self, "delta", d)
 
-    def sample(self, t: float) -> np.ndarray:
-        return self.delta.copy()
+    def body_load(self, c: float, s: float) -> list:
+        return self.delta.tolist()
 
-
-@dataclass(frozen=True)
-class DisturbanceBound:
-    """Componentwise bound on the load magnitude; diagnostics only."""
-
-    delta_bar: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.delta_bar, dtype=float)
-        if b.shape != (3,) or not (b > 0).all():
-            raise ValueError("delta_bar entries must be positive")
-        object.__setattr__(self, "delta_bar", b)
+    def step(self, dt: float) -> None:
+        """Nothing to advance: the load is constant."""
 
 
 class MarkovBias:
@@ -51,7 +43,7 @@ class MarkovBias:
     ``n`` is a standard Gaussian 3-vector from the seeded generator, so a
     trajectory is fully determined by (seed, call count).  ``b`` holds the
     bias as three floats.  ``body_load(cos psi, sin psi)`` returns R(psi)^T b,
-    the load felt in the body frame; ``body_delta(psi)`` as an array.
+    the load felt in the body frame.
     """
 
     def __init__(self, time_constants, noise_scale, seed: int, b0=None):
@@ -88,6 +80,3 @@ class MarkovBias:
     def body_load(self, c: float, s: float) -> tuple:
         b0, b1, b2 = self.b
         return c * b0 + s * b1, c * b1 - s * b0, b2
-
-    def body_delta(self, psi_angle: float) -> np.ndarray:
-        return np.array(self.body_load(*yaw_cos_sin(psi_angle)))

@@ -68,12 +68,6 @@ def basis_from_factors(nodes, factors, out):
     return out
 
 
-def basis_into(nodes, inv_two_h2, coef, index, z, out):
-    """Gaussian basis values for one input point, written into ``out``."""
-    factors = factors_into(nodes, inv_two_h2, coef, index, z, np.empty(index.shape[1]))
-    return basis_from_factors(nodes, factors, out)
-
-
 def adaptive_core(nodes, inv_two_h2, coef, index, z, theta, out):
     """Per-axis network outputs ``theta_i . g`` at ``z``, with no basis vector.
 

@@ -5,12 +5,16 @@ RK4 integrator, one loop for every controller.  A law appends its own state to
 the pose and velocity and may fold it back at the end of each step: the
 adaptive law appends 15 coordinates of its weights and forms the weights once
 per step (see ``simulate_adaptive``); frozen weights and PID append nothing,
-and PID holds its output over each step.  The disturbance is held constant
-across the sub-stages of each step.  The state is a list of floats and the
-engine's and the laws' 3-vector arithmetic is written in floats, not numpy
-calls, since the call cost dominates at that size.
+and PID holds its output over each step.  Every load, constant or Markov,
+is read through ``body_load(cos psi, sin psi)`` once per step, held across
+the sub-stages, and advanced by ``step(dt)``; both laws clamp through
+``controllers.saturate``.  The state is a list of floats and the engine's and
+the laws' 3-vector arithmetic is written in floats, not numpy calls, since
+the call cost dominates at that size.  The engine fills one row per
+full-rate sample and hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
-``metrics_from_trace``, so trace decimation does not change them.
+``metrics_from_trace``, so trace decimation does not change them; the
+bands and the tail window are the module constants below.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from dpsim.approximators import AdaptiveWeights, RbfNetwork
 from dpsim.config import ScenarioConfig, build_components
 from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
-from dpsim.disturbance import MarkovBias
-from dpsim.traces import RunTrace
+from dpsim.traces import TRACE_COLUMNS, RunTrace, target_pose
 # rotation_matrix is no longer called here; perfbench's tracer and tests still look it up
 from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin  # noqa: F401
 
@@ -53,8 +56,9 @@ class RunMetrics:
     """Station-keeping summary of one run.
 
     convergence_time is the first time after which the pose error stays
-    inside the (pos_band, psi_band) box for the rest of the run; +inf when it
-    never does.  Steady-state RMS values are taken over the tail window.
+    inside the (DEFAULT_POS_BAND_M, DEFAULT_PSI_BAND_RAD) box for the rest of
+    the run; +inf when it never does.  Steady-state RMS values are taken over
+    the tail window.
     """
 
     convergence_time: float
@@ -64,11 +68,12 @@ class RunMetrics:
     weight_sup: float
 
 
-def _run_metrics(t, pose, tau, theta_norms, target, window, pos_band, psi_band) -> RunMetrics:
-    """Run metrics of a uniformly sampled run with wrapped or unwrapped yaw."""
+def _run_metrics(trace: RunTrace, target, window) -> RunMetrics:
+    """Run metrics of a uniformly sampled trace over the last ``window`` seconds."""
+    t, pose = trace.t, trace.pose
     pos_err = np.hypot(pose[:, 0] - target[0], pose[:, 1] - target[1])
     psi_err = wrap_angle(pose[:, 2] - target[2])
-    in_band = (pos_err < pos_band) & (np.abs(psi_err) < psi_band)
+    in_band = (pos_err < DEFAULT_POS_BAND_M) & (np.abs(psi_err) < DEFAULT_PSI_BAND_RAD)
     out_idx = np.nonzero(~in_band)[0]
     if out_idx.size == 0:
         convergence = 0.0
@@ -79,13 +84,13 @@ def _run_metrics(t, pose, tau, theta_norms, target, window, pos_band, psi_band) 
     tail = t >= t[-1] - window - 1e-9
     rms_pos = float(np.sqrt(np.mean(pos_err[tail] ** 2)))
     rms_psi = float(np.sqrt(np.mean(psi_err[tail] ** 2)))
-    peak_tau = np.abs(tau).max(axis=0)
-    weight_sup = float(theta_norms.max())
+    peak_tau = np.abs(trace.tau).max(axis=0)
+    weight_sup = float(trace.theta_norms.max())
     return RunMetrics(convergence, rms_pos, rms_psi, peak_tau, weight_sup)
 
 
 def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, decimation,
-                 pos_band, psi_band, tail_window, meta, probe):
+                 meta, probe):
     """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
     The state ``y`` is a list of floats: pose, velocity, then ``state0``, the
@@ -100,8 +105,7 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     ``y``.  Probe arrays are built only when ``probe`` is given.
     """
     steps = int(round(duration / dt))
-    t = np.arange(steps + 1) * dt
-    markov = isinstance(disturbance, MarkovBias)
+    t = (np.arange(steps + 1) * dt).tolist()
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = plant.M_inv.tolist()
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
@@ -111,9 +115,8 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
 
     y = [*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist(),
          *state0]
-    # t, x, y, psi (unwrapped until the end), u, v, r, tau, delta, theta norms, V1, V2a
-    rows = np.empty((steps + 1, 18))
-    rows[:, 0] = t
+    # one row per sample; yaw stays unwrapped until the end
+    rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
 
     def rate(yv, c, s, tau, dstate):
         """[R nu, M^-1 (tau + delta - D nu), dstate] at the held load ``delta``."""
@@ -133,7 +136,7 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             c, s = yaw_cos_sin(y[2])
-            delta = disturbance.body_load(c, s) if markov else disturbance.sample(t[k]).tolist()
+            delta = disturbance.body_load(c, s)
             tau, dstate, z2, norms, fields = control(y, c, s, 0)
             d1 = rate(y, c, s, tau, dstate)
             pv = y[:6]
@@ -142,7 +145,7 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
             q0, q1, q2 = z2
             v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
                 m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
-            rows[k, 1:] = (*pv, *tau, *delta, *norms, v1, v2a)
+            rows[k] = (t[k], *pv, *tau, *delta, *norms, v1, v2a)
             if probe is not None:
                 info = dict(eta=pv[:3], nu=pv[3:], **fields, tau=tau, delta=delta)
                 probe(t[k], {key: np.array(value, dtype=float) for key, value in info.items()})
@@ -155,14 +158,15 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
             y = [v + (((g2 * 2.0 + g1) + g3 * 2.0) + g4) * sixth
                  for v, g1, g2, g3, g4 in zip(y, d1, d2, d3, d4)]
             if not ((end_step is None or end_step(y)) and all(map(math.isfinite, y))):
-                raise SimulationAbort(t[k + 1], t[k], rows[k, 1:4], rows[k, 4:7])
-            if markov:
-                disturbance.step(dt)
+                raise SimulationAbort(t[k + 1], t[k], pv[:3], pv[3:])
+            disturbance.step(dt)
 
-    rows[:, 3] = wrap_angle(rows[:, 3])
-    metrics = _run_metrics(t, rows[:, 1:4], rows[:, 7:10], rows[:, 13:16], eta_d,
-                           tail_window, pos_band, psi_band)
-    return RunTrace.from_columns(rows[::decimation], meta), metrics
+    trace = RunTrace(rows, dict(meta or {}))
+    trace.pose[:, 2] = wrap_angle(trace.pose[:, 2])
+    metrics = _run_metrics(trace, eta_d, DEFAULT_TAIL_WINDOW_S)
+    if decimation > 1:      # the metrics above saw every sample
+        trace.data = rows[::decimation].copy()
+    return trace, metrics
 
 
 def _row_norms(theta):
@@ -173,9 +177,7 @@ def _row_norms(theta):
 def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNetwork,
                       weights0: AdaptiveWeights, disturbance, *, eta0, nu0, eta_d,
                       dt, duration, decimation=1, limits: SaturationLimits | None = None,
-                      adapt=True, pos_band=DEFAULT_POS_BAND_M,
-                      psi_band=DEFAULT_PSI_BAND_RAD,
-                      tail_window=DEFAULT_TAIL_WINDOW_S, meta=None, probe=None):
+                      adapt=True, meta=None, probe=None):
     """Run the adaptive (or frozen-weight) backstepping loop.
 
     ``adapt=False`` keeps the initial weights for the whole run; the
@@ -262,33 +264,29 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
-        duration=duration, decimation=decimation, pos_band=pos_band, psi_band=psi_band,
-        tail_window=tail_window, meta=meta, probe=probe)
+        duration=duration, decimation=decimation, meta=meta, probe=probe)
     trace.final_theta = theta
     return trace, metrics
 
 
 def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
                  eta0, nu0, eta_d, dt, duration, decimation=1,
-                 limits: SaturationLimits | None = None,
-                 pos_band=DEFAULT_POS_BAND_M, psi_band=DEFAULT_PSI_BAND_RAD,
-                 tail_window=DEFAULT_TAIL_WINDOW_S, meta=None, probe=None):
+                 limits: SaturationLimits | None = None, meta=None, probe=None):
     """Run the PID loop: one control update per step, zero-order hold."""
     eta_d = np.asarray(eta_d, dtype=float)
+    target = eta_d.tolist()
     controller.reset()
     zeros3 = tau = (0.0, 0.0, 0.0)
 
     def control(yv, c, s, stage):
         nonlocal tau
         if stage == 0:
-            tau = saturate(controller.control(yv[:3], yv[3:6], eta_d, dt), limits).tolist()
+            tau = saturate(controller.control(yv[:3], yv[3:6], target, dt).tolist(), limits)
         return tau, (), yv[3:6], zeros3, {}
 
-    trace, metrics = _closed_loop(
-        plant, ((), control, None), disturbance, eta0=eta0, nu0=nu0,
-        eta_d=eta_d, dt=dt, duration=duration, decimation=decimation, pos_band=pos_band,
-        psi_band=psi_band, tail_window=tail_window, meta=meta, probe=probe)
-    return trace, metrics
+    return _closed_loop(
+        plant, ((), control, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
+        duration=duration, decimation=decimation, meta=meta, probe=probe)
 
 
 def run_simulation(cfg: ScenarioConfig):
@@ -307,20 +305,14 @@ def run_simulation(cfg: ScenarioConfig):
                              adapt=(cfg.controller_type == "adaptive-nn"), **common)
 
 
-def metrics_from_trace(trace: RunTrace, window=DEFAULT_TAIL_WINDOW_S,
-                       pos_band=DEFAULT_POS_BAND_M,
-                       psi_band=DEFAULT_PSI_BAND_RAD) -> RunMetrics:
+def metrics_from_trace(trace: RunTrace, window=DEFAULT_TAIL_WINDOW_S) -> RunMetrics:
     """Recompute run metrics from a (possibly decimated) trace.
 
     Uses the target pose recorded in the trace header; note that metrics from
     a decimated trace see only the logged samples.
     """
-    target = np.zeros(3)
-    raw = trace.meta.get("target_pose_rad")
-    if raw:
-        target = np.array([float(v) for v in raw.split()])
-    return _run_metrics(trace.t, trace.pose, trace.tau, trace.theta_norms, target,
-                        window, pos_band, psi_band)
+    return _run_metrics(trace, target_pose(trace.meta.get("target_pose_rad") or "0 0 0"),
+                        window)
 
 
 @dataclass

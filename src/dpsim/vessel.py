@@ -35,41 +35,6 @@ def ssa(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped   # the remainder may round to 2 pi
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Earth-frame position and heading; ``psi`` stored unwrapped, radians."""
-
-    x: float
-    y: float
-    psi: float
-
-    def __post_init__(self):
-        if not np.isfinite([self.x, self.y, self.psi]).all():
-            raise ValueError("pose fields must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi])
-
-    def wrapped_yaw(self) -> float:
-        return float(wrap_angle(self.psi))
-
-
-@dataclass(frozen=True)
-class BodyVelocity:
-    """Body-frame velocity: surge u (m/s), sway v (m/s), yaw rate r (rad/s)."""
-
-    u: float
-    v: float
-    r: float
-
-    def __post_init__(self):
-        if not np.isfinite([self.u, self.v, self.r]).all():
-            raise ValueError("velocity fields must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.r])
-
-
 def _check_structural_zeros(mat, name):
     # surge is decoupled from sway/yaw in both the inertia and damping matrices
     for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
@@ -121,11 +86,6 @@ def rotation_matrix(psi: float) -> np.ndarray:
 def yaw_rate_skew(r: float) -> np.ndarray:
     """Angular-rate generator S(r) with d/dt R(psi) = R(psi) S(r)."""
     return np.array([[0.0, -r, 0.0], [r, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def rotation_rate_matrix(psi: float, r: float) -> np.ndarray:
-    """Time derivative of the rotation matrix along yaw rate r."""
-    return rotation_matrix(psi) @ yaw_rate_skew(r)
 
 
 def plant_derivative(eta, nu, params: VesselParams, tau, delta):

@@ -34,8 +34,8 @@ from dpsim.controllers import (BackstepGains, backstep_control, compute_alpha1_d
                                error_state, weighted_l2_norm)
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import metrics_from_trace, run_simulation, simulate_adaptive
-from dpsim.traces import RunTrace, write_trace_csv
-from dpsim.vessel import VesselParams, plant_derivative, rk4_step
+from dpsim.traces import TRACE_COLUMNS, RunTrace, write_trace_csv
+from dpsim.vessel import VesselParams, plant_derivative, rk4_step, yaw_cos_sin
 
 CRIT4_SEEDS = (101, 102, 103, 104, 105)
 
@@ -110,14 +110,14 @@ def ideal_law_metrics(cfg, feedforward=True, cancel_load=False):
     states = np.empty((steps + 1, 6))
     states[0] = np.concatenate([cfg.initial_pose, cfg.initial_velocity])
     for k in range(steps):
-        delta = bias.body_delta(states[k, 2]) if markov else load
+        delta = bias.body_load(*yaw_cos_sin(states[k, 2])) if markov else load
         states[k + 1] = rk4_step(states[k], cfg.dt, lambda y: deriv(y, delta))
         if markov:
             bias.step(cfg.dt)
-    n = steps + 1
-    unused3, unused = np.zeros((n, 3)), np.zeros(n)
-    trace = RunTrace(np.arange(n) * cfg.dt, states[:, :3], states[:, 3:], unused3,
-                     unused3, unused3, unused, unused, meta=cfg.meta())
+    trace = RunTrace(np.zeros((steps + 1, len(TRACE_COLUMNS))), meta=cfg.meta())
+    trace.t[:] = np.arange(steps + 1) * cfg.dt
+    trace.pose[:] = states[:, :3]
+    trace.velocity[:] = states[:, 3:]
     return metrics_from_trace(trace)
 
 
@@ -245,7 +245,7 @@ def test_criterion_5_weight_boundedness(nominal_runs):
     worst = 0.0
     finite = True
     for seed, trace, _, _ in nominal_runs:
-        finite &= bool(np.isfinite(trace.columns()).all())
+        finite &= bool(np.isfinite(trace.data).all())
         idx20 = int(round(20.0 / (trace.t[1] - trace.t[0])))
         reference = trace.theta_norms[idx20]
         later = trace.theta_norms[idx20:]

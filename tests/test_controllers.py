@@ -402,6 +402,95 @@ class TestSaturation:
         with pytest.raises(ValueError):
             SaturationLimits([0.0, 1.0, 1.0])
 
+    def test_nan_passes_through(self):
+        limits = SaturationLimits([1.0, 1.0, 1.0])
+        tau = saturate([np.nan, 5.0, -5.0], limits)
+        assert np.isnan(tau[0]) and tau[1:] == (1.0, -1.0)
+
+
+# Poses within a few hundred metres; the heading error stays off the +-pi
+# seam, where ssa may flip its sign on a one-ulp change of its argument.
+coords = st.floats(-200.0, 200.0)
+yaws = st.floats(-10.0, 10.0)
+yaw_errors = st.floats(-3.0, 3.0)
+rates = st.floats(-2.0, 2.0)
+vec3 = st.tuples(rates, rates, rates)
+
+
+def moved(eta, shift, phi):
+    """``eta`` rotated by ``phi`` about the origin and translated by ``shift``."""
+    c, s = yaw_cos_sin(phi)
+    x, y, psi = eta
+    return (c * x - s * y + shift[0], s * x + c * y + shift[1], psi + phi)
+
+
+def pid_tau(frame, eta, nu, eta_d):
+    """The second output of a fresh PID in ``frame``, so that P, I and D all act."""
+    pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD), frame=frame)
+    pid.control(eta, nu, eta_d, 0.1)
+    return pid.control(eta, nu, eta_d, 0.1)
+
+
+def backstep_tau(k1, eta, nu, eta_d):
+    """``backstep_law``'s torque with zero network output and no saturation."""
+    gains = BackstepGains(k1, BENCH_K2, 0.1, (2.13, 2.13, 0.302))
+    errors, torque = backstep_law(gains, eta_d, None)
+    c, s = yaw_cos_sin(eta[2])
+    z1, _, z2 = errors((*eta, *nu), c, s)
+    return np.array(torque(z1, z2, (0.0, 0.0, 0.0), c, s))
+
+
+def scale(gain, eta, nu, eta_d):
+    """Per-axis size of the terms summed into tau: rounding is relative to it."""
+    size = np.abs(eta).max() + np.abs(eta_d).max() + np.abs(nu).max() + np.pi
+    return (1.0 + np.abs(gain).sum(axis=1)) * size
+
+
+class TestFrameInvariance:
+    """A law that acts in the body frame must not see where the origin or north is."""
+
+    @given(st.tuples(coords, coords, yaws), vec3, coords, coords, yaw_errors,
+           st.tuples(coords, coords), st.floats(-np.pi, np.pi))
+    def test_body_pid_ignores_a_rigid_motion(self, eta, nu, xd, yd, e, shift, phi):
+        eta_d = (xd, yd, eta[2] + e)
+        want = pid_tau("body", eta, nu, eta_d)
+        got = pid_tau("body", moved(eta, shift, phi), nu, moved(eta_d, shift, phi))
+        gain = np.hstack([BENCH_KP, BENCH_KI, BENCH_KD])
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-9 * scale(gain, eta, nu, eta_d).min())
+
+    @given(st.tuples(coords, coords, yaws), vec3, coords, coords, yaw_errors,
+           st.tuples(coords, coords), st.floats(-np.pi, np.pi),
+           st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    def test_backstep_with_isotropic_k1_ignores_a_rigid_motion(self, eta, nu, xd, yd, e,
+                                                              shift, phi, k, k3):
+        k1 = np.diag([k, k, k3])
+        eta_d = (xd, yd, eta[2] + e)
+        want = backstep_tau(k1, eta, nu, eta_d)
+        got = backstep_tau(k1, moved(eta, shift, phi), nu, moved(eta_d, shift, phi))
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-9 * scale(BENCH_K2, eta, nu, eta_d).min())
+
+    @pytest.mark.parametrize("frame", PID_FRAMES)
+    @given(st.tuples(coords, coords, yaws), vec3, coords, coords, yaw_errors,
+           st.integers(-3, 3))
+    def test_pid_ignores_whole_turns_of_the_yaw(self, frame, eta, nu, xd, yd, e, k):
+        eta_d = (xd, yd, eta[2] + e)
+        turned = (eta[0], eta[1], eta[2] + 2.0 * np.pi * k)
+        gain = np.hstack([BENCH_KP, BENCH_KI, BENCH_KD])
+        np.testing.assert_allclose(pid_tau(frame, turned, nu, eta_d),
+                                   pid_tau(frame, eta, nu, eta_d), rtol=1e-9,
+                                   atol=1e-9 * scale(gain, eta, nu, eta_d).min())
+
+    @given(st.tuples(coords, coords, yaws), vec3, coords, coords, yaw_errors,
+           st.integers(-3, 3))
+    def test_backstep_ignores_whole_turns_of_the_yaw(self, eta, nu, xd, yd, e, k):
+        eta_d = (xd, yd, eta[2] + e)
+        turned = (eta[0], eta[1], eta[2] + 2.0 * np.pi * k)
+        np.testing.assert_allclose(backstep_tau(BENCH_K1, turned, nu, eta_d),
+                                   backstep_tau(BENCH_K1, eta, nu, eta_d), rtol=1e-9,
+                                   atol=1e-9 * scale(BENCH_K2, eta, nu, eta_d).min())
+
 
 class TestLyapunov:
     def test_zero_at_reference(self):

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsim.disturbance import ConstantDisturbance, DisturbanceBound, MarkovBias
+from dpsim.disturbance import ConstantDisturbance, MarkovBias
+from dpsim.vessel import yaw_cos_sin
 
 
 class TestConstant:
     def test_default_value(self):
         cfg = ConstantDisturbance([1000.0, 2000.0, 1500.0])
-        np.testing.assert_array_equal(cfg.sample(0.0), [1000.0, 2000.0, 1500.0])
+        np.testing.assert_array_equal(cfg.body_load(1.0, 0.0), [1000.0, 2000.0, 1500.0])
 
     def test_time_invariant(self):
+        # the same body-frame load at every heading and after any number of steps
         cfg = ConstantDisturbance([1000.0, 2000.0, 1500.0])
-        np.testing.assert_array_equal(cfg.sample(500.0), cfg.sample(0.0))
+        first = cfg.body_load(1.0, 0.0)
+        for _ in range(5):
+            cfg.step(100.0)
+        np.testing.assert_array_equal(cfg.body_load(*yaw_cos_sin(2.0)), first)
 
     def test_zero(self):
-        np.testing.assert_array_equal(ConstantDisturbance([0, 0, 0]).sample(1.0),
+        np.testing.assert_array_equal(ConstantDisturbance([0, 0, 0]).body_load(0.0, 1.0),
                                       np.zeros(3))
 
     def test_validation(self):
@@ -66,23 +71,17 @@ class TestMarkovBias:
 class TestBodyRotation:
     def test_identity_heading(self):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=[3.0, -4.0, 5.0])
-        np.testing.assert_array_equal(bias.body_delta(0.0), [3.0, -4.0, 5.0])
+        np.testing.assert_array_equal(bias.body_load(*yaw_cos_sin(0.0)), [3.0, -4.0, 5.0])
 
     def test_quarter_turn(self):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=[1.0, 0.0, 0.0])
-        np.testing.assert_allclose(bias.body_delta(np.pi / 2), [0.0, -1.0, 0.0],
+        np.testing.assert_allclose(bias.body_load(*yaw_cos_sin(np.pi / 2)), [0.0, -1.0, 0.0],
                                    atol=1e-15)
 
     @given(st.floats(-20.0, 20.0, allow_nan=False),
            st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3))
     def test_norm_preserved(self, psi, b0):
         bias = MarkovBias([1.0] * 3, [0.0] * 3, seed=0, b0=b0)
-        delta = bias.body_delta(psi)
+        delta = bias.body_load(*yaw_cos_sin(psi))
         assert np.linalg.norm(delta) == pytest.approx(np.linalg.norm(b0), abs=1e-9)
 
-
-class TestBound:
-    def test_positive_entries_required(self):
-        DisturbanceBound([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            DisturbanceBound([1.0, 0.0, 3.0])

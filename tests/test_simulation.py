@@ -20,7 +20,8 @@ from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
-from dpsim.vessel import VesselParams, plant_derivative, rk4_step, rotation_matrix
+from dpsim.vessel import (VesselParams, plant_derivative, rk4_step, rotation_matrix,
+                          yaw_cos_sin)
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -58,7 +59,7 @@ class TestRunSimulation:
             cfg = small_cfg(disturbance_type="markov")
             results.append(run_simulation(cfg))
         (trace_a, _), (trace_b, _) = results
-        np.testing.assert_array_equal(trace_a.columns(), trace_b.columns())
+        np.testing.assert_array_equal(trace_a.data, trace_b.data)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(pa, trace_a)
         write_trace_csv(pb, trace_b)
@@ -220,7 +221,7 @@ class TestRunSimulation:
 
     def test_bounded_signals_smoke(self):
         trace, metrics = run_simulation(small_cfg(duration=120.0))
-        assert np.isfinite(trace.columns()).all()
+        assert np.isfinite(trace.data).all()
         pos_err = np.hypot(trace.pose[:, 0], trace.pose[:, 1])
         assert pos_err.max() < 10.0 * pos_err[0]
         assert metrics.weight_sup < 10.0 * trace.theta_norms[0].max()
@@ -386,7 +387,7 @@ class TestFloatEngine:
         b = cfg.initial_bias.copy()
         for psi, delta in zip(seen, trace.delta):
             np.testing.assert_array_equal(bias.b, b)
-            np.testing.assert_array_equal(delta, bias.body_delta(psi))
+            np.testing.assert_array_equal(delta, bias.body_load(*yaw_cos_sin(psi)))
             np.testing.assert_allclose(delta, rotation_matrix(psi).T @ b, rtol=0,
                                        atol=1e-15 * np.abs(b).max())
             bias.step(cfg.dt)
@@ -401,7 +402,7 @@ class TestTraceCsv:
         write_trace_csv(path, trace)
         loaded = read_trace_csv(path)
         # values survive the 9-significant-digit format
-        np.testing.assert_allclose(loaded.columns(), trace.columns(),
+        np.testing.assert_allclose(loaded.data, trace.data,
                                    rtol=1e-8, atol=1e-300)
         assert loaded.meta["controller"] == "adaptive-nn"
         assert loaded.meta["weight_seed"] == "1"
@@ -422,7 +423,7 @@ class TestTraceCsv:
         # more rows than one write formats, so the blocks' seams are checked too
         data = np.resize(np.array(special), (600, len(TRACE_COLUMNS)))
         data[:, 0] = np.arange(600) * 0.1
-        trace = RunTrace.from_columns(data, {"controller": "pid"})
+        trace = RunTrace(data, {"controller": "pid"})
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         want = io.StringIO(newline="")
@@ -497,6 +498,9 @@ class TestVersion:
         assert out[1] == "False"
 
 
+HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
+
+
 class TestCli:
     def test_run_pid_defaults_prints_finite_convergence(self, capsys):
         code = cli_main(["run", "--controller", "pid", "--disturbance", "constant"])
@@ -568,7 +572,7 @@ class TestCli:
                          "pid_constant.csv", "pid_markov.csv"]
         for path in outdir.glob("*.csv"):
             loaded = read_trace_csv(path)
-            assert loaded.columns().shape[1] == len(TRACE_COLUMNS)
+            assert loaded.data.shape[1] == len(TRACE_COLUMNS)
 
     def test_compare_command(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -583,6 +587,39 @@ class TestCli:
                          "--window", "10"])
         assert code == 0
         assert "steady_rms_pos ratios" in report_path.read_text()
+
+    @pytest.mark.parametrize("name,text,where", [
+        ("missing", None, "No such file"),
+        ("not_a_trace", "a,b,c\r\n1,2,3\r\n", "line 1: unexpected trace header"),
+        ("non_numeric", HEADER + "x" + ",0" * 17 + "\r\n", "line 2: could not convert"),
+        ("short_row", HEADER + "0,1,2\r\n", "line 2: 3 fields, expected 18"),
+        ("two_number_target", "# target_pose_rad: 1 2\r\n" + HEADER + "0" + ",0" * 17,
+         "line 1: target_pose_rad must be three numbers"),
+        ("text_target", "# target_pose_rad: a b c\r\n" + HEADER + "0" + ",0" * 17,
+         "line 1: could not convert"),
+    ])
+    def test_compare_reports_a_bad_trace_file(self, tmp_path, capsys, name, text, where):
+        good = tmp_path / "good.csv"
+        write_trace_csv(good, RunTrace(np.zeros((2, len(TRACE_COLUMNS)))))
+        bad = tmp_path / f"{name}.csv"
+        if text is not None:
+            bad.write_text(text, newline="")
+        assert cli_main(["compare", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name}.csv" in err and where in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "{missing}/t.csv"],
+        ["run", "--weights-out", "{file}/w.csv"],
+        ["figures", "--outdir", "{file}/out"],
+    ], ids=lambda argv: argv[1])
+    def test_unwritable_output_path_is_an_error(self, tmp_path, capsys, argv):
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        paths = {"missing": tmp_path / "missing", "file": regular}
+        argv = [arg.format(**paths) for arg in argv]
+        assert cli_main([*argv, "--grid", "2", "--duration", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
 
     def test_seed_override_changes_markov_draws(self, tmp_path):
         outs = []
