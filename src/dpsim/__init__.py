@@ -7,14 +7,13 @@ __version__ = "0.1.0"
 
 from dpsim.anfis import AnfisModel, DegenerateFiringError, anfis_forward, anfis_layers
 from dpsim.approximators import (AdaptiveWeights, GridCapacityError, RbfNetwork,
-                                 build_grid_centers, gaussian_basis, rbf_output)
+                                 gaussian_basis)
 from dpsim.config import ConfigError, ScenarioConfig, default_scenario, load_scenario
 from dpsim.controllers import (BackstepGains, ErrorState, InvalidGainError,
                                LyapunovTrace, PidController, PidGains,
-                               SaturationLimits, adapt_weights, backstep_control,
-                               compute_alpha1, compute_alpha1_dot, dissipation_params,
-                               error_state, lyapunov_eval, saturate, ultimate_bound,
-                               weight_derivative, weighted_l2_norm)
+                               SaturationLimits, backstep_control, compute_alpha1,
+                               compute_alpha1_dot, dissipation_params, error_state,
+                               lyapunov_eval, saturate, ultimate_bound, weighted_l2_norm)
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (RunMetrics, SimulationAbort, compare_runs,
                             metrics_from_trace, run_simulation, simulate_adaptive,

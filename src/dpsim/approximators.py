@@ -61,29 +61,14 @@ def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) ->
     return np.array([np.linspace(lo, hi, points_per_dim) for lo, hi in ranges])
 
 
-def _cartesian(nodes: np.ndarray) -> np.ndarray:
-    n_dims, points = nodes.shape
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(points ** n_dims, n_dims)
-
-
-def build_grid_centers(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) -> np.ndarray:
-    """Cartesian product of equally spaced points per dimension, endpoints included.
-
-    Rows are ordered lexicographically (first dimension slowest), which fixes
-    the node-to-weight-index mapping across runs.
-    """
-    return _cartesian(grid_nodes(ranges, points_per_dim, ceiling))
-
-
 @dataclass(frozen=True)
 class RbfNetwork:
     """Immutable basis on a Cartesian grid: per-dimension nodes (m, p), one width.
 
-    The centers are the p^m grid points in the lexicographic order of
-    :func:`build_grid_centers`; they are derived on demand, not stored.  The
-    kernels' gather index of the basis's two factors (see ``dpsim.kernels``)
-    is computed once here.
+    The centers are the p^m grid points, rows ordered lexicographically
+    (first dimension slowest), which fixes the node-to-weight-index mapping;
+    they are derived on demand, not stored.  The kernels' gather index of the
+    basis's two factors (see ``dpsim.kernels``) is computed once here.
     """
 
     nodes: np.ndarray
@@ -115,7 +100,8 @@ class RbfNetwork:
     @property
     def centers(self) -> np.ndarray:
         """The (l, m) grid points, one row per node."""
-        return _cartesian(self.nodes)
+        mesh = np.meshgrid(*self.nodes, indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(self.node_count, self.input_dim)
 
     @classmethod
     def grid(cls, ranges=DEFAULT_INPUT_RANGES, points_per_dim: int = 3,
@@ -167,15 +153,6 @@ class AdaptiveWeights:
 
     def copy(self) -> "AdaptiveWeights":
         return AdaptiveWeights(self.theta.copy())
-
-
-def rbf_output(net: RbfNetwork, weights: AdaptiveWeights, z) -> np.ndarray:
-    """Per-axis network output [theta_1.g, theta_2.g, theta_3.g]."""
-    if weights.node_count != net.node_count:
-        raise ValueError(
-            f"weights have {weights.node_count} nodes, network has {net.node_count}")
-    g = gaussian_basis(net, z)
-    return weights.theta @ g
 
 
 def write_weight_csv(path, weights: AdaptiveWeights) -> None:

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``      -- execute one scenario, print its metrics line, optionally
-                  write the trace CSV and a final-weight snapshot.
+                  write the trace CSV and a final-weight snapshot (paths checked first).
 * ``compare``  -- tabulate metrics and steady-state RMS ratios for trace CSVs
                   recorded on the same time grid.
 * ``figures``  -- run the six canonical scenarios ({pid, adaptive-nn,
@@ -17,6 +17,8 @@ trace file, an unreadable or unwritable path), 2 runtime abort (diverged).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -84,14 +86,32 @@ def _add_run_overrides(parser):
                         help="override grid resolution (2 gives a fast 512-node run)")
 
 
+def _check_output_path(path):
+    """Raise the OSError that opening ``path`` for writing would raise; create nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        os.stat(parent)             # a missing parent or a file on the way raises here
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    if args.weights_out and cfg.controller_type == "pid":
+        raise ConfigError("--weights-out requires a network-based controller")
+    for path in (args.out, args.weights_out):
+        if path:
+            _check_output_path(path)
     trace, metrics = run_simulation(cfg)
     if args.out:
         write_trace_csv(args.out, trace)
     if args.weights_out:
-        if trace.final_theta is None:
-            raise ConfigError("--weights-out requires a network-based controller")
         write_weight_csv(args.weights_out, AdaptiveWeights(trace.final_theta))
     print(_metrics_line(metrics))
     return 0
@@ -156,11 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="steady-state window in seconds (default %(default)g)")
     compare.set_defaults(func=_cmd_compare)
 
-    figures = sub.add_parser("figures", help="run the six canonical scenarios")
+    figures = sub.add_parser("figures", help="run the six canonical scenarios",
+                             allow_abbrev=False)    # else "--out" means "--outdir"
     figures.add_argument("--outdir", required=True, help="directory for the six trace CSVs")
     figures.add_argument("--config", help="base scenario JSON")
-    figures.add_argument("--out", help=argparse.SUPPRESS)
-    figures.add_argument("--weights-out", help=argparse.SUPPRESS)
     figures.add_argument("--decimate", type=int)
     _add_run_overrides(figures)
     figures.set_defaults(func=_cmd_figures)

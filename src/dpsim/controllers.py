@@ -18,6 +18,7 @@ combination whose weight-error cross term cancels in the dissipation
 analysis (see the ultimate-bound diagnostics below).  ``law="unstable"``
 flips the overall sign, which turns the leak into exponential weight growth;
 it is kept selectable for side-by-side demonstration of why the sign matters.
+``dpsim.simulate.simulate_adaptive`` is the update's only integrator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dpsim.approximators import AdaptiveWeights
-from dpsim.vessel import rk4_step, rotation_matrix, ssa, yaw_cos_sin, yaw_rate_skew
+from dpsim.vessel import rotation_matrix, ssa, yaw_cos_sin, yaw_rate_skew
 
 ADAPTATION_LAWS = ("stable", "unstable")
 PID_FRAMES = ("body", "earth")
@@ -296,41 +297,6 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
                          -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2]), limits)
 
     return errors, torque
-
-
-def weight_derivative(gains: BackstepGains, basis_vec, z2, theta) -> np.ndarray:
-    """Right-hand side of the weight update for the configured law."""
-    drive, leak = gains.law_signs
-    basis_vec = np.asarray(basis_vec, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    return gains.gamma[:, None] * (drive * (z2[:, None] * basis_vec[None, :])
-                                   + leak * (gains.sigma[:, None] * theta))
-
-
-def adapt_weights(gains: BackstepGains, weights: AdaptiveWeights, basis_vec, z2,
-                  dt: float, method: str = "rk4") -> AdaptiveWeights:
-    """Advance the weights over one step with basis and z2 held constant.
-
-    In the closed-loop simulator the weights are integrated jointly with the
-    plant (stage-consistent RK4, in the span of the weights and the step's
-    basis vectors); this dense form serves tests and offline experiments.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if method == "euler":
-        theta = weights.theta + dt * weight_derivative(gains, basis_vec, z2, weights.theta)
-    elif method == "rk4":
-        shape = weights.theta.shape
-
-        def deriv(flat):
-            return weight_derivative(gains, basis_vec, z2, flat.reshape(shape)).ravel()
-
-        theta = rk4_step(weights.theta.ravel(), dt, deriv).reshape(shape)
-    else:
-        raise ValueError("method must be 'euler' or 'rk4'")
-    if not np.isfinite(theta).all():
-        raise FloatingPointError("weight update produced non-finite values")
-    return AdaptiveWeights(theta)
 
 
 @dataclass(frozen=True)

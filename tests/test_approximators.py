@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from dpsim import kernels
 from dpsim.approximators import (DEFAULT_INPUT_RANGES, AdaptiveWeights,
-                                 GridCapacityError, RbfNetwork, build_grid_centers,
-                                 gaussian_basis, rbf_output, write_weight_csv)
+                                 GridCapacityError, RbfNetwork, gaussian_basis,
+                                 grid_nodes, write_weight_csv)
 
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -21,38 +22,46 @@ def dense_basis(net, z):
 
 
 class TestGrid:
+    """The grid as the runs build it: ``RbfNetwork.grid`` over ``grid_nodes``."""
+
     def test_two_dim_corners(self):
-        centers = build_grid_centers([(0.0, 1.0), (0.0, 1.0)], 2)
+        centers = RbfNetwork.grid([(0.0, 1.0), (0.0, 1.0)], 2).centers
         assert {tuple(row) for row in centers} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_full_nine_dim_count(self):
-        centers = build_grid_centers(DEFAULT_INPUT_RANGES, 3)
-        assert centers.shape == (19683, 9)
+        net = RbfNetwork.grid(DEFAULT_INPUT_RANGES, 3)
+        assert net.node_count == 19683
+        assert net.centers.shape == (19683, 9)
 
     def test_endpoint_spacing(self):
         # arithmetic oracle: midpoint of [-2, 10] is 4
-        centers = build_grid_centers([(-2.0, 10.0)], 3)
-        np.testing.assert_array_equal(centers.ravel(), [-2.0, 4.0, 10.0])
+        np.testing.assert_array_equal(grid_nodes([(-2.0, 10.0)], 3), [[-2.0, 4.0, 10.0]])
+        np.testing.assert_array_equal(RbfNetwork.grid([(-2.0, 10.0)], 3).centers.ravel(),
+                                      [-2.0, 4.0, 10.0])
 
     def test_capacity_ceiling(self):
         with pytest.raises(GridCapacityError):
-            build_grid_centers(DEFAULT_INPUT_RANGES, 5)  # 5^9 > 1e6
+            RbfNetwork.grid(DEFAULT_INPUT_RANGES, 5)  # 5^9 > 1e6
+        with pytest.raises(GridCapacityError):
+            grid_nodes([(0.0, 1.0)] * 3, 3, ceiling=26)
 
     def test_lexicographic_and_stable(self):
-        centers = build_grid_centers([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], 3)
+        ranges = [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]
+        centers = RbfNetwork.grid(ranges, 3).centers
         as_tuples = [tuple(r) for r in centers]
         assert as_tuples == sorted(as_tuples)
-        again = build_grid_centers([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], 3)
-        np.testing.assert_array_equal(centers, again)
+        np.testing.assert_array_equal(centers, RbfNetwork.grid(ranges, 3).centers)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            build_grid_centers([(1.0, 1.0)], 3)
+            RbfNetwork.grid([(1.0, 1.0)], 3)
         with pytest.raises(ValueError):
-            build_grid_centers([(0.0, 1.0)], 1)
+            RbfNetwork.grid([(0.0, 1.0)], 1)
+        with pytest.raises(ValueError):
+            grid_nodes([0.0, 1.0], 2)
         # linspace over [-1e308, 1e308] would give NaN nodes
         with pytest.raises(ValueError, match=r"ranges\[1\]"):
-            build_grid_centers([(0.0, 1.0), (-1e308, 1e308)], 2)
+            RbfNetwork.grid([(0.0, 1.0), (-1e308, 1e308)], 2)
 
 
 class TestBasis:
@@ -101,42 +110,44 @@ class TestBasis:
             RbfNetwork(np.zeros((1, 1)), np.array([1.0, 1.0]))
 
 
+def network_output(net, theta, z):
+    """The per-axis outputs theta_i . g(z) as the engine computes them."""
+    return kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, net._index,
+                                 np.asarray(z, dtype=float), np.ascontiguousarray(theta),
+                                 np.empty(net._index.shape[1]))
+
+
 class TestRbfOutput:
+    """The network output, ``kernels.adaptive_core``."""
+
     def test_zero_weights(self):
         net = RbfNetwork.grid(ranges=[(-1, 1)] * 3, points_per_dim=2)
         np.testing.assert_array_equal(
-            rbf_output(net, AdaptiveWeights.zeros(net.node_count), np.zeros(3)), np.zeros(3))
+            network_output(net, np.zeros((3, net.node_count)), np.zeros(3)), np.zeros(3))
 
     def test_single_node_closed_form(self):
         z = np.array([0.3, -0.2, 0.1])
         net = RbfNetwork(z[:, None], 1.0)
-        weights = AdaptiveWeights(np.array([[2.0], [-1.0], [0.5]]))
-        np.testing.assert_allclose(rbf_output(net, weights, z),
+        np.testing.assert_allclose(network_output(net, [[2.0], [-1.0], [0.5]], z),
                                    INV_SQRT_2PI * np.array([2.0, -1.0, 0.5]), rtol=1e-12)
 
     def test_linear_in_weights(self):
         net = RbfNetwork.grid(ranges=[(-1, 1)] * 2, points_per_dim=3)
         rng = np.random.default_rng(5)
-        weights = AdaptiveWeights(rng.normal(size=(3, net.node_count)))
+        theta = rng.normal(size=(3, net.node_count))
         z = np.array([0.2, 0.4])
-        doubled = AdaptiveWeights(2.0 * weights.theta)
-        np.testing.assert_allclose(rbf_output(net, doubled, z),
-                                   2.0 * rbf_output(net, weights, z), rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        net = RbfNetwork.grid(ranges=[(-1, 1)] * 2, points_per_dim=2)
-        with pytest.raises(ValueError):
-            rbf_output(net, AdaptiveWeights.zeros(net.node_count + 1), np.zeros(2))
+        np.testing.assert_allclose(network_output(net, 2.0 * theta, z),
+                                   2.0 * network_output(net, theta, z), rtol=1e-12)
 
     def test_lipschitz_on_box(self):
         # slope bound: |grad g_j| <= coef * exp(-1/2) / h per node
         net = RbfNetwork(np.array([[0.0, -1.0, 2.0], [0.5, 1.0, -2.0]]), 0.8)
         rng = np.random.default_rng(11)
-        weights = AdaptiveWeights(rng.normal(size=(3, net.node_count)))
-        lip = np.abs(weights.theta).sum(axis=1) * (net._coef * np.exp(-0.5) / net.width)
+        theta = rng.normal(size=(3, net.node_count))
+        lip = np.abs(theta).sum(axis=1) * (net._coef * np.exp(-0.5) / net.width)
         for _ in range(200):
             za, zb = rng.uniform(-3, 3, size=(2, 2))
-            diff = np.abs(rbf_output(net, weights, za) - rbf_output(net, weights, zb))
+            diff = np.abs(network_output(net, theta, za) - network_output(net, theta, zb))
             assert (diff <= lip * np.linalg.norm(za - zb) * (1 + 1e-9) + 1e-12).all()
 
 
@@ -230,9 +241,9 @@ class TestSeparableBasis:
         return inside + around + outside
 
     def test_centers_are_the_grid_rows(self):
+        # oracle: itertools.product over the per-axis nodes, first axis slowest
         net = RbfNetwork.grid(ranges=[(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], points_per_dim=3)
-        np.testing.assert_array_equal(
-            net.centers, build_grid_centers([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], 3))
+        np.testing.assert_array_equal(net.centers, list(itertools.product(*net.nodes)))
         assert net.node_count == 27 and net.input_dim == 3
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsim.approximators import AdaptiveWeights
+from dpsim.approximators import AdaptiveWeights, RbfNetwork
+from dpsim.config import default_scenario
 from dpsim.controllers import (PID_FRAMES, BackstepGains, InvalidGainError, PidController,
-                               PidGains, SaturationLimits, adapt_weights,
-                               backstep_control, backstep_law, compute_alpha1,
-                               compute_alpha1_dot, dissipation_params, error_state,
-                               lyapunov_eval, pose_error, saturate, ultimate_bound,
-                               weight_derivative, weighted_l2_norm)
+                               PidGains, SaturationLimits, backstep_control, backstep_law,
+                               compute_alpha1, compute_alpha1_dot, dissipation_params,
+                               error_state, lyapunov_eval, pose_error, saturate,
+                               ultimate_bound, weighted_l2_norm)
+from dpsim.disturbance import ConstantDisturbance
+from dpsim.simulate import SimulationAbort, simulate_adaptive
 from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
 
 BENCH_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
@@ -22,11 +24,6 @@ BENCH_K2 = np.diag([5.0e4, 6.0e4, 5.4e4])
 BENCH_KP = np.diag([3000.0, 9000.0, 1.0e8])
 BENCH_KI = np.diag([5.0, 50.0, 30.0])
 BENCH_KD = np.diag([5.0e4, 7.0e4, 300.0])
-
-
-def small_gains(law="stable", node_count=1, sigma=(2.13, 2.13, 0.302), gamma=0.1):
-    return BackstepGains(np.eye(3), np.eye(3), gamma, np.array(sigma),
-                         law=law, node_count=node_count)
 
 
 class TestPid:
@@ -94,8 +91,8 @@ class TestPid:
         with np.errstate(invalid="ignore"):    # the engine runs under the same state
             for _ in range(2):
                 tau = pid.control(eta, np.array([0.5, -0.2, 0.01]), np.zeros(3), dt=0.1)
+            err = pid.error(eta, np.zeros(3))
         assert np.isnan(tau).all()
-        err = pid.error(eta, np.zeros(3))
         assert not np.isfinite(err[2])
         assert np.isnan(err[:2]).all() == (frame == "body")
 
@@ -320,63 +317,87 @@ class TestBackstepControl:
             assert (np.abs(got_tau) <= limits.tau_max).all()
 
 
+def rk4_factor(z):
+    """One classical RK4 step of y' = (z / dt) y: the degree-4 Taylor polynomial of e^z."""
+    return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+
+LEAK_DT = 0.1
+
+
+def leak_only_run(law, gamma=(0.5, 2.0, 6.0), steps=50):
+    """An engine run in which only the leak acts on the weights.
+
+    The 2^9 grid's nodes sit about 1e3 from every input the run reaches, where
+    each Gaussian factor exp(-(z - a)^2 / 2) is exactly 0 in doubles, so the
+    drive and the network output vanish.  Returns the gains, the initial
+    weights, the trace (or the abort) and the largest basis value seen.
+    """
+    cfg = default_scenario()
+    network = RbfNetwork.grid([(1e3, 1e3 + 1.0)] * 9, 2)
+    weights0 = AdaptiveWeights.random_init(network.node_count, 7)
+    gains = BackstepGains(cfg.k1, cfg.k2, gamma, cfg.sigma, law=law)
+    basis_max = []
+    try:
+        trace, _ = simulate_adaptive(
+            VesselParams(cfg.m_matrix, cfg.d_matrix), gains, network, weights0,
+            ConstantDisturbance(cfg.constant_delta), eta0=cfg.initial_pose,
+            nu0=cfg.initial_velocity, eta_d=cfg.target_pose, dt=LEAK_DT,
+            duration=steps * LEAK_DT,
+            probe=lambda t, info: basis_max.append(info["basis"].max()))
+    except SimulationAbort as abort:
+        trace = abort
+    return gains, weights0, trace, max(basis_max)
+
+
 class TestAdaptation:
-    def test_leak_only_euler_step(self):
-        gains = small_gains()
-        weights = AdaptiveWeights(np.array([[1.0], [0.0], [0.0]]))
-        out = adapt_weights(gains, weights, np.zeros(1), np.zeros(3), dt=0.01,
-                            method="euler")
-        assert out.theta[0, 0] == pytest.approx(0.99787, abs=1e-10)
+    """The weight law as the engine integrates it, on leak-only runs.
+
+    There classical RK4 multiplies axis i's weights by R(z_i) per step, with
+    z_i = -gamma_i sigma_i dt under the stable law and +gamma_i sigma_i dt
+    under the unstable one.  The drive's part of the law is held by the dense
+    joint-RK4 oracle tests in ``test_simulation``.
+    """
+
+    STEPS = 50
 
     def test_leak_only_rk4_step(self):
-        # zero basis: the drive vanishes and RK4 on theta' = -gamma sigma theta
-        # gives theta times the degree-4 Taylor polynomial of exp(x)
-        gains = small_gains()
-        weights = AdaptiveWeights(np.array([[1.0], [2.0], [-1.0]]))
-        dt = 0.5
-        out = adapt_weights(gains, weights, np.zeros(1), np.array([1.0, -2.0, 3.0]),
-                            dt=dt, method="rk4")
-        x = -gains.gamma * gains.sigma * dt
-        factor = 1 + x + x ** 2 / 2 + x ** 3 / 6 + x ** 4 / 24
-        np.testing.assert_allclose(out.theta, weights.theta * factor[:, None],
-                                   rtol=1e-15, atol=0)
-
-    def test_drive_term_scales_linearly(self):
-        gains = small_gains(node_count=2)
-        theta = np.array([[1.0, -0.5], [0.2, 0.0], [0.0, 1.0]])
-        basis = np.array([0.3, 0.6])
-        z2 = np.array([0.1, -0.4, 0.2])
-        leak = (gains.gamma * gains.sigma)[:, None] * theta
-        leakless = weight_derivative(gains, basis, z2, theta) + leak
-        doubled = weight_derivative(gains, basis, 2 * z2, theta) + leak
-        np.testing.assert_allclose(doubled, 2.0 * leakless, rtol=1e-12)
+        gains, weights0, trace, basis_max = leak_only_run("stable", steps=self.STEPS)
+        assert basis_max == 0.0
+        z = -gains.gamma * gains.sigma * LEAK_DT
+        np.testing.assert_allclose(trace.final_theta,
+                                   weights0.theta * (rk4_factor(z) ** self.STEPS)[:, None],
+                                   rtol=1e-13, atol=0)
 
     def test_leak_decays_norms_monotonically(self):
-        gains = small_gains(node_count=3)
-        weights = AdaptiveWeights(np.random.default_rng(1).random((3, 3)))
-        norms = [weights.norms().copy()]
-        for _ in range(50):
-            weights = adapt_weights(gains, weights, np.zeros(3), np.zeros(3), dt=0.1)
-            norms.append(weights.norms())
-        diffs = np.diff(np.array(norms), axis=0)
-        assert (diffs <= 0).all()
-        # decay rate gamma*sigma per axis against the closed form
-        expected = norms[0] * np.exp(-gains.gamma * gains.sigma * 5.0)
-        np.testing.assert_allclose(norms[-1], expected, rtol=1e-6)
+        gains, weights0, trace, _ = leak_only_run("stable", steps=self.STEPS)
+        norms = trace.theta_norms
+        assert (np.diff(norms, axis=0) <= 0).all()
+        assert (norms[-1] < 0.5 * norms[0]).all()
+        factor = rk4_factor(-gains.gamma * gains.sigma * LEAK_DT)
+        np.testing.assert_allclose(norms, weights0.norms() * factor ** np.arange(
+            self.STEPS + 1)[:, None], rtol=1e-13, atol=0)
 
     def test_unstable_law_grows(self):
-        gains = small_gains(law="unstable")
-        weights = AdaptiveWeights(np.array([[1.0], [1.0], [1.0]]))
-        out = adapt_weights(gains, weights, np.zeros(1), np.zeros(3), dt=1.0)
-        assert (out.theta >= weights.theta).all()
-        assert out.theta[0, 0] > 1.2
+        gains, weights0, trace, basis_max = leak_only_run("unstable", steps=self.STEPS)
+        assert basis_max == 0.0
+        factor = rk4_factor(gains.gamma * gains.sigma * LEAK_DT)
+        np.testing.assert_allclose(trace.final_theta,
+                                   weights0.theta * (factor ** self.STEPS)[:, None],
+                                   rtol=1e-13, atol=0)
+        assert (np.diff(trace.theta_norms, axis=0) > 0).all()
+        assert (trace.theta_norms[-1] > 100.0 * trace.theta_norms[0]).all()
 
     def test_nonfinite_update_aborts(self):
-        gains = small_gains(gamma=1e300)
-        weights = AdaptiveWeights(np.array([[1e9], [0.0], [0.0]]))
-        with pytest.raises(FloatingPointError):
-            adapt_weights(gains, weights, np.zeros(1), np.zeros(3), dt=1.0,
-                          method="euler")
+        # gamma 100: the weights grow by R(21.3) ~ 1e4 per step on the first
+        # two axes and overflow, while pose and velocity stay finite
+        gains, weights0, abort, _ = leak_only_run("unstable", gamma=100.0, steps=200)
+        assert isinstance(abort, SimulationAbort)
+        growth = np.log(rk4_factor(gains.gamma * gains.sigma * LEAK_DT)).max()
+        steps = np.ceil((np.log(np.finfo(float).max) - np.log(weights0.theta.max()))
+                        / growth)
+        assert abort.t_failed == pytest.approx(LEAK_DT * steps)
+        assert np.isfinite(abort.pose).all() and np.isfinite(abort.velocity).all()
 
 
 class TestSaturation:

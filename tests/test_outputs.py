@@ -1,0 +1,50 @@
+"""The bytes of the CLI's outputs, pinned by sha256 digests.
+
+``output_digests.json`` holds the digests of the six ``dpsim figures`` traces
+at a 20 s horizon on the default 3^9 grid, and of one decimated Markov
+adaptive run's trace and weight snapshot.  The ``# version:`` line is left out
+of each digest, so a version bump moves none.  The adaptive runs pass through
+BLAS products, whose last bits may differ under another numpy or BLAS, so the
+file records the host line beside the digests.  A change that moves a digest
+re-records them: the failure message prints both host lines and the new
+digests, ready to paste into the file; say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from dpsim.cli import main as cli_main
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+
+def host_line():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {platform.machine()}"
+
+
+def digest(path):
+    """sha256 of the file's bytes without its ``# version:`` line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines
+                                   if not line.startswith(b"# version:"))).hexdigest()
+
+
+def test_cli_outputs_match_the_recorded_digests(tmp_path, capsys):
+    assert cli_main(["figures", "--outdir", str(tmp_path / "figures"),
+                     "--duration", "20"]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    assert cli_main(["run", "--disturbance", "markov", "--decimate", "8",
+                     "--duration", "40", "--out", str(run / "trace.csv"),
+                     "--weights-out", str(run / "weights.csv")]) == 0
+    got = {f"{path.parent.name}/{path.name}": digest(path)
+           for path in sorted(tmp_path.glob("*/*.csv"))}
+    recorded = json.loads(DIGESTS.read_text())
+    assert got == recorded["digests"], (
+        f"recorded on: {recorded['host']}\nthis host:   {host_line()}\n"
+        + json.dumps({"host": host_line(), "digests": got}, indent=2))

@@ -15,13 +15,15 @@ from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
 from dpsim.controllers import (BackstepGains, PidController, PidGains, backstep_control,
-                               compute_alpha1, weight_derivative)
+                               compute_alpha1)
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
 from dpsim.vessel import (VesselParams, plant_derivative, rk4_step, rotation_matrix,
                           yaw_cos_sin)
+
+from oracles import weight_derivative
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -162,6 +164,18 @@ class TestRunSimulation:
         # the weights moved well beyond rounding on every axis
         change = np.linalg.norm(trace.final_theta - weights0.theta, axis=1)
         assert (change > 1e-3 * weights0.norms()).all()
+
+    @pytest.mark.parametrize("adapt", [True, False], ids=["adaptive-nn", "nn-fixed"])
+    def test_weights_of_another_network_size_are_rejected(self, adapt):
+        cfg = small_cfg()
+        network = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width)
+        gains = BackstepGains(cfg.k1, cfg.k2, cfg.gamma, cfg.sigma)
+        with pytest.raises(ValueError, match="network size"):
+            simulate_adaptive(VesselParams(cfg.m_matrix, cfg.d_matrix), gains, network,
+                              AdaptiveWeights.zeros(network.node_count + 1),
+                              ConstantDisturbance(cfg.constant_delta), eta0=cfg.initial_pose,
+                              nu0=cfg.initial_velocity, eta_d=cfg.target_pose, dt=cfg.dt,
+                              duration=cfg.duration, adapt=adapt)
 
     def test_unstable_adaptation_law_is_selectable(self):
         stable, _ = run_simulation(small_cfg())
@@ -501,6 +515,10 @@ class TestVersion:
 HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
 
 
+def fail_if_run(cfg):
+    raise AssertionError("the scenario ran before its output paths were checked")
+
+
 class TestCli:
     def test_run_pid_defaults_prints_finite_convergence(self, capsys):
         code = cli_main(["run", "--controller", "pid", "--disturbance", "constant"])
@@ -559,7 +577,9 @@ class TestCli:
             "controller": {"type": "pid"},
             "simulation": {"dt": 50.0, "duration": 20000.0},
         }))
-        assert cli_main(["run", "--config", str(cfg)]) == 2
+        out = tmp_path / "t.csv"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()     # the path was checked, not created, before the run
 
     def test_figures_emits_six_traces(self, tmp_path, capsys):
         outdir = tmp_path / "panels"
@@ -612,14 +632,44 @@ class TestCli:
         ["run", "--out", "{missing}/t.csv"],
         ["run", "--weights-out", "{file}/w.csv"],
         ["figures", "--outdir", "{file}/out"],
+        pytest.param(["run", "--out", "{tmp}"], id="directory"),
+        pytest.param(["run", "--out", "{tmp}/t.csv", "--weights-out", "{missing}/w.csv"],
+                     id="second-path"),
     ], ids=lambda argv: argv[1])
-    def test_unwritable_output_path_is_an_error(self, tmp_path, capsys, argv):
+    def test_unwritable_output_path_is_an_error(self, tmp_path, capsys, monkeypatch, argv):
+        # checked before the run, and nothing is created
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
         regular = tmp_path / "regular"
         regular.write_text("")
-        paths = {"missing": tmp_path / "missing", "file": regular}
+        paths = {"missing": tmp_path / "missing", "file": regular, "tmp": tmp_path}
         argv = [arg.format(**paths) for arg in argv]
         assert cli_main([*argv, "--grid", "2", "--duration", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno")
+        assert list(tmp_path.iterdir()) == [regular]
+
+    def test_unwritable_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
+        monkeypatch.setattr("dpsim.cli.os.access", lambda path, mode: False)
+        assert cli_main(["run", "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_weights_out_under_pid_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
+        assert cli_main(["run", "--controller", "pid", "--out", str(tmp_path / "t.csv"),
+                         "--weights-out", str(tmp_path / "w.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --weights-out requires a network-based controller\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--weights-out"])
+    def test_figures_rejects_the_run_only_outputs(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
+        code = cli_main(["figures", "--outdir", str(tmp_path / "panels"), flag,
+                         str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_override_changes_markov_draws(self, tmp_path):
         outs = []
