@@ -101,6 +101,13 @@ def _check_output_path(path):
     raise OSError(code, os.strerror(code), path)
 
 
+def _same_file(a, b):
+    """Whether paths ``a`` and ``b`` name one file, existing or not."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.weights_out and cfg.controller_type == "pid":
@@ -108,6 +115,8 @@ def _cmd_run(args) -> int:
     for path in (args.out, args.weights_out):
         if path:
             _check_output_path(path)
+    if args.out and args.weights_out and _same_file(args.out, args.weights_out):
+        raise ConfigError("--out and --weights-out name the same file")
     trace, metrics = run_simulation(cfg)
     if args.out:
         write_trace_csv(args.out, trace)

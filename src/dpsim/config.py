@@ -61,10 +61,10 @@ DEFAULT_WEIGHT_SEED = 1
 # anything is allocated.  The simulator logs every step as one row of
 # len(TRACE_COLUMNS) doubles (144 B) in a single (steps + 1)-row buffer, and
 # an adaptive run holds nine doubles per grid node: the weights (3 rows),
-# their initial copy (3 rows) and the product of the once-per-step weight fold
-# (3 rows).  The four stages keep only the two factors of their basis vectors,
-# p^4 + p^5 values each.  The node ceiling below still counts ten doubles per
-# node, which leaves headroom.
+# their initial copy (3 rows) and the product of the weight fold (3 rows).
+# The stages of the steps between two folds keep only the two factors of
+# their basis vectors, p^4 + p^5 values each.  The node ceiling below still
+# counts ten doubles per node, which leaves headroom.
 MEMORY_BUDGET_BYTES = 2 ** 30
 MAX_STEPS = MEMORY_BUDGET_BYTES // (8 * len(TRACE_COLUMNS)) - 1
 MAX_NODES = MEMORY_BUDGET_BYTES // (8 * 10)

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Steps of noise drawn per call to the generator.  The generator's stream is
+# the same in blocks as in one draw per step, so the bias is too, bit for bit.
+NOISE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ConstantDisturbance:
@@ -64,12 +68,15 @@ class MarkovBias:
         self.b = tuple(b.tolist())
         self._T, self._psi = T.tolist(), psi.tolist()
         self._rng = np.random.default_rng(self.seed)
+        self._noise = []        # the block's unused draws, next one last
 
     def step(self, dt: float) -> tuple:
         """Advance the bias by one Euler-Maruyama step; returns the new bias."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        n0, n1, n2 = self._rng.standard_normal(3).tolist()
+        if not self._noise:
+            self._noise = self._rng.standard_normal((NOISE_BLOCK, 3)).tolist()[::-1]
+        n0, n1, n2 = self._noise.pop()
         (b0, b1, b2), (T0, T1, T2), (p0, p1, p2) = self.b, self._T, self._psi
         root = math.sqrt(dt)
         self.b = (b0 + dt * (-b0 / T0) + p0 * root * n0,

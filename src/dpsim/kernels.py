@@ -16,9 +16,10 @@ the l = L R basis values: with ``theta`` viewed as (3L, R),
 ``theta_i . g = left . (Theta_i right)``, and the dot product of two bases is
 ``(left_j . left_s) (right_j . right_s)``.
 
-The weight update is integrated in the span of the weights and the step's
-basis vectors (see ``dpsim.simulate``); :func:`fold` forms the weights from
-those coordinates once per step.
+The weight update is integrated in the span of the weights and the basis
+vectors of the steps since the weights were last formed (see
+``dpsim.simulate``); :func:`fold` forms the weights from those coordinates
+every few steps.
 """
 
 from __future__ import annotations

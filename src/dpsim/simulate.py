@@ -2,15 +2,16 @@
 
 ``_closed_loop`` advances plant + control law + disturbance with a fixed-step
 RK4 integrator, one loop for every controller.  A law appends its own state to
-the pose and velocity and may fold it back at the end of each step: the
-adaptive law appends 15 coordinates of its weights and forms the weights once
-per step (see ``simulate_adaptive``); frozen weights and PID append nothing,
-and PID holds its output over each step.  Every load, constant or Markov,
-is read through ``body_load(cos psi, sin psi)`` once per step, held across
-the sub-stages, and advanced by ``step(dt)``; both laws clamp through
-``controllers.saturate``.  The state is a list of floats and the engine's and
-the laws' 3-vector arithmetic is written in floats, not numpy calls, since
-the call cost dominates at that size.  The engine fills one row per
+the pose and velocity and may rewrite it at the end of each step: the
+adaptive law appends 15 coordinates of its weights, resets them each step
+and forms the weights every ``FOLD_STEPS`` steps (see ``simulate_adaptive``);
+frozen weights and PID append nothing, and PID holds its output over each
+step.  Every load, constant or Markov, is read through ``body_load(cos psi,
+sin psi)`` once per step, held across the sub-stages, and advanced by
+``step(dt)``; both laws clamp through ``controllers.saturate``.  The state
+is a list of floats and the engine's and the laws' 3-vector arithmetic is
+written in floats, not numpy calls, since the call cost dominates at that
+size.  The engine fills one row per
 full-rate sample and hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``, so trace decimation does not change them; the
@@ -102,7 +103,10 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     the last three are read at stage 0 only.  ``end_step(y)``, if not None,
     runs after each RK4 combine, may rewrite ``y[6:]``, and returns False when
     the law's state went non-finite, which aborts the run like a non-finite
-    ``y``.  Probe arrays are built only when ``probe`` is given.
+    ``y``.  Each step calls ``control`` at stages 0 to 3 in that order and
+    then ``end_step``, and the last sample calls stage 0 only, so a law may
+    carry work from one call to the next.  Probe arrays are built only when
+    ``probe`` is given.
     """
     steps = int(round(duration / dt))
     t = (np.arange(steps + 1) * dt).tolist()
@@ -169,6 +173,12 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
     return trace, metrics
 
 
+# Steps whose factor rows wait before they are folded into the weights (see
+# simulate_adaptive).  A fold makes two full passes over the weights; on 3^9
+# nodes 8 was the fastest of 2, 4, 6, 8 and 16 (BENCH_12.json).
+FOLD_STEPS = 8
+
+
 def _row_norms(theta):
     """Euclidean norm of each weight row, one dot product per row."""
     return np.sqrt([row @ row for row in theta])
@@ -187,11 +197,23 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     value of ``theta_i`` lies in the span of ``theta_i(t_k)``, the weights at
     the start of the step, and ``g_1 .. g_4``, the basis vectors of the
     step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
-    coordinates, reset to ``[1, 0, 0, 0, 0]`` each step; the end-of-step
-    hook folds them back into ``theta``.  This is the same RK4 as integrating
-    all 3 l weights, up to rounding.  Each stage keeps only the two tensor
-    factors of its basis vector (see ``dpsim.kernels``): the network output,
-    the Gram products ``g_j . g_s`` and the fold are all taken on the factors.
+    coordinates, reset to ``[1, 0, 0, 0, 0]`` each step.  This is the same
+    RK4 as integrating all 3 l weights, up to rounding.  Each stage keeps
+    only the two tensor factors of its basis vector (see ``dpsim.kernels``):
+    the network output, the Gram products ``g_j . g_s`` and the fold are all
+    taken on the factors.
+
+    The weights are not formed every step.  ``theta(t_k) = a theta + sum_j
+    c_j g_j`` over the pending factor rows of the steps since the last fold,
+    so a stage output is ``a (theta . g) + sum_j c_j (g_j . g)`` plus the
+    step's span term, from one Gram row over the pending and stage rows.
+    The end of a step scales ``(a, c)`` by ``x_0`` and appends the step's
+    coordinates; ``kernels.fold`` forms the weights every ``FOLD_STEPS``
+    steps, at the end of the run, and every step while a probe is attached.
+    The weight norms come from the Gram identity
+    ``|x_0 theta + sum_s x_s g_s|^2 = x_0^2 |theta|^2 + 2 x_0 sum_s x_s
+    theta . g_s + sum_st x_s x_t g_s . g_t``; only when that is not finite
+    or negative are the weights folded and their norms taken directly.
     The law's 3-vector arithmetic is ``controllers.backstep_law``, in floats.
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
@@ -206,36 +228,55 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     theta = weights0.theta.copy()
     z_buf = np.empty(9)
     nodes, index = network.nodes, network._index
+    pending = 0                 # factor rows not yet folded into theta
 
     def network_terms(yv, c, s, stage, f):
-        """Errors, network output and probe fields at a stage; the basis factors go to ``f``."""
+        """Errors, ``theta_i . g`` and probe fields at a stage; the factors go to ``f``."""
         z1, alpha1, z2 = errors(yv, c, s)
         z_buf[:] = (*yv[:6], *alpha1)
-        nn = kernels.adaptive_core(nodes, network._inv_two_h2, network._coef, index,
-                                   z_buf, theta, f).tolist()
+        core = kernels.adaptive_core(nodes, network._inv_two_h2, network._coef, index,
+                                     z_buf, theta, f)
         fields = None
         if probe is not None and stage == 0:
             fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
                           basis=kernels.basis_from_factors(nodes, f, np.empty(n_nodes)))
-        return z1, z2, nn, fields
+        return z1, z2, core, fields
 
     if adapt:
-        factors = np.empty((4, index.shape[1]))     # factors of g_1 .. g_4 of the step
+        fold_steps = 1 if probe is not None else FOLD_STEPS     # probes read theta
+        # factors of the pending rows, then of g_1 .. g_4 of the step
+        factors = np.empty((4 * fold_steps, index.shape[1]))
         fold_out = np.empty_like(theta)
+        coef = np.zeros((3, 1 + factors.shape[0]))      # [a, c_1 .. c_pending] per row
+        coef[:, 0] = 1.0
+        # row i: the Gram matrix of theta_i(t_k), g_1 .. g_4
+        gram5 = np.empty((3, 5, 5))
         decay = (gains.gamma * leak * gains.sigma).tolist()
         gain = (gains.gamma * drive).tolist()
         unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
         norms = _row_norms(theta)
+        gram5[:, 0, 0] = norms * norms
+
+        def fold():
+            nonlocal pending
+            kernels.fold(nodes, theta, coef[:, :1 + pending], factors[:pending], fold_out)
+            coef[:, 0] = 1.0
+            pending = 0
 
         def control(yv, c, s, stage):
-            f = factors[stage]
-            z1, z2, nn, fields = network_terms(yv, c, s, stage, f)
-            gram = kernels.gram_row(nodes, factors[:stage], f).tolist()
+            at = pending + stage
+            f = factors[at]
+            z1, z2, core, fields = network_terms(yv, c, s, stage, f)
+            gram = kernels.gram_row(nodes, factors[:at + 1], f)
+            theta_g = coef[:, 0] * core + coef[:, 1:pending + 1] @ gram[:pending]
+            gram5[:, 0, stage + 1] = gram5[:, stage + 1, 0] = theta_g
+            gram5[:, stage + 1, 1:stage + 2] = gram5[:, 1:stage + 2, stage + 1] = gram[pending:]
+            nn, here = theta_g.tolist(), gram[pending:at].tolist()
             out, dx = [], []
             for i in range(3):
                 x = yv[6 + 5 * i:11 + 5 * i]
                 span = 0.0
-                for xj, gj in zip(x[1:], gram):
+                for xj, gj in zip(x[1:], here):
                     span += xj * gj
                 out.append(x[0] * nn[i] + span)
                 row = [decay[i] * xj for xj in x]
@@ -244,12 +285,24 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             return torque(z1, z2, out, c, s), dx, z2, norms, fields
 
         def end_step(y):
-            nonlocal norms
-            kernels.fold(nodes, theta, np.array(y[6:]).reshape(3, 5), factors, fold_out)
+            nonlocal norms, pending
+            x = np.array(y[6:]).reshape(3, 5)
             y[6:] = unit
-            norms = _row_norms(theta)
-            # a norm overflows before the weights do, so only then look closer
-            return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
+            # the Gram identity: |x_0 theta(t_k) + sum_s x_s g_s|^2 per row
+            sq = (x[:, None] @ gram5 @ x[:, :, None]).ravel()
+            coef[:, :pending + 1] *= x[:, :1]
+            coef[:, pending + 1:pending + 5] = x[:, 1:]
+            pending += 4
+            norms = np.sqrt(sq)
+            finite = np.isfinite(norms).all()
+            if pending == factors.shape[0] or not finite:
+                fold()
+            if not finite:
+                # a norm overflows before the weights do, so only then look closer
+                norms = _row_norms(theta)
+                sq = norms * norms
+            gram5[:, 0, 0] = sq
+            return bool(finite or np.isfinite(norms).all() or np.isfinite(theta).all())
 
         law = (unit, control, end_step)
     else:
@@ -257,14 +310,16 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         frozen_norms = weights0.norms()
 
         def control(yv, c, s, stage):
-            z1, z2, nn, fields = network_terms(yv, c, s, stage, f_buf)
-            return torque(z1, z2, nn, c, s), (), z2, frozen_norms, fields
+            z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf)
+            return torque(z1, z2, core.tolist(), c, s), (), z2, frozen_norms, fields
 
         law = ((), control, None)
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
         duration=duration, decimation=decimation, meta=meta, probe=probe)
+    if pending:
+        fold()
     trace.final_theta = theta
     return trace, metrics
 

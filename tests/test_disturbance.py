@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsim.disturbance import ConstantDisturbance, MarkovBias
+from dpsim.disturbance import NOISE_BLOCK, ConstantDisturbance, MarkovBias
 from dpsim.vessel import yaw_cos_sin
 
 
@@ -51,6 +53,19 @@ class TestMarkovBias:
             a.step(0.1)
             b.step(0.1)
             np.testing.assert_array_equal(a.b, b.b)
+
+    def test_block_draws_are_the_per_step_stream(self):
+        # reference: one standard_normal(3) per step from a generator of the same seed
+        T, psi, dt, steps = (50.0, 100.0, 200.0), (1000.0, 500.0, 2e4), 0.1, 1000
+        assert steps > 3 * NOISE_BLOCK
+        bias = MarkovBias(T, psi, seed=7, b0=[1.0, -2.0, 3.0])
+        rng = np.random.default_rng(7)
+        b, root = (1.0, -2.0, 3.0), math.sqrt(dt)
+        for _ in range(steps):
+            n = rng.standard_normal(3).tolist()
+            b = tuple(bi + dt * (-bi / Ti) + pi * root * ni
+                      for bi, Ti, pi, ni in zip(b, T, psi, n))
+            assert bias.step(dt) == b
 
     def test_distinct_seeds_differ(self):
         a = MarkovBias([1000.0] * 3, [1000.0] * 3, seed=1)

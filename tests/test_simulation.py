@@ -11,19 +11,20 @@ import numpy as np
 import pytest
 
 import dpsim
+from dpsim import kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
 from dpsim.controllers import (BackstepGains, PidController, PidGains, backstep_control,
                                compute_alpha1)
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
-from dpsim.simulate import (SimulationAbort, compare_runs, metrics_from_trace,
+from dpsim.simulate import (FOLD_STEPS, SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
 from dpsim.vessel import (VesselParams, plant_derivative, rk4_step, rotation_matrix,
                           yaw_cos_sin)
 
-from oracles import weight_derivative
+from oracles import joint_rk4_states, weight_derivative
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -276,6 +277,63 @@ class TestRunSimulation:
         c_coarse, c_fine = conv(0.1), conv(0.05)
         assert math.isfinite(c_coarse)
         assert abs(c_coarse - c_fine) / c_coarse < 0.05
+
+
+def counting_folds(monkeypatch):
+    """A list that gets one entry per ``kernels.fold`` call from now on."""
+    calls, fold = [], kernels.fold
+    monkeypatch.setattr(kernels, "fold", lambda *args: calls.append(1) or fold(*args))
+    return calls
+
+
+class TestDeferredFold:
+    """The weights are formed every FOLD_STEPS steps and their norms kept by the Gram identity."""
+
+    def run(self, steps, probe=None):
+        """A 2^9 run of ``steps`` steps: (cfg, components, weights0, trace, metrics)."""
+        cfg = small_cfg(duration=steps * 0.1)
+        parts = build_components(cfg)
+        weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
+        return (cfg, parts, weights0, *simulate_adaptive(
+            parts.plant, parts.gains, parts.network, weights0, parts.disturbance,
+            eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
+            dt=cfg.dt, duration=cfg.duration, probe=probe))
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_last_norms_are_those_of_the_final_weights(self, extra):
+        # the run ends between two folds; its last weights are folded at the end
+        trace = self.run(5 * FOLD_STEPS + extra)[3]
+        np.testing.assert_allclose(trace.theta_norms[-1],
+                                   np.linalg.norm(trace.final_theta, axis=1), rtol=1e-12)
+
+    def test_probe_changes_nothing_and_sees_the_weights(self, tmp_path):
+        steps = 2 * FOLD_STEPS + 3
+        seen = []
+        cfg, parts, weights0, probed, probed_metrics = self.run(
+            steps, probe=lambda t, info: seen.append(info["theta"]))
+        *_, trace, metrics = self.run(steps)
+        for name, run in (("probed", probed), ("plain", trace)):
+            write_trace_csv(tmp_path / f"{name}.csv", run)
+        assert (tmp_path / "probed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        for field in metrics.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(probed_metrics, field),
+                                          getattr(metrics, field))
+        states = joint_rk4_states(parts.plant, parts.gains, parts.network, weights0,
+                                  cfg.constant_delta, eta0=cfg.initial_pose,
+                                  nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
+                                  dt=cfg.dt, steps=steps)
+        assert len(seen) == steps + 1
+        for theta, state in zip(seen, states):
+            np.testing.assert_allclose(theta, state[6:].reshape(theta.shape), rtol=1e-12)
+
+    @pytest.mark.parametrize("steps", [4 * FOLD_STEPS, 4 * FOLD_STEPS + 3])
+    def test_folds_once_per_fold_steps_and_every_step_under_a_probe(self, monkeypatch, steps):
+        calls = counting_folds(monkeypatch)
+        self.run(steps)
+        assert len(calls) == math.ceil(steps / FOLD_STEPS) < steps
+        calls.clear()
+        self.run(steps, probe=lambda t, info: None)
+        assert len(calls) == steps
 
 
 # A plant with sway-yaw coupling in M and D, neither symmetric, so that a
@@ -646,6 +704,25 @@ class TestCli:
         assert cli_main([*argv, "--grid", "2", "--duration", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno")
         assert list(tmp_path.iterdir()) == [regular]
+
+    @pytest.mark.parametrize("out, weights_out", [
+        ("t.csv", "t.csv"), ("t.csv", "sub/../t.csv"), ("t.csv", "link.csv"),
+        ("old.csv", "hard.csv"),
+    ], ids=["same", "dotted", "symlink", "hard-link"])
+    def test_one_file_for_both_outputs_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                   out, weights_out):
+        # checked before the run, and nothing is created or written
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "old.csv").write_text("old")
+        os.link(tmp_path / "old.csv", tmp_path / "hard.csv")
+        os.symlink(tmp_path / "t.csv", tmp_path / "link.csv")
+        before = sorted(tmp_path.iterdir())
+        assert cli_main(["run", "--grid", "2", "--duration", "1", "--out", str(tmp_path / out),
+                         "--weights-out", str(tmp_path / weights_out)]) == 1
+        assert capsys.readouterr().err == "error: --out and --weights-out name the same file\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "old.csv").read_text() == "old"
 
     def test_unwritable_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
