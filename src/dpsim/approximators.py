@@ -108,6 +108,10 @@ class RbfNetwork:
              width: float = 1.0, ceiling: int = GRID_NODE_CEILING) -> "RbfNetwork":
         return cls(grid_nodes(ranges, points_per_dim, ceiling), width)
 
+    def workspace(self, theta=None) -> kernels.Workspace:
+        """Buffers for evaluating this network's basis factors (and ``theta . g``)."""
+        return kernels.Workspace(self.nodes, self._inv_two_h2, self._coef, self._index, theta)
+
 
 def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
     """Basis vector g(Z); strictly positive, bounded by 1/(sqrt(2 pi) h)."""
@@ -118,9 +122,14 @@ def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
         out = np.empty(net.node_count)
     elif out.shape != (net.node_count,) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous vector of {net.node_count} values")
-    factors = kernels.factors_into(net.nodes, net._inv_two_h2, net._coef, net._index, z,
-                                   np.empty(net._index.shape[1]))
-    return kernels.basis_from_factors(net.nodes, factors, out)
+    work = net.workspace()
+    work.z[:] = z
+    return kernels.basis_from_factors(net.nodes, work.factors(np.empty(net._index.shape[1])), out)
+
+
+def row_norms(theta) -> np.ndarray:
+    """Euclidean norm of each row of ``theta``: one dot product per row, no temporary."""
+    return np.sqrt([row @ row for row in theta])
 
 
 class AdaptiveWeights:
@@ -149,7 +158,7 @@ class AdaptiveWeights:
         return self.theta.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.theta, axis=1)
+        return row_norms(self.theta)
 
     def copy(self) -> "AdaptiveWeights":
         return AdaptiveWeights(self.theta.copy())

@@ -16,6 +16,11 @@ the l = L R basis values: with ``theta`` viewed as (3L, R),
 ``theta_i . g = left . (Theta_i right)``, and the dot product of two bases is
 ``(left_j . left_s) (right_j . right_s)``.
 
+A run's stages share one :class:`Workspace`: the input column, the
+exponent, gather and product buffers, and the (3L, R) view of the weights,
+which are read in place.  So :func:`adaptive_core` allocates only its three
+outputs.
+
 The weight update is integrated in the span of the weights and the basis
 vectors of the steps since the weights were last formed (see
 ``dpsim.simulate``); :func:`fold` forms the weights from those coordinates
@@ -53,13 +58,46 @@ def factor_index(nodes) -> np.ndarray:
     return np.hstack([block(np.arange(half), m * p), block(np.arange(half, m), m * p + 1)])
 
 
-def factors_into(nodes, inv_two_h2, coef, index, z, out):
-    """Both factors of the basis at ``z`` written into ``out`` (``left``, then ``right``)."""
-    values = np.empty(nodes.size + 2)
-    values[-2] = coef
-    values[-1] = 1.0
-    np.exp(-np.square(z[:, None] - nodes) * inv_two_h2, out=values[:-2].reshape(nodes.shape))
-    return np.multiply.reduce(values.take(index), axis=0, out=out)
+class Workspace:
+    """One run's buffers for the network stage, so that a stage allocates only its result.
+
+    The caller writes the network input into ``z``, a view of the (m, 1)
+    column the exponents are taken against.  ``values`` holds the m*p axis
+    values followed by ``c`` and 1, which are set once; ``gathered`` is the
+    (m//2 + 1, L + R) gather of ``values`` by ``index``.  ``theta``, when
+    given, is the (3, l) weight array, read in place; the workspace keeps its
+    (3L, R) view and the 3L-vector its products go to.  :func:`fold` writes
+    ``theta`` in place, so it must then be C-contiguous.
+    """
+
+    def __init__(self, nodes, inv_two_h2, coef, index, theta=None):
+        m, p = nodes.shape
+        self.nodes, self.index = nodes, index
+        self.left = left_size(nodes)
+        self.column = np.empty((m, 1))
+        self.z = self.column[:, 0]
+        self.neg_inv_two_h2 = -inv_two_h2
+        self.exponent = np.empty((m, p))
+        self.values = np.empty(m * p + 2)
+        self.values[-2] = coef
+        self.values[-1] = 1.0
+        self.axis_values = self.values[:-2].reshape(m, p)
+        self.gathered = np.empty(index.shape)
+        self.theta = theta
+        if theta is not None:
+            self.theta_rows = theta.reshape(-1, index.shape[1] - self.left)
+            self.product = np.empty(self.theta_rows.shape[0])
+            self.product_rows = self.product.reshape(3, self.left)
+
+    def factors(self, f):
+        """Both factors of the basis at ``z`` written into ``f`` (``left``, then ``right``)."""
+        e = self.exponent
+        np.subtract(self.column, self.nodes, out=e)
+        np.square(e, out=e)
+        np.multiply(e, self.neg_inv_two_h2, out=e)     # the bits of -square * inv_two_h2
+        np.exp(e, out=self.axis_values)
+        self.values.take(self.index, out=self.gathered)
+        return np.multiply.reduce(self.gathered, axis=0, out=f)
 
 
 def basis_from_factors(nodes, factors, out):
@@ -69,30 +107,32 @@ def basis_from_factors(nodes, factors, out):
     return out
 
 
-def adaptive_core(nodes, inv_two_h2, coef, index, z, theta, out):
-    """Per-axis network outputs ``theta_i . g`` at ``z``, with no basis vector.
+def adaptive_core(work, f):
+    """Per-axis network outputs ``theta_i . g`` at ``work.z``, with no basis vector.
 
-    Fills ``out`` with the factors of the basis at ``z`` and returns
-    ``left . (Theta_i right)`` for the three rows of the (3, l) ``theta``.
+    Fills ``f`` with the factors of the basis and returns ``left . (Theta_i
+    right)`` for the three rows of the workspace's ``theta``.
     """
-    factors_into(nodes, inv_two_h2, coef, index, z, out)
-    left = left_size(nodes)
-    return (theta.reshape(-1, out.shape[0] - left) @ out[left:]).reshape(3, left) @ out[:left]
+    work.factors(f)
+    left = work.left
+    np.matmul(work.theta_rows, f[left:], out=work.product)
+    return work.product_rows @ f[:left]
 
 
-def gram_row(nodes, factors, f):
+def gram_row(work, factors, f):
     """Dot products ``g_j . g`` of the bases with factor rows ``factors`` and factors ``f``."""
-    left = left_size(nodes)
+    left = work.left
     return (factors[:, :left] @ f[:left]) * (factors[:, left:] @ f[left:])
 
 
-def fold(nodes, theta, x, factors, out):
+def fold(work, x, factors, out):
     """``theta_i <- x_i0 theta_i + sum_s x_is g_s`` in place, for the bases of ``factors``.
 
-    ``x`` is (3, 1 + n) for the n factor rows.  The sum is one (3L x n) @ (n x R)
-    product, written into ``out`` (shaped like ``theta``) and then added.
+    ``theta`` is the workspace's and ``x`` is (3, 1 + n) for the n factor
+    rows.  The sum is one (3L x n) @ (n x R) product, written into ``out``
+    (shaped like ``theta``) and then added.
     """
-    left = left_size(nodes)
+    left, theta = work.left, work.theta
     theta *= x[:, :1]
     scaled = (factors[:, :left].T * x[:, None, 1:]).reshape(-1, factors.shape[0])
     np.matmul(scaled, factors[:, left:], out=out.reshape(scaled.shape[0], -1))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dpsim import __version__, kernels
-from dpsim.approximators import AdaptiveWeights, RbfNetwork
+from dpsim.approximators import AdaptiveWeights, RbfNetwork, row_norms
 from dpsim.config import ScenarioConfig, build_components
 from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
@@ -179,19 +179,14 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
 FOLD_STEPS = 8
 
 
-def _row_norms(theta):
-    """Euclidean norm of each weight row, one dot product per row."""
-    return np.sqrt([row @ row for row in theta])
-
-
 def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNetwork,
                       weights0: AdaptiveWeights, disturbance, *, eta0, nu0, eta_d,
                       dt, duration, decimation=1, limits: SaturationLimits | None = None,
                       adapt=True, meta=None, probe=None):
     """Run the adaptive (or frozen-weight) backstepping loop.
 
-    ``adapt=False`` keeps the initial weights for the whole run; the
-    integrated state is then only the pose and velocity.  With adaptation,
+    ``adapt=False`` keeps the initial weights for the whole run and reads
+    them in place; the integrated state is then only the pose and velocity.  With adaptation,
     the update ``theta_dot_i = gamma_i (drive z2_i g + leak sigma_i theta_i)``
     is linear in ``theta_i`` with a scalar gain per axis, so every RK4 stage
     value of ``theta_i`` lies in the span of ``theta_i(t_k)``, the weights at
@@ -218,6 +213,9 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
     diagnostics; only then is the sample's basis vector formed.
+    ``trace.final_theta`` is a read-only view of the run's weights, which
+    for a frozen run are ``weights0.theta`` itself.  The stages share one
+    ``kernels.Workspace``, so a stage allocates only its results.
     """
     n_nodes = network.node_count
     if weights0.node_count != n_nodes:
@@ -225,17 +223,16 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     eta_d = np.asarray(eta_d, dtype=float)
     drive, leak = gains.law_signs
     errors, torque = backstep_law(gains, eta_d, limits)
-    theta = weights0.theta.copy()
-    z_buf = np.empty(9)
-    nodes, index = network.nodes, network._index
+    theta = weights0.theta.copy() if adapt else weights0.theta     # frozen: read in place
+    work = network.workspace(theta)
+    z, nodes, n_factors = work.z, network.nodes, network._index.shape[1]
     pending = 0                 # factor rows not yet folded into theta
 
     def network_terms(yv, c, s, stage, f):
         """Errors, ``theta_i . g`` and probe fields at a stage; the factors go to ``f``."""
         z1, alpha1, z2 = errors(yv, c, s)
-        z_buf[:] = (*yv[:6], *alpha1)
-        core = kernels.adaptive_core(nodes, network._inv_two_h2, network._coef, index,
-                                     z_buf, theta, f)
+        z[:] = (*yv[:6], *alpha1)
+        core = kernels.adaptive_core(work, f)
         fields = None
         if probe is not None and stage == 0:
             fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
@@ -245,7 +242,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     if adapt:
         fold_steps = 1 if probe is not None else FOLD_STEPS     # probes read theta
         # factors of the pending rows, then of g_1 .. g_4 of the step
-        factors = np.empty((4 * fold_steps, index.shape[1]))
+        factors = np.empty((4 * fold_steps, n_factors))
         fold_out = np.empty_like(theta)
         coef = np.zeros((3, 1 + factors.shape[0]))      # [a, c_1 .. c_pending] per row
         coef[:, 0] = 1.0
@@ -254,12 +251,12 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         decay = (gains.gamma * leak * gains.sigma).tolist()
         gain = (gains.gamma * drive).tolist()
         unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
-        norms = _row_norms(theta)
+        norms = row_norms(theta)
         gram5[:, 0, 0] = norms * norms
 
         def fold():
             nonlocal pending
-            kernels.fold(nodes, theta, coef[:, :1 + pending], factors[:pending], fold_out)
+            kernels.fold(work, coef[:, :1 + pending], factors[:pending], fold_out)
             coef[:, 0] = 1.0
             pending = 0
 
@@ -267,7 +264,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             at = pending + stage
             f = factors[at]
             z1, z2, core, fields = network_terms(yv, c, s, stage, f)
-            gram = kernels.gram_row(nodes, factors[:at + 1], f)
+            gram = kernels.gram_row(work, factors[:at + 1], f)
             theta_g = coef[:, 0] * core + coef[:, 1:pending + 1] @ gram[:pending]
             gram5[:, 0, stage + 1] = gram5[:, stage + 1, 0] = theta_g
             gram5[:, stage + 1, 1:stage + 2] = gram5[:, 1:stage + 2, stage + 1] = gram[pending:]
@@ -299,15 +296,15 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                 fold()
             if not finite:
                 # a norm overflows before the weights do, so only then look closer
-                norms = _row_norms(theta)
+                norms = row_norms(theta)
                 sq = norms * norms
             gram5[:, 0, 0] = sq
             return bool(finite or np.isfinite(norms).all() or np.isfinite(theta).all())
 
         law = (unit, control, end_step)
     else:
-        f_buf = np.empty(index.shape[1])
-        frozen_norms = weights0.norms()
+        f_buf = np.empty(n_factors)
+        frozen_norms = row_norms(theta)
 
         def control(yv, c, s, stage):
             z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf)
@@ -320,7 +317,8 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         duration=duration, decimation=decimation, meta=meta, probe=probe)
     if pending:
         fold()
-    trace.final_theta = theta
+    trace.final_theta = theta.view()
+    trace.final_theta.flags.writeable = False
     return trace, metrics
 
 

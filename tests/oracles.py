@@ -1,10 +1,35 @@
-"""Reference right-hand sides for the dense joint-RK4 oracle tests."""
+"""Reference formulas: the network's factors and output, and the dense joint-RK4 runs."""
 
 import numpy as np
 
+from dpsim import kernels
 from dpsim.approximators import AdaptiveWeights, gaussian_basis
 from dpsim.controllers import backstep_control, compute_alpha1
 from dpsim.vessel import plant_derivative, rk4_step
+
+
+def basis_factors(net, z) -> np.ndarray:
+    """Both factors of the basis at ``z``, ``left`` then ``right``, by allocating numpy calls.
+
+    ``kernels.Workspace.factors`` must give these bits: it runs the same
+    operations into its own buffers.
+    """
+    nodes = net.nodes
+    values = np.empty(nodes.size + 2)
+    values[-2] = net._coef
+    values[-1] = 1.0
+    np.exp(-np.square(np.asarray(z, dtype=float)[:, None] - nodes) * net._inv_two_h2,
+           out=values[:-2].reshape(nodes.shape))
+    return np.multiply.reduce(values.take(net._index), axis=0)
+
+
+def factored_output(net, theta, f) -> np.ndarray:
+    """``left . (Theta_i right)`` for the three rows of ``theta`` and the factors ``f``.
+
+    ``kernels.adaptive_core`` must give these bits.
+    """
+    left = kernels.left_size(net.nodes)
+    return (theta.reshape(-1, f.shape[0] - left) @ f[left:]).reshape(3, left) @ f[:left]
 
 
 def weight_derivative(gains, basis_vec, z2, theta) -> np.ndarray:

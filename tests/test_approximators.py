@@ -12,6 +12,8 @@ from dpsim.approximators import (DEFAULT_INPUT_RANGES, AdaptiveWeights,
                                  GridCapacityError, RbfNetwork, gaussian_basis,
                                  grid_nodes, write_weight_csv)
 
+from oracles import basis_factors, factored_output
+
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -112,9 +114,9 @@ class TestBasis:
 
 def network_output(net, theta, z):
     """The per-axis outputs theta_i . g(z) as the engine computes them."""
-    return kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, net._index,
-                                 np.asarray(z, dtype=float), np.ascontiguousarray(theta),
-                                 np.empty(net._index.shape[1]))
+    work = net.workspace(np.ascontiguousarray(theta))
+    work.z[:] = np.asarray(z, dtype=float)
+    return kernels.adaptive_core(work, np.empty(net._index.shape[1]))
 
 
 class TestRbfOutput:
@@ -254,11 +256,14 @@ class TestSeparableBasis:
             # values below the smallest normal double carry no relative precision
             np.testing.assert_allclose(gaussian_basis(net, z), dense_basis(net, z),
                                        rtol=1e-12, atol=np.finfo(float).tiny)
+            # the workspace runs the oracle's operations into its buffers
+            assert np.array_equal(self.factors(net, z), basis_factors(net, z))
 
     @staticmethod
     def factors(net, z):
-        f = np.empty(net._index.shape[1])
-        return kernels.factors_into(net.nodes, net._inv_two_h2, net._coef, net._index, z, f)
+        work = net.workspace()
+        work.z[:] = z
+        return work.factors(np.empty(net._index.shape[1]))
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_adaptive_core_matches_dense_formula(self, name):
@@ -268,8 +273,11 @@ class TestSeparableBasis:
         for z in self.inputs(net, rng):
             g_ref = dense_basis(net, z)
             f = np.empty(net._index.shape[1])
-            nn = kernels.adaptive_core(net.nodes, net._inv_two_h2, net._coef, net._index, z,
-                                       theta, f)
+            work = net.workspace(theta)
+            work.z[:] = z
+            nn = kernels.adaptive_core(work, f)
+            assert np.array_equal(f, basis_factors(net, z))
+            assert np.array_equal(nn, factored_output(net, theta, f))
             g = kernels.basis_from_factors(net.nodes, f, np.empty(net.node_count))
             np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=np.finfo(float).tiny)
             # sums of mixed-sign terms: relative to the size of the terms
@@ -283,7 +291,7 @@ class TestSeparableBasis:
         factors = np.stack([self.factors(net, z) for z in points])
         dense = np.stack([dense_basis(net, z) for z in points])
         for s, z in enumerate(points):
-            gram = kernels.gram_row(net.nodes, factors, factors[s])
+            gram = kernels.gram_row(net.workspace(), factors, factors[s])
             # dot products of positive terms; underflowed ones carry no digits
             np.testing.assert_allclose(gram, dense @ dense[s], rtol=1e-12,
                                        atol=np.finfo(float).tiny)
@@ -298,5 +306,5 @@ class TestSeparableBasis:
         theta = rng.normal(size=(3, net.node_count))
         x = rng.normal(size=(3, 5))
         want = x[:, :1] * theta + x[:, 1:] @ dense
-        got = kernels.fold(net.nodes, theta.copy(), x, factors, np.empty_like(theta))
+        got = kernels.fold(net.workspace(theta.copy()), x, factors, np.empty_like(theta))
         assert_close_to_terms(got, want, np.abs(x[:, :1] * theta) + np.abs(x[:, 1:]) @ dense)

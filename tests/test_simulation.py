@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,7 @@ from dpsim import kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
-from dpsim.controllers import (BackstepGains, PidController, PidGains, backstep_control,
-                               compute_alpha1)
+from dpsim.controllers import BackstepGains, PidController, PidGains, compute_alpha1
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (FOLD_STEPS, SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
@@ -24,7 +24,7 @@ from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_cs
 from dpsim.vessel import (VesselParams, plant_derivative, rk4_step, rotation_matrix,
                           yaw_cos_sin)
 
-from oracles import joint_rk4_states, weight_derivative
+from oracles import joint_rk4_states
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -139,21 +139,9 @@ class TestRunSimulation:
         weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
         gains = BackstepGains(cfg.k1, cfg.k2, (0.5, 2.0, 6.0), cfg.sigma, law=law)
         n = network.node_count
-
-        def deriv(y):
-            eta, nu, theta = y[:3], y[3:6], y[6:].reshape(3, n)
-            z1 = eta - cfg.target_pose
-            alpha1 = compute_alpha1(gains.K1, eta[2], z1)
-            z2 = nu - alpha1
-            g = gaussian_basis(network, np.concatenate([eta, nu, alpha1]))
-            tau = backstep_control(gains, eta[2], z1, z2, g, AdaptiveWeights(theta))
-            eta_dot, nu_dot = plant_derivative(eta, nu, plant, tau, cfg.constant_delta)
-            return np.concatenate([eta_dot, nu_dot,
-                                   weight_derivative(gains, g, z2, theta).ravel()])
-
-        y = np.concatenate([cfg.initial_pose, cfg.initial_velocity, weights0.theta.ravel()])
-        for _ in range(steps):
-            y = rk4_step(y, cfg.dt, deriv)
+        y = joint_rk4_states(plant, gains, network, weights0, cfg.constant_delta,
+                             eta0=cfg.initial_pose, nu0=cfg.initial_velocity,
+                             eta_d=cfg.target_pose, dt=cfg.dt, steps=steps)[-1]
         trace, _ = simulate_adaptive(
             plant, gains, network, weights0, ConstantDisturbance(cfg.constant_delta),
             eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
@@ -210,6 +198,28 @@ class TestRunSimulation:
         np.testing.assert_array_equal(trace.final_theta, weights0.theta)
         for theta in seen:
             np.testing.assert_array_equal(theta, weights0.theta)
+
+    def test_nn_fixed_reads_the_weights_in_place(self):
+        # a frozen run neither copies the weights nor takes their norms through
+        # a temporary of their size, so it allocates less than the weights hold
+        cfg = default_scenario()
+        cfg.controller_type, cfg.duration = "nn-fixed", 4.0
+        parts = build_components(cfg)
+        weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
+        initial = weights0.theta.copy()
+        tracemalloc.start()
+        try:
+            trace, _ = simulate_adaptive(
+                parts.plant, parts.gains, parts.network, weights0, parts.disturbance,
+                eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
+                dt=cfg.dt, duration=cfg.duration, adapt=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weights0.theta.nbytes, (peak, weights0.theta.nbytes)
+        np.testing.assert_array_equal(weights0.theta, initial)
+        assert np.shares_memory(trace.final_theta, weights0.theta)
+        assert not trace.final_theta.flags.writeable
 
     @pytest.mark.parametrize("adapt", [True, False], ids=["adaptive-nn", "nn-fixed"])
     def test_probe_basis_is_the_basis_at_the_probed_state(self, adapt):
@@ -413,21 +423,8 @@ class TestFloatEngine:
         def alpha1_of(eta):
             return compute_alpha1(gains.K1, eta[2], eta - eta_d)
 
-        def deriv(y):
-            eta, nu, theta = y[:3], y[3:6], y[6:].reshape(3, n)
-            alpha1 = alpha1_of(eta)
-            z2 = nu - alpha1
-            g = gaussian_basis(network, np.concatenate([eta, nu, alpha1]))
-            tau = backstep_control(gains, eta[2], eta - eta_d, z2, g, AdaptiveWeights(theta))
-            eta_dot, nu_dot = plant_derivative(eta, nu, plant, tau, COUPLED_LOAD)
-            return np.concatenate([eta_dot, nu_dot,
-                                   weight_derivative(gains, g, z2, theta).ravel()])
-
-        states = [np.concatenate([COUPLED_START["eta0"], COUPLED_START["nu0"],
-                                  weights0.theta.ravel()])]
-        for _ in range(steps):
-            states.append(rk4_step(states[-1], dt, deriv))
-        states = np.array(states)
+        states = joint_rk4_states(plant, gains, network, weights0, COUPLED_LOAD, steps=steps,
+                                  **COUPLED_START)
         trace, _ = simulate_adaptive(plant, gains, network, weights0,
                                      ConstantDisturbance(COUPLED_LOAD),
                                      duration=steps * dt, **COUPLED_START)
