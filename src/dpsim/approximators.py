@@ -67,8 +67,8 @@ class RbfNetwork:
 
     The centers are the p^m grid points, rows ordered lexicographically
     (first dimension slowest), which fixes the node-to-weight-index mapping;
-    they are derived on demand, not stored.  The kernels' gather index of the
-    basis's two factors (see ``dpsim.kernels``) is computed once here.
+    they are derived on demand, not stored.  The layout of the basis's two
+    factors belongs to ``kernels.Workspace`` (see :meth:`workspace`).
     """
 
     nodes: np.ndarray
@@ -82,12 +82,8 @@ class RbfNetwork:
             raise ValueError("nodes must be finite")
         if np.ndim(self.width) != 0 or not 0 < float(self.width) < np.inf:
             raise ValueError("width must be a positive finite scalar")
-        width = float(self.width)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "_inv_two_h2", 1.0 / (2.0 * width ** 2))
-        object.__setattr__(self, "_coef", 1.0 / (np.sqrt(2.0 * np.pi) * width))
-        object.__setattr__(self, "_index", kernels.factor_index(nodes))
+        object.__setattr__(self, "width", float(self.width))
 
     @property
     def node_count(self) -> int:
@@ -109,22 +105,18 @@ class RbfNetwork:
         return cls(grid_nodes(ranges, points_per_dim, ceiling), width)
 
     def workspace(self, theta=None) -> kernels.Workspace:
-        """Buffers for evaluating this network's basis factors (and ``theta . g``)."""
-        return kernels.Workspace(self.nodes, self._inv_two_h2, self._coef, self._index, theta)
+        """The basis layout and buffers for evaluating its factors (and ``theta . g``)."""
+        return kernels.Workspace(self.nodes, self.width, theta)
 
 
-def gaussian_basis(net: RbfNetwork, z, out=None) -> np.ndarray:
+def gaussian_basis(net: RbfNetwork, z) -> np.ndarray:
     """Basis vector g(Z); strictly positive, bounded by 1/(sqrt(2 pi) h)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (net.input_dim,):
         raise ValueError(f"input must have dimension {net.input_dim}, got {z.shape}")
-    if out is None:
-        out = np.empty(net.node_count)
-    elif out.shape != (net.node_count,) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous vector of {net.node_count} values")
     work = net.workspace()
     work.z[:] = z
-    return kernels.basis_from_factors(net.nodes, work.factors(np.empty(net._index.shape[1])), out)
+    return work.basis(work.factors(np.empty(work.size)))
 
 
 def row_norms(theta) -> np.ndarray:
@@ -145,9 +137,8 @@ class AdaptiveWeights:
 
     @classmethod
     def random_init(cls, node_count: int, seed) -> "AdaptiveWeights":
-        """Uniform [0, 1) initialization from a seeded generator."""
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return cls(rng.random((3, node_count)))
+        """Uniform [0, 1) initialization from ``np.random.default_rng(seed)``."""
+        return cls(np.random.default_rng(seed).random((3, node_count)))
 
     @classmethod
     def zeros(cls, node_count: int) -> "AdaptiveWeights":

@@ -152,7 +152,10 @@ def _reject_unknown(section: dict, allowed, where):
 def _num(value, where, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:       # an integer beyond the double range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite")
     if positive and v <= 0:
@@ -372,9 +375,9 @@ def build_components(cfg: ScenarioConfig, network: bool = True) -> Components:
 def read_scenario(path):
     """The parsed JSON object of a scenario file, not yet validated; blank is {}."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     if not text.strip():
         return {}
@@ -384,6 +387,8 @@ def read_scenario(path):
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:     # an integer too long, nesting too deep
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

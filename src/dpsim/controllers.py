@@ -171,10 +171,9 @@ class BackstepGains:
                           stacklevel=3)
 
     @property
-    def law_signs(self):
-        """(drive, leak) signs of the weight update: -1 for the stable law, +1 otherwise."""
-        sign = -1.0 if self.law == "stable" else 1.0
-        return sign, sign
+    def law_sign(self) -> float:
+        """Sign of both the drive and the leak of the weight update: -1 for the stable law."""
+        return -1.0 if self.law == "stable" else 1.0
 
     def rk4_damps_leak(self, dt) -> np.ndarray:
         """Per axis, whether classical RK4 at step ``dt`` damps the stable law's leak.

@@ -32,11 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def left_size(nodes) -> int:
-    """L, the number of values of the left factor of the (m, p) grid ``nodes``."""
-    return nodes.shape[1] ** (nodes.shape[0] // 2)
-
-
 def factor_index(nodes) -> np.ndarray:
     """Gather index of both factors: an (m//2 + 1, L + R) array of positions.
 
@@ -59,33 +54,39 @@ def factor_index(nodes) -> np.ndarray:
 
 
 class Workspace:
-    """One run's buffers for the network stage, so that a stage allocates only its result.
+    """The basis layout of a grid network, and one run's buffers for it.
 
-    The caller writes the network input into ``z``, a view of the (m, 1)
-    column the exponents are taken against.  ``values`` holds the m*p axis
-    values followed by ``c`` and 1, which are set once; ``gathered`` is the
+    The layout is built here, once, from the (m, p) ``nodes`` and the width:
+    the gather ``index`` (:func:`factor_index`), ``c``, the exponent scale
+    ``-1/(2 h^2)``, ``left`` = L and ``size`` = L + R, the length of a
+    factor vector.  The buffers let a stage allocate only its result.  The
+    caller writes the network input into ``z``, a view of the (m, 1) column
+    the exponents are taken against.  ``values`` holds the m*p axis values
+    followed by ``c`` and 1, which are set once; ``gathered`` is the
     (m//2 + 1, L + R) gather of ``values`` by ``index``.  ``theta``, when
     given, is the (3, l) weight array, read in place; the workspace keeps its
     (3L, R) view and the 3L-vector its products go to.  :func:`fold` writes
     ``theta`` in place, so it must then be C-contiguous.
     """
 
-    def __init__(self, nodes, inv_two_h2, coef, index, theta=None):
+    def __init__(self, nodes, width, theta=None):
         m, p = nodes.shape
-        self.nodes, self.index = nodes, index
-        self.left = left_size(nodes)
+        self.nodes = nodes
+        self.index = factor_index(nodes)
+        self.left = p ** (m // 2)
+        self.size = self.index.shape[1]
         self.column = np.empty((m, 1))
         self.z = self.column[:, 0]
-        self.neg_inv_two_h2 = -inv_two_h2
+        self.exponent_scale = -(1.0 / (2.0 * width ** 2))
         self.exponent = np.empty((m, p))
         self.values = np.empty(m * p + 2)
-        self.values[-2] = coef
+        self.values[-2] = 1.0 / (np.sqrt(2.0 * np.pi) * width)     # c
         self.values[-1] = 1.0
         self.axis_values = self.values[:-2].reshape(m, p)
-        self.gathered = np.empty(index.shape)
+        self.gathered = np.empty(self.index.shape)
         self.theta = theta
         if theta is not None:
-            self.theta_rows = theta.reshape(-1, index.shape[1] - self.left)
+            self.theta_rows = theta.reshape(-1, self.size - self.left)
             self.product = np.empty(self.theta_rows.shape[0])
             self.product_rows = self.product.reshape(3, self.left)
 
@@ -94,17 +95,14 @@ class Workspace:
         e = self.exponent
         np.subtract(self.column, self.nodes, out=e)
         np.square(e, out=e)
-        np.multiply(e, self.neg_inv_two_h2, out=e)     # the bits of -square * inv_two_h2
+        np.multiply(e, self.exponent_scale, out=e)     # the bits of -(square * 1/(2 h^2))
         np.exp(e, out=self.axis_values)
         self.values.take(self.index, out=self.gathered)
         return np.multiply.reduce(self.gathered, axis=0, out=f)
 
-
-def basis_from_factors(nodes, factors, out):
-    """The p^m basis values ``outer(left, right)`` written into the contiguous ``out``."""
-    left = left_size(nodes)
-    np.multiply.outer(factors[:left], factors[left:], out=out.reshape(left, -1))
-    return out
+    def basis(self, f):
+        """The p^m basis values ``outer(left, right).ravel()`` of the factors ``f``."""
+        return np.multiply.outer(f[:self.left], f[self.left:]).ravel()
 
 
 def adaptive_core(work, f):

@@ -187,11 +187,11 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
     ``adapt=False`` keeps the initial weights for the whole run and reads
     them in place; the integrated state is then only the pose and velocity.  With adaptation,
-    the update ``theta_dot_i = gamma_i (drive z2_i g + leak sigma_i theta_i)``
-    is linear in ``theta_i`` with a scalar gain per axis, so every RK4 stage
-    value of ``theta_i`` lies in the span of ``theta_i(t_k)``, the weights at
-    the start of the step, and ``g_1 .. g_4``, the basis vectors of the
-    step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
+    the update ``theta_dot_i = gamma_i s (z2_i g + sigma_i theta_i)``, with
+    ``s = gains.law_sign``, is linear in ``theta_i`` with a scalar gain per
+    axis, so every RK4 stage value of ``theta_i`` lies in the span of
+    ``theta_i(t_k)``, the weights at the start of the step, and
+    ``g_1 .. g_4``, the basis vectors of the step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
     coordinates, reset to ``[1, 0, 0, 0, 0]`` each step.  This is the same
     RK4 as integrating all 3 l weights, up to rounding.  Each stage keeps
     only the two tensor factors of its basis vector (see ``dpsim.kernels``):
@@ -217,15 +217,14 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     for a frozen run are ``weights0.theta`` itself.  The stages share one
     ``kernels.Workspace``, so a stage allocates only its results.
     """
-    n_nodes = network.node_count
-    if weights0.node_count != n_nodes:
+    if weights0.node_count != network.node_count:
         raise ValueError("initial weights do not match the network size")
     eta_d = np.asarray(eta_d, dtype=float)
-    drive, leak = gains.law_signs
+    sign = gains.law_sign
     errors, torque = backstep_law(gains, eta_d, limits)
     theta = weights0.theta.copy() if adapt else weights0.theta     # frozen: read in place
     work = network.workspace(theta)
-    z, nodes, n_factors = work.z, network.nodes, network._index.shape[1]
+    z = work.z
     pending = 0                 # factor rows not yet folded into theta
 
     def network_terms(yv, c, s, stage, f):
@@ -235,21 +234,20 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         core = kernels.adaptive_core(work, f)
         fields = None
         if probe is not None and stage == 0:
-            fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1,
-                          basis=kernels.basis_from_factors(nodes, f, np.empty(n_nodes)))
+            fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1, basis=work.basis(f))
         return z1, z2, core, fields
 
     if adapt:
         fold_steps = 1 if probe is not None else FOLD_STEPS     # probes read theta
         # factors of the pending rows, then of g_1 .. g_4 of the step
-        factors = np.empty((4 * fold_steps, n_factors))
+        factors = np.empty((4 * fold_steps, work.size))
         fold_out = np.empty_like(theta)
         coef = np.zeros((3, 1 + factors.shape[0]))      # [a, c_1 .. c_pending] per row
         coef[:, 0] = 1.0
         # row i: the Gram matrix of theta_i(t_k), g_1 .. g_4
         gram5 = np.empty((3, 5, 5))
-        decay = (gains.gamma * leak * gains.sigma).tolist()
-        gain = (gains.gamma * drive).tolist()
+        decay = (gains.gamma * sign * gains.sigma).tolist()
+        gain = (gains.gamma * sign).tolist()
         unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
         norms = row_norms(theta)
         gram5[:, 0, 0] = norms * norms
@@ -303,7 +301,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         law = (unit, control, end_step)
     else:
-        f_buf = np.empty(n_factors)
+        f_buf = np.empty(work.size)
         frozen_norms = row_norms(theta)
 
         def control(yv, c, s, stage):
@@ -402,6 +400,8 @@ def compare_runs(traces, window=DEFAULT_TAIL_WINDOW_S) -> ComparisonReport:
     traces = list(traces)
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
+    if not window >= 0:
+        raise ValueError(f"window must be a non-negative number of seconds, got {window:g}")
     base_t = traces[0].t
     for trace in traces[1:]:
         if trace.t.shape != base_t.shape or not np.allclose(trace.t, base_t,
@@ -414,5 +414,6 @@ def compare_runs(traces, window=DEFAULT_TAIL_WINDOW_S) -> ComparisonReport:
         labels.append(f"{i}:{controller}+{disturbance}" if disturbance else f"{i}:{controller}")
     metrics = [metrics_from_trace(trace, window) for trace in traces]
     rms = np.array([m.steady_rms_pos for m in metrics])
-    ratio = rms[:, None] / rms[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 stays nan
+        ratio = rms[:, None] / rms[None, :]
     return ComparisonReport(labels, metrics, ratio, window)

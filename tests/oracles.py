@@ -14,13 +14,13 @@ def basis_factors(net, z) -> np.ndarray:
     ``kernels.Workspace.factors`` must give these bits: it runs the same
     operations into its own buffers.
     """
-    nodes = net.nodes
+    nodes, h = net.nodes, net.width
     values = np.empty(nodes.size + 2)
-    values[-2] = net._coef
+    values[-2] = 1.0 / (np.sqrt(2.0 * np.pi) * h)
     values[-1] = 1.0
-    np.exp(-np.square(np.asarray(z, dtype=float)[:, None] - nodes) * net._inv_two_h2,
+    np.exp(-np.square(np.asarray(z, dtype=float)[:, None] - nodes) * (1.0 / (2.0 * h ** 2)),
            out=values[:-2].reshape(nodes.shape))
-    return np.multiply.reduce(values.take(net._index), axis=0)
+    return np.multiply.reduce(values.take(kernels.factor_index(nodes)), axis=0)
 
 
 def factored_output(net, theta, f) -> np.ndarray:
@@ -28,21 +28,22 @@ def factored_output(net, theta, f) -> np.ndarray:
 
     ``kernels.adaptive_core`` must give these bits.
     """
-    left = kernels.left_size(net.nodes)
+    m, p = net.nodes.shape
+    left = p ** (m // 2)
     return (theta.reshape(-1, f.shape[0] - left) @ f[left:]).reshape(3, left) @ f[:left]
 
 
 def weight_derivative(gains, basis_vec, z2, theta) -> np.ndarray:
-    """Weight update ``gamma_i (drive z2_i g + leak sigma_i theta_i)`` of the gains' law.
+    """Weight update ``gamma_i (s z2_i g + s sigma_i theta_i)``, ``s = gains.law_sign``.
 
     The engine integrates this law on a 3 x 5 coefficient state; the oracles
     integrate all 3 l weights with it as ordinary RK4 state.
     """
-    drive, leak = gains.law_signs
+    sign = gains.law_sign
     basis_vec = np.asarray(basis_vec, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    return gains.gamma[:, None] * (drive * (z2[:, None] * basis_vec[None, :])
-                                   + leak * (gains.sigma[:, None] * theta))
+    return gains.gamma[:, None] * (sign * (z2[:, None] * basis_vec[None, :])
+                                   + sign * (gains.sigma[:, None] * theta))
 
 
 def joint_rk4_states(plant, gains, network, weights0, load, *, eta0, nu0, eta_d, dt, steps):

@@ -97,14 +97,6 @@ class TestBasis:
         assert (g > 0).all()
         assert (g <= 1.0 / (np.sqrt(2 * np.pi) * net.width) + 1e-15).all()
 
-    def test_out_buffer(self):
-        net = RbfNetwork.grid(ranges=[(-1, 1)] * 2, points_per_dim=3)
-        out = np.empty(net.node_count)
-        assert gaussian_basis(net, np.zeros(2), out=out) is out
-        np.testing.assert_array_equal(out, gaussian_basis(net, np.zeros(2)))
-        with pytest.raises(ValueError):
-            gaussian_basis(net, np.zeros(2), out=np.empty(2 * net.node_count)[::2])
-
     def test_width_validation(self):
         with pytest.raises(ValueError):
             RbfNetwork(np.zeros((1, 1)), 0.0)
@@ -116,7 +108,7 @@ def network_output(net, theta, z):
     """The per-axis outputs theta_i . g(z) as the engine computes them."""
     work = net.workspace(np.ascontiguousarray(theta))
     work.z[:] = np.asarray(z, dtype=float)
-    return kernels.adaptive_core(work, np.empty(net._index.shape[1]))
+    return kernels.adaptive_core(work, np.empty(work.size))
 
 
 class TestRbfOutput:
@@ -146,7 +138,8 @@ class TestRbfOutput:
         net = RbfNetwork(np.array([[0.0, -1.0, 2.0], [0.5, 1.0, -2.0]]), 0.8)
         rng = np.random.default_rng(11)
         theta = rng.normal(size=(3, net.node_count))
-        lip = np.abs(theta).sum(axis=1) * (net._coef * np.exp(-0.5) / net.width)
+        coef = 1.0 / (np.sqrt(2.0 * np.pi) * net.width)
+        lip = np.abs(theta).sum(axis=1) * (coef * np.exp(-0.5) / net.width)
         for _ in range(200):
             za, zb = rng.uniform(-3, 3, size=(2, 2))
             diff = np.abs(network_output(net, theta, za) - network_output(net, theta, zb))
@@ -263,7 +256,7 @@ class TestSeparableBasis:
     def factors(net, z):
         work = net.workspace()
         work.z[:] = z
-        return work.factors(np.empty(net._index.shape[1]))
+        return work.factors(np.empty(work.size))
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_adaptive_core_matches_dense_formula(self, name):
@@ -272,13 +265,13 @@ class TestSeparableBasis:
         theta = rng.normal(size=(3, net.node_count))
         for z in self.inputs(net, rng):
             g_ref = dense_basis(net, z)
-            f = np.empty(net._index.shape[1])
             work = net.workspace(theta)
+            f = np.empty(work.size)
             work.z[:] = z
             nn = kernels.adaptive_core(work, f)
             assert np.array_equal(f, basis_factors(net, z))
             assert np.array_equal(nn, factored_output(net, theta, f))
-            g = kernels.basis_from_factors(net.nodes, f, np.empty(net.node_count))
+            g = work.basis(f)
             np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=np.finfo(float).tiny)
             # sums of mixed-sign terms: relative to the size of the terms
             assert_close_to_terms(nn, theta @ g_ref, np.abs(theta) @ g_ref)

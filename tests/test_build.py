@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpsim.cli import main as cli_main
 from dpsim.approximators import DEFAULT_INPUT_RANGES, RbfNetwork
-from dpsim.config import (CONTROLLER_TYPES, DEFAULT_K1, MAX_NODES, ConfigError,
+from dpsim.config import (_SCHEMA, CONTROLLER_TYPES, DEFAULT_K1, MAX_NODES, ConfigError,
                           build_components, parse_scenario)
 
 # symmetric to 1e-9 but not to the 1e-12 that BackstepGains requires
@@ -146,3 +146,40 @@ def test_parsed_scenarios_build(raw):
         assert parts.network is None
     else:
         assert parts.network.node_count <= cfg.node_ceiling <= MAX_NODES
+
+
+# JSON values of every kind, and the shapes the schema's parsers look for, so
+# that a drawn value gets past the type checks as often as it fails them
+number = st.one_of(st.integers(), st.integers(-10 ** 400, 10 ** 400), st.floats())
+json_leaf = st.one_of(st.none(), st.booleans(), number, st.text(max_size=4),
+                      st.sampled_from([*CONTROLLER_TYPES, "markov", "unstable", "earth"]))
+json_value = st.recursive(json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6)
+shaped_value = st.one_of(
+    json_leaf,
+    st.lists(number, min_size=3, max_size=3),
+    st.lists(st.lists(number, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.lists(number, min_size=2, max_size=2), min_size=9, max_size=9))
+scenario_json = st.fixed_dictionaries({}, optional={
+    name: st.one_of(json_leaf, st.dictionaries(st.sampled_from(sorted(keys)), shaped_value,
+                                               max_size=3))
+    for name, keys in _SCHEMA.items()})
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=64), json_value.map(json.dumps),
+                 scenario_json.map(json.dumps)))
+def test_validate_ends_in_ok_or_an_error_line(scenario_file, content):
+    if isinstance(content, bytes):
+        scenario_file.write_bytes(content)
+    else:
+        scenario_file.write_text(content)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="K2 <= I/2", category=UserWarning)
+        assert cli_main(["validate", "--config", str(scenario_file)]) in (0, 1)

@@ -139,6 +139,11 @@ class TestValidation:
                               "rbf": {"points_per_dim": 5}})
         assert cfg.controller_type == "pid"
 
+    def test_integer_beyond_double_range(self):
+        # float(10**400) raises OverflowError; it is a non-finite number here
+        with pytest.raises(ConfigError, match="simulation.dt must be finite"):
+            parse_scenario({"simulation": {"dt": 10 ** 400}})
+
     def test_bad_vector_length(self):
         with pytest.raises(ConfigError, match="disturbance.delta"):
             parse_scenario({"disturbance": {"delta": [1, 2]}})
@@ -146,10 +151,20 @@ class TestValidation:
     def test_bad_json_reports_location(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1"):
             load_scenario(write(tmp_path, "{ not json"))
+        # past the parser's recursion limit, and past Python's int digit limit:
+        # no location, still a ConfigError
+        with pytest.raises(ConfigError, match="invalid JSON: maximum recursion"):
+            load_scenario(write(tmp_path, "[" * 100_000))
+        with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit"):
+            load_scenario(write(tmp_path, '{"rbf": {"points_per_dim": 1' + "0" * 5000 + "}}"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_scenario(tmp_path / "absent.json")
+        undecodable = tmp_path / "latin1.json"
+        undecodable.write_bytes(b'{"plant": {}}\x80')
+        with pytest.raises(ConfigError, match="cannot read.*utf-8"):
+            load_scenario(undecodable)
 
 
 class TestShorthand:

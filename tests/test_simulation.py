@@ -542,6 +542,21 @@ class TestCompare:
         with pytest.raises(ValueError, match="two traces"):
             compare_runs([trace])
 
+    @pytest.mark.parametrize("window", [-1.0, math.nan, -math.inf])
+    def test_window_must_be_non_negative(self, window):
+        trace = RunTrace(np.zeros((2, len(TRACE_COLUMNS))))
+        with pytest.raises(ValueError, match="window"):
+            compare_runs([trace, trace], window=window)
+
+    def test_zero_rms_ratio_is_nan_without_a_warning(self):
+        # PID started at its target under no load never moves: 0/0 RMS ratios
+        trace, _ = run_simulation(small_cfg(
+            controller_type="pid", duration=5.0, initial_pose=np.zeros(3),
+            constant_delta=np.zeros(3)))
+        report = compare_runs([trace, trace])
+        assert report.metrics[0].steady_rms_pos == 0.0
+        assert np.isnan(report.rms_pos_ratio).all()
+
 
 class TestVersion:
     def test_header_version_is_the_package_version(self, tmp_path):
@@ -555,16 +570,20 @@ class TestVersion:
             assert tomllib.load(fh)["project"]["version"] == dpsim.__version__
 
     def test_import_leaves_package_metadata_unloaded(self):
-        # importlib.metadata costs a fresh process 11-20 ms of imports
+        # importlib.metadata costs a fresh process 11-20 ms of imports; the
+        # package itself holds only the version, so it loads neither numpy
+        # nor any of its submodules
         src = str(Path(dpsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, dpsim; print(dpsim.__file__); print('importlib.metadata' in sys.modules)"],
+             "import sys, dpsim; print(dpsim.__file__); "
+             "print(sorted(m for m in sys.modules if m == 'importlib.metadata' "
+             "or m.split('.')[0] == 'numpy' or m.startswith('dpsim.')))"],
             env=env, capture_output=True, text=True, check=True).stdout.splitlines()
         assert Path(out[0]).resolve() == Path(dpsim.__file__).resolve()
-        assert out[1] == "False"
+        assert out[1] == "[]"
 
 
 HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
@@ -662,6 +681,16 @@ class TestCli:
                          "--window", "10"])
         assert code == 0
         assert "steady_rms_pos ratios" in report_path.read_text()
+
+    @pytest.mark.parametrize("window", ["-1", "nan"])
+    def test_compare_rejects_a_bad_window(self, tmp_path, capsys, window):
+        trace = tmp_path / "a.csv"
+        write_trace_csv(trace, RunTrace(np.zeros((2, len(TRACE_COLUMNS)))))
+        capsys.readouterr()
+        assert cli_main(["compare", str(trace), str(trace), "--window", window]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error:") and "window" in out.err
+        assert out.out == ""
 
     @pytest.mark.parametrize("name,text,where", [
         ("missing", None, "No such file"),
