@@ -53,6 +53,9 @@ def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) ->
         if not np.isfinite(float(hi) - float(lo)):
             raise ValueError(f"ranges[{i}] = [{lo}, {hi}] must span a finite width")
     n_dims = len(ranges)
+    if points_per_dim > ceiling:
+        # over it in any dimension; its power may be too long to print
+        raise GridCapacityError(f"points_per_dim is over the node ceiling {ceiling}")
     count = points_per_dim ** n_dims
     if count > ceiling:
         raise GridCapacityError(

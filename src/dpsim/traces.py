@@ -1,4 +1,4 @@
-"""Trace CSV format: RFC-4180 rows after '#'-prefixed header metadata.
+"""Trace CSV format: '#'-prefixed header metadata, the column header, then rows.
 
 Floats are written with 9 significant digits; identical runs therefore
 produce byte-identical files.  Yaw is reported wrapped to (-pi, pi).
@@ -8,7 +8,7 @@ order; this module is the one place that knows that layout.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,35 +90,71 @@ def write_trace_csv(path, trace: RunTrace) -> None:
         write_rows(fh, _ROW_FORMAT, trace.data)
 
 
+_HEADER = ",".join(TRACE_COLUMNS)
+
+
+def _loadtxt(lines, dtype=float) -> np.ndarray:
+    """The rows of ``lines`` (a text file or a list of lines), parsed by np.loadtxt."""
+    with warnings.catch_warnings():
+        # a block of only blank and comment lines parses to no rows, and says so
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=2)
+
+
+def _check_row(line) -> None:
+    """Raise ValueError if ``line`` has not 18 fields or np.loadtxt rejects it alone."""
+    fields = _loadtxt([line], dtype=str)
+    if len(fields) and fields.shape[1] != len(TRACE_COLUMNS):
+        raise ValueError(f"{fields.shape[1]} fields, expected {len(TRACE_COLUMNS)}")
+    try:
+        _loadtxt([line])
+    except ValueError as exc:
+        # numpy names the row within its one-line input; the caller names the line
+        raise ValueError(str(exc).replace(" at row 0,", " in")) from None
+
+
 def read_trace_csv(path) -> RunTrace:
-    """Read a trace CSV; a malformed file raises ValueError naming the path and line."""
+    """Read a trace CSV; a malformed file raises ValueError naming the path and line.
+
+    The '#' lines before the column header are ``key: value`` metadata, read
+    verbatim.  np.loadtxt parses the rows after it and skips blank lines and
+    '#' comments there.  Only when it fails are the rows walked again, to
+    name the first one that has not 18 fields or that it rejects alone.
+    """
     meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
+    data = np.empty((0, len(TRACE_COLUMNS)))
+    number = 0      # of the line read last
+    with open(path) as fh:
         try:
-            for record in reader:
-                if not record:
-                    continue
-                if record[0].startswith("#"):
-                    comment = ",".join(record).lstrip("#").strip()
-                    if ":" in comment:
-                        key, value = (part.strip() for part in comment.split(":", 1))
+            for line in iter(fh.readline, ""):
+                number += 1
+                if line.startswith("#"):
+                    key, colon, value = (part.strip() for part in
+                                         line.lstrip("#").partition(":"))
+                    if colon:
                         meta[key] = value
                         if key == "target_pose_rad":
                             target_pose(value)
                     continue
-                if not header_seen:
-                    if tuple(record) != TRACE_COLUMNS:
-                        raise ValueError(f"unexpected trace header {record!r}")
-                    header_seen = True
+                if line == "\n":
                     continue
-                if len(record) != len(TRACE_COLUMNS):
-                    raise ValueError(f"{len(record)} fields, expected {len(TRACE_COLUMNS)}")
-                rows.append([float(v) for v in record])
+                if line.rstrip("\n") != _HEADER:
+                    raise ValueError(f"unexpected trace header {line.rstrip()!r}")
+                try:
+                    data = _loadtxt(fh)
+                    bad = len(data) and data.shape[1] != len(TRACE_COLUMNS)
+                except ValueError:
+                    bad = True
+                if bad:
+                    header_lines = number
+                    fh.seek(0)
+                    for number, line in enumerate(fh, 1):
+                        if number > header_lines:
+                            _check_row(line)
+                    raise ValueError("np.loadtxt rejects the rows, but none alone")
+                break
         except ValueError as exc:   # UnicodeDecodeError included
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not header_seen or not rows:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    if not len(data):
         raise ValueError(f"{path}: no trace data found")
-    return RunTrace(np.array(rows), meta)
+    return RunTrace(data, meta)

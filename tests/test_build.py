@@ -45,6 +45,14 @@ def test_node_ceiling_is_bounded(tmp_path, capsys):
     assert parse_scenario({"rbf": {"node_ceiling": MAX_NODES}}).node_ceiling == MAX_NODES
 
 
+def test_points_per_dim_past_the_ceiling_names_key_and_ceiling(tmp_path, capsys):
+    # its 9th power has more digits than Python converts to text
+    code, err = _cli(tmp_path, capsys, "validate", {"rbf": {"points_per_dim": 10 ** 1400}})
+    assert code == 1
+    assert err.startswith("error: rbf.points_per_dim") and "node ceiling" in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
 @pytest.mark.parametrize("section, key, value", [
     ("controller", "sigma", [0.0, 1.0, 1.0]),

@@ -3,13 +3,17 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dpsim
 from dpsim import kernels
@@ -509,6 +513,85 @@ class TestTraceCsv:
         path.write_text("a,b,c\r\n1,2,3\r\n")
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(path)
+
+    def test_header_values_are_read_verbatim(self, tmp_path):
+        # quotes and commas inside a value, as in compact scenario JSON
+        scenario = {"a": 1, "b": "x,y", "c": [1.5, "\"q\""]}
+        meta = {"scenario": json.dumps(scenario, separators=(",", ":")), "k": 'a,"b,c"'}
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, RunTrace(np.zeros((2, len(TRACE_COLUMNS))), meta))
+        loaded = read_trace_csv(path)
+        assert loaded.meta == meta
+        assert json.loads(loaded.meta["scenario"]) == scenario
+
+    @staticmethod
+    def hundred_rows(path, line=None, text=None):
+        """Write a 100-row trace (its header is lines 1-2); ``text`` replaces ``line``."""
+        data = np.arange(100 * len(TRACE_COLUMNS), dtype=float).reshape(100, -1) / 7.0
+        write_trace_csv(path, RunTrace(data))
+        if line is not None:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[line - 1] = text
+            path.write_text("".join(lines))
+        return data
+
+    @pytest.mark.parametrize("text, where", [
+        ("0,x" + ",0" * 16 + "\n", "line 57: could not convert"),
+        ("0,1,2\n", "line 57: 3 fields, expected 18"),
+        ("0" + ",0" * 18 + "\n", "line 57: 19 fields, expected 18"),
+        ('"0"' + ",0" * 17 + "\n", "line 57: could not convert"),
+        ("1_0" + ",0" * 17 + "\n", "line 57: could not convert"),
+    ], ids=["value", "short", "long", "quoted", "digit-separator"])
+    def test_bad_row_names_its_line(self, tmp_path, text, where):
+        path = tmp_path / "trace.csv"
+        self.hundred_rows(path, 57, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {where}"):
+            read_trace_csv(path)
+
+    def test_blank_lines_and_comments_in_the_data_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        self.hundred_rows(path)
+        plain = read_trace_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[10:10] = ["\n", "\r\n", "# note: not metadata\n"]
+        path.write_text("".join(lines))
+        loaded = read_trace_csv(path)
+        assert loaded.data.view(np.uint64).tolist() == plain.data.view(np.uint64).tolist()
+        assert loaded.meta == plain.meta
+
+    def test_lf_line_endings_read_the_same(self, tmp_path):
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        self.hundred_rows(crlf)
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        a, b = read_trace_csv(crlf), read_trace_csv(lf)
+        assert a.data.view(np.uint64).tolist() == b.data.view(np.uint64).tolist()
+        assert a.meta == b.meta
+
+    def test_header_without_rows_is_no_data(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, RunTrace(np.zeros((0, len(TRACE_COLUMNS))), {"k": "v"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # numpy's "input contained no data" too
+            with pytest.raises(ValueError, match="no trace data found"):
+                read_trace_csv(path)
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(len(TRACE_COLUMNS))),
+                      elements=st.one_of(
+                          st.floats(allow_subnormal=True),
+                          st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                                           2.5e-310, 1e308, -1e308, 1.7976931348623157e308]))))
+    def test_read_is_the_9_digit_value(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        write_trace_csv(path, RunTrace(data))
+        loaded = read_trace_csv(path)
+        want = np.array([[float(format(v, ".9g")) for v in row] for row in data.tolist()])
+        assert loaded.data.shape == want.shape
+        assert (np.isnan(loaded.data) == np.isnan(want)).all()
+        same = loaded.data.view(np.uint64) == want.view(np.uint64)
+        assert (same | np.isnan(want)).all()
+        again = path.with_name("again.csv")
+        write_trace_csv(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestCompare:
