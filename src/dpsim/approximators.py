@@ -154,9 +154,6 @@ class AdaptiveWeights:
     def norms(self) -> np.ndarray:
         return row_norms(self.theta)
 
-    def copy(self) -> "AdaptiveWeights":
-        return AdaptiveWeights(self.theta.copy())
-
 
 def write_weight_csv(path, weights: AdaptiveWeights) -> None:
     """Snapshot the weights as CSV rows (node_index, theta1, theta2, theta3).

@@ -8,7 +8,7 @@ Two controller families:
 * adaptive backstepping with a radial-basis network -- virtual velocity
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
-  of the per-axis weights; :func:`backstep_law` is the same law in floats.
+  of the per-axis weights; :func:`backstep_law`, in floats, is its one form here.
 Both laws take the heading error as the smallest signed angle, ``ssa``, and
 both clamp their output through :func:`saturate`, a float clamp.
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dpsim.approximators import AdaptiveWeights
-from dpsim.vessel import rotation_matrix, ssa, yaw_cos_sin, yaw_rate_skew
+# unused here: perfbench's test_wrappers_are_removed_after_the_request reads rotation_matrix
+from dpsim.vessel import rotation_matrix, ssa, yaw_cos_sin  # noqa: F401
 
 ADAPTATION_LAWS = ("stable", "unstable")
 PID_FRAMES = ("body", "earth")
@@ -211,70 +211,14 @@ def saturate(tau, limits: SaturationLimits | None) -> tuple:
     return min(max(t0, -m0), m0), min(max(t1, -m1), m1), min(max(t2, -m2), m2)
 
 
-def compute_alpha1(k1, psi: float, z1) -> np.ndarray:
-    """Virtual velocity command -R(psi)^T K1 z1."""
-    return -(rotation_matrix(psi).T @ (np.asarray(k1) @ np.asarray(z1, dtype=float)))
-
-
-def compute_alpha1_dot(k1, psi: float, r: float, z1, nu) -> np.ndarray:
-    """Analytic time derivative of the virtual command for a fixed target.
-
-    Uses d/dt R = R S(r) and z1_dot = R nu.
-    """
-    R = rotation_matrix(psi)
-    k1 = np.asarray(k1)
-    term_rot = -(R @ yaw_rate_skew(r)).T @ (k1 @ np.asarray(z1, dtype=float))
-    term_vel = -R.T @ (k1 @ (R @ np.asarray(nu, dtype=float)))
-    return term_rot + term_vel
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Backstepping error coordinates at one instant."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    alpha1: np.ndarray
-    alpha1_dot: np.ndarray
-
-
-def pose_error(eta, eta_d) -> np.ndarray:
-    """z1 = eta - eta_d with the heading error taken as the smallest signed angle."""
-    z1 = np.asarray(eta, dtype=float) - np.asarray(eta_d, dtype=float)
-    z1[2] = ssa(float(z1[2]))
-    return z1
-
-
-def error_state(eta, nu, eta_d, k1) -> ErrorState:
-    eta = np.asarray(eta, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    z1 = pose_error(eta, eta_d)
-    alpha1 = compute_alpha1(k1, eta[2], z1)
-    z2 = nu - alpha1
-    alpha1_dot = compute_alpha1_dot(k1, eta[2], nu[2], z1, nu)
-    return ErrorState(z1, z2, alpha1, alpha1_dot)
-
-
-def backstep_control(gains: BackstepGains, psi: float, z1, z2, basis_vec,
-                     weights: AdaptiveWeights) -> np.ndarray:
-    """Control law -R^T z1 - K2 z2 + network output."""
-    basis_vec = np.asarray(basis_vec, dtype=float)
-    if weights.theta.shape[1] != basis_vec.shape[0]:
-        raise ValueError(
-            f"basis has {basis_vec.shape[0]} nodes, weights have {weights.theta.shape[1]}")
-    nn = weights.theta @ basis_vec
-    return -(rotation_matrix(psi).T @ np.asarray(z1, dtype=float)) \
-        - gains.K2 @ np.asarray(z2, dtype=float) + nn
-
-
 def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
     """The law in floats, gains unpacked once: ``errors(state, c, s)`` and ``torque``.
 
     ``errors`` reads pose and velocity from ``state[:6]`` and the yaw's cosine
     and sine and returns the triples z1, alpha1 and z2; ``torque(z1, z2, nn,
-    c, s)`` returns ``-R^T z1 - K2 z2 + nn`` clamped by :func:`saturate`:
-    :func:`compute_alpha1` and :func:`backstep_control` written out product by
-    product.
+    c, s)`` returns ``-R^T z1 - K2 z2 + nn`` clamped by :func:`saturate`.
+    This is the package's one form of the law, written out product by
+    product; ``tests/oracles.py`` keeps its numpy form as a reference.
     """
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gains.K1.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = gains.K2.tolist()
@@ -296,40 +240,6 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
                          -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2]), limits)
 
     return errors, torque
-
-
-@dataclass(frozen=True)
-class LyapunovTrace:
-    """Energy-style diagnostics; ``partial`` marks a missing weight-error term."""
-
-    v1: float
-    v2a: float
-    partial: bool
-
-
-def lyapunov_eval(eta, nu, eta_d, params, k1=None, weights: AdaptiveWeights | None = None,
-                  gamma=None, theta_star=None) -> LyapunovTrace:
-    """Evaluate 0.5 z1'z1 and its velocity/weight extensions.
-
-    With ``k1`` the velocity error is taken against the virtual command;
-    otherwise z2 = nu.  The weight-error term needs a reference ``theta_star``
-    (a (3, l) array) and the adaptation gains ``gamma``, a scalar or per-axis
-    3-vector like ``BackstepGains.gamma``; without one the result is flagged
-    partial.
-    """
-    eta = np.asarray(eta, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    z1 = pose_error(eta, eta_d)
-    alpha1 = compute_alpha1(k1, eta[2], z1) if k1 is not None else np.zeros(3)
-    z2 = nu - alpha1
-    v1 = 0.5 * float(z1 @ z1)
-    v2 = v1 + 0.5 * float(z2 @ (params.M @ z2))
-    if theta_star is not None and weights is not None and gamma is not None:
-        err = weights.theta - np.asarray(theta_star, dtype=float)
-        gamma = np.asarray(gamma, dtype=float).reshape(-1, 1) * np.ones_like(err)
-        v2a = v2 + 0.5 * float((err * err / gamma).sum())
-        return LyapunovTrace(v1, v2a, partial=False)
-    return LyapunovTrace(v1, v2, partial=True)
 
 
 def dissipation_params(k1, k2, m, sigma, approx_error_bound, weight_norm_bound,

@@ -31,7 +31,7 @@ from dpsim.config import ScenarioConfig, build_components
 from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, target_pose
-# rotation_matrix is no longer called here; perfbench's tracer and tests still look it up
+# unused here: perfbench's test_wrappers_are_removed_after_the_request reads rotation_matrix
 from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin  # noqa: F401
 
 DEFAULT_POS_BAND_M = 0.5

@@ -82,11 +82,14 @@ def write_rows(fh, row_format, data, numbered=False) -> None:
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
+    """Write ``trace``; a line break in a meta key or value is a ValueError, before writing."""
+    header = [f"# {FORMAT_NAME} {FORMAT_VERSION}"]
+    for key, value in trace.meta.items():
+        header.append(f"# {key}: {value}")
+        if "\r" in header[-1] or "\n" in header[-1]:
+            raise ValueError(f"trace header {key!r}: a line break in the key or value")
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {FORMAT_NAME} {FORMAT_VERSION}\r\n")
-        for key, value in trace.meta.items():
-            fh.write(f"# {key}: {value}\r\n")
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.write("\r\n".join([*header, ",".join(TRACE_COLUMNS)]) + "\r\n")
         write_rows(fh, _ROW_FORMAT, trace.data)
 
 
@@ -111,6 +114,16 @@ def _check_row(line) -> None:
     except ValueError as exc:
         # numpy names the row within its one-line input; the caller names the line
         raise ValueError(str(exc).replace(" at row 0,", " in")) from None
+
+
+def _undecodable_line(path, encoding):
+    """``(number, error)`` of the first line, split as in text mode, that fails to decode."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh.read().splitlines(), 1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                return number, exc
 
 
 def read_trace_csv(path) -> RunTrace:
@@ -143,6 +156,8 @@ def read_trace_csv(path) -> RunTrace:
                 try:
                     data = _loadtxt(fh)
                     bad = len(data) and data.shape[1] != len(TRACE_COLUMNS)
+                except UnicodeDecodeError:      # named below, without walking the rows
+                    raise
                 except ValueError:
                     bad = True
                 if bad:
@@ -154,6 +169,8 @@ def read_trace_csv(path) -> RunTrace:
                     raise ValueError("np.loadtxt rejects the rows, but none alone")
                 break
         except ValueError as exc:   # UnicodeDecodeError included
+            if isinstance(exc, UnicodeDecodeError):     # chunks decode ahead of the line read
+                number, exc = _undecodable_line(path, fh.encoding) or (number, exc)
             raise ValueError(f"{path}, line {number}: {exc}") from None
     if not len(data):
         raise ValueError(f"{path}: no trace data found")

@@ -1,4 +1,4 @@
-"""3-DOF vessel plant: rotation kinematics, rigid-body dynamics, RK4 stepping.
+"""3-DOF vessel plant: parameters, rotation, angles; ``simulate`` integrates it.
 
 Conventions: earth-frame pose ``eta = [x, y, psi]`` (m, m, rad) and body-frame
 velocity ``nu = [u, v, r]`` (surge m/s, sway m/s, yaw rate rad/s).  Yaw is kept
@@ -16,10 +16,6 @@ import numpy as np
 
 class SingularInertiaError(ValueError):
     """Inertia matrix is not invertible (malformed plant parameters)."""
-
-
-class NonFiniteStateError(FloatingPointError):
-    """An integration step produced NaN/Inf state (simulation blow-up)."""
 
 
 def wrap_angle(psi):
@@ -81,39 +77,3 @@ def rotation_matrix(psi: float) -> np.ndarray:
     """Body-to-earth rotation about the vertical axis; orthogonal, det = 1."""
     c, s = yaw_cos_sin(psi)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def yaw_rate_skew(r: float) -> np.ndarray:
-    """Angular-rate generator S(r) with d/dt R(psi) = R(psi) S(r)."""
-    return np.array([[0.0, -r, 0.0], [r, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def plant_derivative(eta, nu, params: VesselParams, tau, delta):
-    """Continuous-time plant: eta_dot = R(psi) nu, nu_dot = M^-1 (tau + delta - D nu).
-
-    ``delta`` is the body-frame environmental load. Returns (eta_dot, nu_dot).
-    """
-    R = rotation_matrix(eta[2])
-    eta_dot = R @ nu
-    nu_dot = params.M_inv @ (tau + delta - params.D @ nu)
-    return eta_dot, nu_dot
-
-
-def rk4_step(y: np.ndarray, dt: float, deriv) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step on a flat state array.
-
-    ``deriv(y) -> dy/dt`` must be evaluable at the intermediate states; any
-    exogenous inputs (control, disturbance) are held constant across the
-    sub-stages by the caller.  Raises :class:`NonFiniteStateError` if the
-    update produces NaN/Inf.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * dt * k1)
-    k3 = deriv(y + 0.5 * dt * k2)
-    k4 = deriv(y + dt * k3)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise NonFiniteStateError("RK4 step produced a non-finite state")
-    return out

@@ -30,12 +30,14 @@ import pytest
 from dpsim.anfis import AnfisModel, anfis_layers
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.config import default_scenario
-from dpsim.controllers import (BackstepGains, backstep_control, compute_alpha1_dot,
-                               error_state, weighted_l2_norm)
+from dpsim.controllers import BackstepGains, PidController, PidGains, weighted_l2_norm
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
-from dpsim.simulate import metrics_from_trace, run_simulation, simulate_adaptive
+from dpsim.simulate import metrics_from_trace, run_simulation, simulate_adaptive, simulate_pid
 from dpsim.traces import TRACE_COLUMNS, RunTrace, write_trace_csv
-from dpsim.vessel import VesselParams, plant_derivative, rk4_step, yaw_cos_sin
+from dpsim.vessel import VesselParams, yaw_cos_sin
+
+from oracles import (backstep_control, compute_alpha1, compute_alpha1_dot, plant_derivative,
+                     pose_error, rk4_step)
 
 CRIT4_SEEDS = (101, 102, 103, 104, 105)
 
@@ -96,14 +98,15 @@ def ideal_law_metrics(cfg, feedforward=True, cancel_load=False):
 
     def deriv(y, delta):
         eta, nu = y[:3], y[3:]
-        err = error_state(eta, nu, cfg.target_pose, gains.K1)
+        z1 = pose_error(eta, cfg.target_pose)
+        alpha1 = compute_alpha1(gains.K1, eta[2], z1)
         ideal = np.zeros(3)
         if feedforward:
-            ideal = plant.M @ err.alpha1_dot + plant.D @ err.alpha1
+            ideal = (plant.M @ compute_alpha1_dot(gains.K1, eta[2], nu[2], z1, nu)
+                     + plant.D @ alpha1)
         if cancel_load:
             ideal = ideal - load
-        tau = backstep_control(gains, eta[2], err.z1, err.z2, unit_basis,
-                               AdaptiveWeights(ideal[:, None]))
+        tau = backstep_control(gains, eta[2], z1, nu - alpha1, unit_basis, ideal[:, None])
         return np.concatenate(plant_derivative(eta, nu, plant, tau, delta))
 
     steps = cfg.steps()
@@ -145,7 +148,8 @@ def test_criterion_1_rotation_kinematics():
     rng = np.random.default_rng(2024)
     psis = rng.uniform(-50.0, 50.0, size=10_000)
     start = time.perf_counter()
-    c, s = np.cos(psis), np.sin(psis)
+    # the engine's rotation: it takes R(psi) as (cos psi, sin psi) from yaw_cos_sin
+    c, s = np.array([yaw_cos_sin(psi) for psi in psis.tolist()]).T
     R = np.zeros((psis.size, 3, 3))
     R[:, 0, 0] = c
     R[:, 0, 1] = -s
@@ -163,13 +167,16 @@ def test_criterion_1_rotation_kinematics():
 
 
 def test_criterion_2_integrator_order():
+    # the engine's RK4 on u' = -u: M = D = I, zero PID gains, no load, u(0) = 1
     start = time.perf_counter()
+    plant, zero = VesselParams(np.eye(3), np.eye(3)), np.zeros((3, 3))
 
     def global_error(dt):
-        y = np.array([1.0])
-        for _ in range(int(round(1.0 / dt))):
-            y = rk4_step(y, dt, lambda v: -v)
-        return abs(y[0] - math.exp(-1.0))
+        trace, _ = simulate_pid(plant, PidController(PidGains(zero, zero, zero)),
+                                ConstantDisturbance(np.zeros(3)), eta0=np.zeros(3),
+                                nu0=np.array([1.0, 0.0, 0.0]), eta_d=np.zeros(3), dt=dt,
+                                duration=1.0)
+        return abs(trace.velocity[-1, 0] - math.exp(-1.0))
 
     exponent = math.log2(global_error(0.1) / global_error(0.05))
     elapsed = time.perf_counter() - start

@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 from dpsim.approximators import AdaptiveWeights, RbfNetwork
 from dpsim.config import default_scenario
 from dpsim.controllers import (PID_FRAMES, BackstepGains, InvalidGainError, PidController,
-                               PidGains, SaturationLimits, backstep_control, backstep_law,
-                               compute_alpha1, compute_alpha1_dot, dissipation_params,
-                               error_state, lyapunov_eval, pose_error, saturate,
-                               ultimate_bound, weighted_l2_norm)
+                               PidGains, SaturationLimits, backstep_law, dissipation_params,
+                               saturate, ultimate_bound, weighted_l2_norm)
 from dpsim.disturbance import ConstantDisturbance
-from dpsim.simulate import SimulationAbort, simulate_adaptive
+from dpsim.simulate import SimulationAbort, simulate_adaptive, simulate_pid
 from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
+
+from oracles import backstep_control, compute_alpha1, compute_alpha1_dot, pose_error
 
 BENCH_M = np.diag([5.3122e6, 8.2831e6, 3.7454e9])
 BENCH_D = np.array([
@@ -173,29 +173,16 @@ class TestVirtualControl:
         analytic = compute_alpha1_dot(k1, psi, r, z1, nu)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5)
 
-    def test_error_state_consistency(self):
-        eta = np.array([1.0, 2.0, 0.3])
-        nu = np.array([0.1, -0.2, 0.05])
-        es = error_state(eta, nu, np.zeros(3), BENCH_K1)
-        np.testing.assert_array_equal(es.z1, eta)
-        np.testing.assert_allclose(es.z2, nu - es.alpha1, rtol=1e-15)
-        np.testing.assert_allclose(
-            es.alpha1_dot, compute_alpha1_dot(BENCH_K1, 0.3, 0.05, eta, nu), rtol=1e-15)
-
     def test_heading_error_is_the_smallest_signed_angle(self):
         # 170 deg against a target of -170 deg is 20 deg short of it, as
         # against the same target written as 190 deg
         eta, nu = np.array([1.0, 2.0, np.radians(170.0)]), np.array([0.1, -0.2, 0.05])
-        params = VesselParams(BENCH_M, BENCH_D)
+        gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302))
         for target in (-170.0, 190.0):
             eta_d = np.array([0.5, -1.0, np.radians(target)])
-            es = error_state(eta, nu, eta_d, BENCH_K1)
-            assert es.z1[2] == pytest.approx(np.radians(-20.0), rel=1e-12)
-            np.testing.assert_allclose(
-                es.alpha1, compute_alpha1(BENCH_K1, eta[2], es.z1), rtol=1e-15)
-            v1 = lyapunov_eval(eta, nu, eta_d, params, k1=BENCH_K1).v1
-            assert v1 == pytest.approx(0.5 * (0.5 ** 2 + 3.0 ** 2 + np.radians(20.0) ** 2),
-                                       rel=1e-12)
+            z1 = backstep_law(gains, eta_d, None)[0]([*eta, *nu], *yaw_cos_sin(eta[2]))[0]
+            assert z1[2] == pytest.approx(np.radians(-20.0), rel=1e-12)
+            np.testing.assert_array_equal(z1, pose_error(eta, eta_d))
             pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
             assert pid.error(eta, eta_d)[2] == pytest.approx(np.radians(20.0), rel=1e-12)
 
@@ -204,25 +191,25 @@ class TestBackstepControl:
     def test_all_zero(self):
         gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302), node_count=4)
         tau = backstep_control(gains, 0.2, np.zeros(3), np.zeros(3), np.zeros(4),
-                               AdaptiveWeights.zeros(4))
+                               np.zeros((3, 4)))
         np.testing.assert_array_equal(tau, np.zeros(3))
 
     def test_velocity_term_hand_product(self):
         gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302), node_count=1)
         tau = backstep_control(gains, 0.0, np.zeros(3), np.array([0.01, 0.01, 0.001]),
-                               np.zeros(1), AdaptiveWeights.zeros(1))
+                               np.zeros(1), np.zeros((3, 1)))
         np.testing.assert_allclose(tau, [-500.0, -600.0, -54.0], rtol=1e-12)
 
     def test_block_structure(self):
         gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302), node_count=3)
         basis = np.array([0.3, 0.2, 0.1])
         rng = np.random.default_rng(3)
-        weights = AdaptiveWeights(rng.normal(size=(3, 3)))
+        weights = rng.normal(size=(3, 3))
         z1, z2 = rng.normal(size=3), rng.normal(size=3)
         base = backstep_control(gains, 0.4, z1, z2, basis, weights)
         bumped = weights.copy()
         delta = np.array([0.5, -0.25, 1.0])
-        bumped.theta[0] += delta
+        bumped[0] += delta
         moved = backstep_control(gains, 0.4, z1, z2, basis, bumped)
         assert moved[0] - base[0] == pytest.approx(delta @ basis, rel=1e-9, abs=1e-9)
         np.testing.assert_array_equal(moved[1:], base[1:])
@@ -233,18 +220,12 @@ class TestBackstepControl:
         psi = 0.7
         z1, z2 = rng.normal(size=3), rng.normal(size=3)
         basis = rng.random(2)
-        weights = AdaptiveWeights(rng.normal(size=(3, 2)))
+        weights = rng.normal(size=(3, 2))
         total = backstep_control(gains, psi, z1, z2, basis, weights)
         term_pose = -(rotation_matrix(psi).T @ z1)
         term_vel = -(BENCH_K2 @ z2)
-        term_nn = weights.theta @ basis
+        term_nn = weights @ basis
         np.testing.assert_allclose(total, term_pose + term_vel + term_nn, rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302), node_count=2)
-        with pytest.raises(ValueError):
-            backstep_control(gains, 0.0, np.zeros(3), np.zeros(3), np.zeros(3),
-                             AdaptiveWeights.zeros(2))
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -301,7 +282,7 @@ class TestBackstepControl:
         assert abs(want_z1[2]) <= np.pi
         want_alpha1 = compute_alpha1(K1, psi, want_z1)
         want_tau = saturate(backstep_control(gains, psi, want_z1, nu - want_alpha1, [1.0],
-                                             AdaptiveWeights(np.array(nn)[:, None])), limits)
+                                             np.array(nn)[:, None]), limits)
         abs_rot = np.abs(rotation_matrix(psi))
         # rtol 1e-12 of the sum of the magnitudes of each product's terms
         alpha_scale = abs_rot.T @ (np.abs(K1) @ np.abs(want_z1))
@@ -514,36 +495,28 @@ class TestFrameInvariance:
 
 
 class TestLyapunov:
-    def test_zero_at_reference(self):
-        params = VesselParams(BENCH_M, BENCH_D)
-        weights = AdaptiveWeights(np.array([[0.5], [0.5], [0.5]]))
-        trace = lyapunov_eval(np.zeros(3), np.zeros(3), np.zeros(3), params,
-                              weights=weights, gamma=0.1, theta_star=weights.theta)
-        assert trace.v1 == 0.0
-        assert trace.v2a == 0.0
-        assert not trace.partial
+    """The trace's V1 and V2a_partial columns at the first sample, by hand."""
 
-    def test_weight_term_uses_per_axis_gains(self):
-        params = VesselParams(BENCH_M, BENCH_D)
-        weights = AdaptiveWeights(np.ones((3, 2)))
-        trace = lyapunov_eval(np.zeros(3), np.zeros(3), np.zeros(3), params,
-                              weights=weights, gamma=(0.5, 1.0, 2.0),
-                              theta_star=np.zeros((3, 2)))
-        # 0.5 * sum_i |theta_i|^2 / gamma_i with |theta_i|^2 = 2
-        assert trace.v2a == pytest.approx(2.0 + 1.0 + 0.5, rel=1e-15)
+    @staticmethod
+    def first_sample(eta0, nu0):
+        """(V1, V2a_partial) at t = 0 of a PID run to the origin; for PID z2 = nu."""
+        trace, _ = simulate_pid(VesselParams(BENCH_M, BENCH_D),
+                                PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD)),
+                                ConstantDisturbance(np.zeros(3)), eta0=eta0, nu0=nu0,
+                                eta_d=np.zeros(3), dt=0.1, duration=0.1)
+        return trace.v1[0], trace.v2a_partial[0]
+
+    def test_zero_at_reference(self):
+        assert self.first_sample(np.zeros(3), np.zeros(3)) == (0.0, 0.0)
 
     def test_pose_term(self):
-        params = VesselParams(BENCH_M, BENCH_D)
-        trace = lyapunov_eval(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                              params)
-        assert trace.v1 == pytest.approx(0.5)
-        assert trace.partial
+        v1, v2a = self.first_sample(np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        assert v1 == pytest.approx(0.5)
+        assert v2a == v1
 
     def test_velocity_term_hand_product(self):
-        params = VesselParams(BENCH_M, BENCH_D)
-        trace = lyapunov_eval(np.zeros(3), np.array([0.01, 0.0, 0.0]), np.zeros(3),
-                              params)
-        assert trace.v2a - trace.v1 == pytest.approx(265.61, rel=1e-6)
+        v1, v2a = self.first_sample(np.zeros(3), np.array([0.01, 0.0, 0.0]))
+        assert v2a - v1 == pytest.approx(265.61, rel=1e-6)
 
 
 class TestUltimateBound:

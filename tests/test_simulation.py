@@ -20,15 +20,15 @@ from dpsim import kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
-from dpsim.controllers import BackstepGains, PidController, PidGains, compute_alpha1
+from dpsim.controllers import BackstepGains, PidController, PidGains
 from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (FOLD_STEPS, SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
-from dpsim.vessel import (VesselParams, plant_derivative, rk4_step, rotation_matrix,
-                          yaw_cos_sin)
+from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
 
-from oracles import joint_rk4_states
+from oracles import (compute_alpha1, joint_rk4_states, plant_derivative, pose_error,
+                     rk4_step)
 
 CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
@@ -143,7 +143,8 @@ class TestRunSimulation:
         weights0 = AdaptiveWeights.random_init(network.node_count, cfg.weight_seed)
         gains = BackstepGains(cfg.k1, cfg.k2, (0.5, 2.0, 6.0), cfg.sigma, law=law)
         n = network.node_count
-        y = joint_rk4_states(plant, gains, network, weights0, cfg.constant_delta,
+        y = joint_rk4_states(plant, gains, network, weights0,
+                             ConstantDisturbance(cfg.constant_delta),
                              eta0=cfg.initial_pose, nu0=cfg.initial_velocity,
                              eta_d=cfg.target_pose, dt=cfg.dt, steps=steps)[-1]
         trace, _ = simulate_adaptive(
@@ -333,7 +334,7 @@ class TestDeferredFold:
             np.testing.assert_array_equal(getattr(probed_metrics, field),
                                           getattr(metrics, field))
         states = joint_rk4_states(parts.plant, parts.gains, parts.network, weights0,
-                                  cfg.constant_delta, eta0=cfg.initial_pose,
+                                  ConstantDisturbance(cfg.constant_delta), eta0=cfg.initial_pose,
                                   nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                                   dt=cfg.dt, steps=steps)
         assert len(seen) == steps + 1
@@ -359,87 +360,134 @@ COUPLED_START = dict(eta0=np.array([10.0, -6.0, 0.7]), nu0=np.array([0.2, -0.1, 
                      eta_d=np.array([1.0, 2.0, -0.3]), dt=0.1)
 
 
+COUPLED_K1 = np.array([[0.04, 0.01, 0.002], [0.01, 0.06, -0.003], [0.002, -0.003, 0.8]])
+COUPLED_K2 = np.array([[5e4, 1e4, 2e3], [1e4, 6e4, -3e3], [2e3, -3e3, 5e4]])
+COUPLED_PID = (np.array([[3e3, 500.0, -20.0], [-400.0, 9e3, 1e3], [2e4, -3e4, 1e8]]),
+               np.array([[5.0, 1.0, 0.0], [0.0, 50.0, -2.0], [3.0, 0.0, 30.0]]),
+               np.array([[5e4, -1e3, 0.0], [2e3, 7e4, 1e4], [0.0, 5e3, 300.0]]))
+# 177 deg turning at 0.05 rad/s towards a target of -170 deg: the heading error
+# is -13 deg, not 347 deg, and the heading passes +-pi after about a second
+SEAM_START = dict(eta0=np.array([10.0, -6.0, math.radians(177.0)]),
+                  nu0=np.array([0.2, -0.1, 0.05]),
+                  eta_d=np.array([1.0, 2.0, math.radians(-170.0)]), dt=0.1)
+
+
 def energies(eta, z2, eta_d, M):
-    """Oracle V1 = |eta - eta_d|^2 / 2 and V2 = V1 + z2' M z2 / 2, one per row."""
-    z1 = eta - eta_d
+    """Oracle V1 = |z1|^2 / 2 and V2 = V1 + z2' M z2 / 2, z1 = pose_error(eta, eta_d), per row."""
+    z1 = np.array([pose_error(row, eta_d) for row in eta])
     v1 = 0.5 * (z1 * z1).sum(axis=1)
     return v1, v1 + 0.5 * np.einsum("ki,ij,kj->k", z2, M, z2)
 
 
+def wrapped(states):
+    """The pose columns of oracle states with the yaw wrapped, as a trace holds them."""
+    return np.column_stack([states[:, :2], wrap_angle(states[:, 2])])
+
+
+def pid_rk4_rows(plant, frame, load, *, eta0, nu0, eta_d, dt, steps):
+    """Rows [eta, nu, tau] of a PID run with COUPLED_PID gains, yaw unwrapped.
+
+    The oracle PID: the three products, trapezoid integral, numpy rotations;
+    the plant is oracles.plant_derivative under rk4_step, tau held per step.
+    """
+    Kp, Ki, Kd = COUPLED_PID
+    y = np.concatenate([eta0, nu0])
+    integral, prev, rows = np.zeros(3), None, []
+    for _ in range(steps + 1):
+        R = rotation_matrix(y[2])
+        diff = pose_error(eta_d, y[:3])
+        if frame == "earth":
+            err, rate = diff, -(R @ y[3:])
+        else:
+            err, rate = np.append((R.T @ [diff[0], diff[1], 0.0])[:2], diff[2]), -y[3:]
+        if prev is not None:
+            integral = integral + 0.5 * dt * (prev + err)
+        prev = err
+        tau = Kp @ err + Ki @ integral + Kd @ rate
+        rows.append(np.concatenate([y, tau]))
+        y = rk4_step(y, dt, lambda s: np.concatenate(
+            plant_derivative(s[:3], s[3:], plant, tau, load)))
+    return np.array(rows)
+
+
 class TestFloatEngine:
-    """The engine's float arithmetic against numpy oracles built on vessel functions."""
+    """The engine's float arithmetic against the numpy oracles of ``tests/oracles.py``."""
+
+    @staticmethod
+    def pid_run(plant, frame, steps, start):
+        return simulate_pid(plant, PidController(PidGains(*COUPLED_PID), frame),
+                            ConstantDisturbance(COUPLED_LOAD), duration=steps * start["dt"],
+                            **start)[0]
+
+    def check_pid(self, frame, steps, start):
+        """A PID run on the coupled plant against ``pid_rk4_rows`` at rtol 1e-12."""
+        plant = VesselParams(COUPLED_M, COUPLED_D)
+        want = pid_rk4_rows(plant, frame, COUPLED_LOAD, steps=steps, **start)
+        trace = self.pid_run(plant, frame, steps, start)
+        np.testing.assert_allclose(trace.pose, wrapped(want), rtol=1e-12)
+        np.testing.assert_allclose(np.column_stack([trace.velocity, trace.tau]), want[:, 3:],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (steps + 1, 1)))
+        v1, v2 = energies(want[:, :3], want[:, 3:6], start["eta_d"], COUPLED_M)
+        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
+        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+        return trace, want
 
     @pytest.mark.parametrize("frame", ["body", "earth"])
     def test_pid_on_coupled_plant_matches_plant_derivative(self, frame):
-        plant = VesselParams(COUPLED_M, COUPLED_D)
-        Kp = np.array([[3e3, 500.0, -20.0], [-400.0, 9e3, 1e3], [2e4, -3e4, 1e8]])
-        Ki = np.array([[5.0, 1.0, 0.0], [0.0, 50.0, -2.0], [3.0, 0.0, 30.0]])
-        Kd = np.array([[5e4, -1e3, 0.0], [2e3, 7e4, 1e4], [0.0, 5e3, 300.0]])
-        eta_d, dt, steps = COUPLED_START["eta_d"], COUPLED_START["dt"], 30
-        # oracle PID: the three products, trapezoid integral, numpy rotations;
-        # the plant is vessel.plant_derivative under rk4_step, tau held per step
-        y = np.concatenate([COUPLED_START["eta0"], COUPLED_START["nu0"]])
-        integral, prev, want = np.zeros(3), None, []
-        for _ in range(steps + 1):
-            R = rotation_matrix(y[2])
-            diff = eta_d - y[:3]
-            if frame == "earth":
-                err, rate = diff, -(R @ y[3:])
-            else:
-                err, rate = np.append((R.T @ [diff[0], diff[1], 0.0])[:2], diff[2]), -y[3:]
-            if prev is not None:
-                integral = integral + 0.5 * dt * (prev + err)
-            prev = err
-            tau = Kp @ err + Ki @ integral + Kd @ rate
-            want.append(np.concatenate([y, tau]))
-            y = rk4_step(y, dt, lambda s: np.concatenate(
-                plant_derivative(s[:3], s[3:], plant, tau, COUPLED_LOAD)))
-        want = np.array(want)
-
-        def run(run_plant):
-            return simulate_pid(run_plant, PidController(PidGains(Kp, Ki, Kd), frame),
-                                ConstantDisturbance(COUPLED_LOAD), duration=steps * dt,
-                                **COUPLED_START)[0]
-
-        trace = run(plant)
-        np.testing.assert_allclose(np.column_stack([trace.pose, trace.velocity, trace.tau]),
-                                   want, rtol=1e-12)
-        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (steps + 1, 1)))
-        v1, v2 = energies(want[:, :3], want[:, 3:6], eta_d, COUPLED_M)
-        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
-        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+        steps = 30
+        trace, _ = self.check_pid(frame, steps, COUPLED_START)
         # the coupling terms move the run far beyond the tolerance above
-        diagonal = run(VesselParams(np.diag(np.diag(COUPLED_M)), np.diag(np.diag(COUPLED_D))))
+        diagonal = self.pid_run(VesselParams(np.diag(np.diag(COUPLED_M)),
+                                             np.diag(np.diag(COUPLED_D))),
+                                frame, steps, COUPLED_START)
         assert np.abs(diagonal.velocity[-1] / trace.velocity[-1] - 1.0).max() > 1e-3
 
-    def test_adaptive_on_coupled_plant_matches_plant_derivative(self):
-        # oracle: all 3 l weights of a 2^9 grid integrated as ordinary RK4
-        # state with the plant, under non-diagonal K1 and K2
+    @pytest.mark.parametrize("frame", ["body", "earth"])
+    def test_pid_across_the_seam_matches_plant_derivative(self, frame):
+        _, want = self.check_pid(frame, 20, SEAM_START)
+        assert want[0, 2] < math.pi < want[-1, 2]
+
+    @staticmethod
+    def check_adaptive(load, steps, start):
+        """An adaptive 2^9 run on the coupled plant, non-diagonal K1 and K2, against
+        the dense joint-RK4 oracle: pose, velocity, weights, V1 and V2a at rtol 1e-12.
+
+        ``load()`` makes a fresh load for each of the two runs.  Returns the trace
+        and the oracle's states.
+        """
         plant = VesselParams(COUPLED_M, COUPLED_D)
         network = RbfNetwork.grid(points_per_dim=2)
         n = network.node_count
         weights0 = AdaptiveWeights.random_init(n, 3)
-        K1 = np.array([[0.04, 0.01, 0.002], [0.01, 0.06, -0.003], [0.002, -0.003, 0.8]])
-        K2 = np.array([[5e4, 1e4, 2e3], [1e4, 6e4, -3e3], [2e3, -3e3, 5e4]])
-        gains = BackstepGains(K1, K2, (0.5, 2.0, 6.0), (2.13, 2.13, 0.302))
-        eta_d, dt, steps = COUPLED_START["eta_d"], COUPLED_START["dt"], 20
-
-        def alpha1_of(eta):
-            return compute_alpha1(gains.K1, eta[2], eta - eta_d)
-
-        states = joint_rk4_states(plant, gains, network, weights0, COUPLED_LOAD, steps=steps,
-                                  **COUPLED_START)
-        trace, _ = simulate_adaptive(plant, gains, network, weights0,
-                                     ConstantDisturbance(COUPLED_LOAD),
-                                     duration=steps * dt, **COUPLED_START)
-        np.testing.assert_allclose(trace.pose, states[:, :3], rtol=1e-12)
+        gains = BackstepGains(COUPLED_K1, COUPLED_K2, (0.5, 2.0, 6.0), (2.13, 2.13, 0.302))
+        states = joint_rk4_states(plant, gains, network, weights0, load(), steps=steps,
+                                  **start)
+        trace, _ = simulate_adaptive(plant, gains, network, weights0, load(),
+                                     duration=steps * start["dt"], **start)
+        np.testing.assert_allclose(trace.pose, wrapped(states), rtol=1e-12)
         np.testing.assert_allclose(trace.velocity, states[:, 3:6], rtol=1e-12)
         np.testing.assert_allclose(trace.final_theta, states[-1, 6:].reshape(3, n),
                                    rtol=1e-12)
-        z2 = states[:, 3:6] - np.array([alpha1_of(s[:3]) for s in states])
-        v1, v2 = energies(states[:, :3], z2, eta_d, COUPLED_M)
+        eta_d = start["eta_d"]
+        alpha1 = [compute_alpha1(COUPLED_K1, s[2], pose_error(s[:3], eta_d)) for s in states]
+        v1, v2 = energies(states[:, :3], states[:, 3:6] - np.array(alpha1), eta_d, COUPLED_M)
         np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
         np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+        return trace, states
+
+    def test_adaptive_on_coupled_plant_matches_plant_derivative(self):
+        self.check_adaptive(lambda: ConstantDisturbance(COUPLED_LOAD), 20, COUPLED_START)
+
+    def test_adaptive_across_the_seam_matches_joint_rk4(self):
+        _, states = self.check_adaptive(lambda: ConstantDisturbance(COUPLED_LOAD), 20,
+                                        SEAM_START)
+        assert states[0, 2] < math.pi < states[-1, 2]
+
+    def test_adaptive_under_markov_load_matches_joint_rk4(self):
+        trace, _ = self.check_adaptive(
+            lambda: MarkovBias(1000.0, 1000.0, 12, (3e3, -2e3, 1e5)), 15, COUPLED_START)
+        assert (np.diff(trace.delta, axis=0) != 0).all()
 
     def test_markov_load_is_the_rotated_bias_stream(self):
         # oracle: an independent MarkovBias with the run's seed, stepped once
@@ -523,6 +571,30 @@ class TestTraceCsv:
         loaded = read_trace_csv(path)
         assert loaded.meta == meta
         assert json.loads(loaded.meta["scenario"]) == scenario
+
+    @pytest.mark.parametrize("meta", [{"k": "a\nb: c"}, {"k": "a\n# b: c"},
+                                      {"k": "a\rb"}, {"k\n": "v"}],
+                             ids=["value-lf", "value-lf-comment", "value-cr", "key-lf"])
+    def test_line_break_in_the_header_is_rejected_before_writing(self, tmp_path, meta):
+        # read back, the first two would be a bad header line and a silent extra key
+        path = tmp_path / "trace.csv"
+        key = next(iter(meta))
+        with pytest.raises(ValueError, match=f"^trace header {re.escape(repr(key))}: "):
+            write_trace_csv(path, RunTrace(np.zeros((2, len(TRACE_COLUMNS))), meta))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("line", [1, 5, 57])
+    def test_undecodable_byte_names_its_line(self, tmp_path, line):
+        # text is decoded 8 KB at a time: lines 1 and 5 lie in the first chunk,
+        # line 57 in the third, and the error must name the line all the same
+        path = tmp_path / "trace.csv"
+        self.hundred_rows(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "
+                                             ".* byte 0xff in position 3"):
+            read_trace_csv(path)
 
     @staticmethod
     def hundred_rows(path, line=None, text=None):
