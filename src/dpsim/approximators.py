@@ -162,4 +162,5 @@ def write_weight_csv(path, weights: AdaptiveWeights) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta1,theta2,theta3\r\n")
-        traces.write_rows(fh, "%d,%.9g,%.9g,%.9g\r\n", weights.theta.T, numbered=True)
+        traces.write_rows(fh, "%d,%.9g,%.9g,%.9g\r\n",
+                          np.column_stack((np.arange(weights.node_count), weights.theta.T)))

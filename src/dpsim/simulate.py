@@ -14,8 +14,8 @@ written in floats, not numpy calls, since the call cost dominates at that
 size.  The engine fills one row per
 full-rate sample and hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
-``metrics_from_trace``, so trace decimation does not change them; the
-bands and the tail window are the module constants below.
+``metrics_from_trace``; ``run_simulation`` decimates the trace after them.
+The bands and the tail window are the module constants below.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def _run_metrics(trace: RunTrace, target, window) -> RunMetrics:
     return RunMetrics(convergence, rms_pos, rms_psi, peak_tau, weight_sup)
 
 
-def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, decimation,
-                 meta, probe):
+def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, probe):
     """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
     The state ``y`` is a list of floats: pose, velocity, then ``state0``, the
@@ -165,12 +164,9 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, dec
                 raise SimulationAbort(t[k + 1], t[k], pv[:3], pv[3:])
             disturbance.step(dt)
 
-    trace = RunTrace(rows, dict(meta or {}))
+    trace = RunTrace(rows)
     trace.pose[:, 2] = wrap_angle(trace.pose[:, 2])
-    metrics = _run_metrics(trace, eta_d, DEFAULT_TAIL_WINDOW_S)
-    if decimation > 1:      # the metrics above saw every sample
-        trace.data = rows[::decimation].copy()
-    return trace, metrics
+    return trace, _run_metrics(trace, eta_d, DEFAULT_TAIL_WINDOW_S)
 
 
 # Steps whose factor rows wait before they are folded into the weights (see
@@ -181,8 +177,8 @@ FOLD_STEPS = 8
 
 def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNetwork,
                       weights0: AdaptiveWeights, disturbance, *, eta0, nu0, eta_d,
-                      dt, duration, decimation=1, limits: SaturationLimits | None = None,
-                      adapt=True, meta=None, probe=None):
+                      dt, duration, limits: SaturationLimits | None = None, adapt=True,
+                      probe=None):
     """Run the adaptive (or frozen-weight) backstepping loop.
 
     ``adapt=False`` keeps the initial weights for the whole run and reads
@@ -312,7 +308,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
-        duration=duration, decimation=decimation, meta=meta, probe=probe)
+        duration=duration, probe=probe)
     if pending:
         fold()
     trace.final_theta = theta.view()
@@ -321,8 +317,8 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
 
 def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
-                 eta0, nu0, eta_d, dt, duration, decimation=1,
-                 limits: SaturationLimits | None = None, meta=None, probe=None):
+                 eta0, nu0, eta_d, dt, duration, limits: SaturationLimits | None = None,
+                 probe=None):
     """Run the PID loop: one control update per step, zero-order hold."""
     eta_d = np.asarray(eta_d, dtype=float)
     target = eta_d.tolist()
@@ -337,23 +333,28 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
 
     return _closed_loop(
         plant, ((), control, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
-        duration=duration, decimation=decimation, meta=meta, probe=probe)
+        duration=duration, probe=probe)
 
 
 def run_simulation(cfg: ScenarioConfig):
-    """Execute one configured scenario; returns (RunTrace, RunMetrics)."""
+    """Execute one configured scenario; returns (RunTrace, RunMetrics), the trace
+    stamped with its header and decimated after the metrics saw every sample."""
     parts = build_components(cfg)
     meta = {"version": __version__, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
-                  dt=cfg.dt, duration=cfg.duration, decimation=cfg.decimation,
-                  limits=parts.limits, meta=meta)
+                  dt=cfg.dt, duration=cfg.duration, limits=parts.limits)
     if parts.network is None:
-        return simulate_pid(parts.plant, parts.pid, parts.disturbance, **common)
-    meta["nodes"] = str(parts.network.node_count)
-    weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
-    return simulate_adaptive(parts.plant, parts.gains, parts.network, weights0,
-                             parts.disturbance,
-                             adapt=(cfg.controller_type == "adaptive-nn"), **common)
+        trace, metrics = simulate_pid(parts.plant, parts.pid, parts.disturbance, **common)
+    else:
+        meta["nodes"] = str(parts.network.node_count)
+        weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
+        adapt = cfg.controller_type == "adaptive-nn"
+        trace, metrics = simulate_adaptive(parts.plant, parts.gains, parts.network, weights0,
+                                           parts.disturbance, adapt=adapt, **common)
+    trace.meta = meta
+    if cfg.decimation > 1:
+        trace.data = trace.data[::cfg.decimation].copy()
+    return trace, metrics
 
 
 def metrics_from_trace(trace: RunTrace, window=DEFAULT_TAIL_WINDOW_S) -> RunMetrics:

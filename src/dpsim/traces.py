@@ -71,23 +71,26 @@ _ROW_FORMAT = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\r\n"
 _ROWS_PER_WRITE = 256
 
 
-def write_rows(fh, row_format, data, numbered=False) -> None:
-    """Write each row of a 2-D array through one %-format, a block of rows per
-    write; ``numbered`` puts each row's index before its values."""
+def write_rows(fh, row_format, data) -> None:
+    """Write each row of a 2-D array through one %-format, a block of rows per write."""
     for start in range(0, len(data), _ROWS_PER_WRITE):
         block = data[start:start + _ROWS_PER_WRITE].tolist()
-        if numbered:
-            block = [(j, *row) for j, row in enumerate(block, start)]
         fh.write("".join([row_format % tuple(row) for row in block]))
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
-    """Write ``trace``; a line break in a meta key or value is a ValueError, before writing."""
+    """Write ``trace``; a meta entry that would not read back is a ValueError, before writing."""
     header = [f"# {FORMAT_NAME} {FORMAT_VERSION}"]
     for key, value in trace.meta.items():
+        key, value = str(key), str(value)
+        text = key + value
+        problem = ("a line break in the key or value" if "\r" in text or "\n" in text
+                   else "a ':' in the key" if ":" in key
+                   else "whitespace around the key or value"
+                   if key != key.strip() or value != value.strip() else None)
+        if problem:
+            raise ValueError(f"trace header {key!r}: {problem}")
         header.append(f"# {key}: {value}")
-        if "\r" in header[-1] or "\n" in header[-1]:
-            raise ValueError(f"trace header {key!r}: a line break in the key or value")
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([*header, ",".join(TRACE_COLUMNS)]) + "\r\n")
         write_rows(fh, _ROW_FORMAT, trace.data)
@@ -96,47 +99,52 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 _HEADER = ",".join(TRACE_COLUMNS)
 
 
-def _loadtxt(lines, dtype=float) -> np.ndarray:
-    """The rows of ``lines`` (a text file or a list of lines), parsed by np.loadtxt."""
+def _rows(lines) -> np.ndarray:
+    """The rows of ``lines`` (a text file or a list of lines), parsed by np.loadtxt;
+    rows that are not 18 fields wide are a ValueError."""
     with warnings.catch_warnings():
         # a block of only blank and comment lines parses to no rows, and says so
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
+    if len(data) and data.shape[1] != len(TRACE_COLUMNS):
+        raise ValueError(f"{data.shape[1]} fields, expected {len(TRACE_COLUMNS)}")
+    return data
 
 
-def _check_row(line) -> None:
-    """Raise ValueError if ``line`` has not 18 fields or np.loadtxt rejects it alone."""
-    fields = _loadtxt([line], dtype=str)
-    if len(fields) and fields.shape[1] != len(TRACE_COLUMNS):
-        raise ValueError(f"{fields.shape[1]} fields, expected {len(TRACE_COLUMNS)}")
-    try:
-        _loadtxt([line])
-    except ValueError as exc:
-        # numpy names the row within its one-line input; the caller names the line
-        raise ValueError(str(exc).replace(" at row 0,", " in")) from None
-
-
-def _undecodable_line(path, encoding):
-    """``(number, error)`` of the first line, split as in text mode, that fails to decode."""
+def _bad_line(path, encoding, header_lines):
+    """``(number, error)`` of the first line of ``path`` (split as in text mode) that does not
+    decode, else of the first row after line ``header_lines`` that _rows rejects."""
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh.read().splitlines(), 1):
-            try:
-                line.decode(encoding)
-            except UnicodeDecodeError as exc:
-                return number, exc
+        raw = fh.read().splitlines()
+    lines = []
+    for number, line in enumerate(raw, 1):
+        try:
+            lines.append(line.decode(encoding))
+        except UnicodeDecodeError as exc:
+            return number, exc
+    # the rows before ``lo`` pass; the first one _rows rejects is before ``hi``
+    lo, hi = header_lines, len(lines)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            _rows(lines[lo:mid])
+            lo = mid
+        except ValueError as exc:
+            if mid - lo == 1:   # numpy names the row in its one-line input, ``mid`` the line
+                return mid, ValueError(str(exc).replace(" at row 0,", " in"))
+            hi = mid
 
 
 def read_trace_csv(path) -> RunTrace:
     """Read a trace CSV; a malformed file raises ValueError naming the path and line.
 
     The '#' lines before the column header are ``key: value`` metadata, read
-    verbatim.  np.loadtxt parses the rows after it and skips blank lines and
-    '#' comments there.  Only when it fails are the rows walked again, to
-    name the first one that has not 18 fields or that it rejects alone.
+    verbatim.  np.loadtxt parses the rows after it in one call and skips
+    blank lines and '#' comments there.  Only when a line fails to decode or
+    a row is rejected is the file read again, once, to name the line.
     """
-    meta = {}
-    data = np.empty((0, len(TRACE_COLUMNS)))
-    number = 0      # of the line read last
+    meta, data = {}, np.empty((0, len(TRACE_COLUMNS)))
+    number = header_lines = 0       # the line read last; the lines up to the column header
     with open(path) as fh:
         try:
             for line in iter(fh.readline, ""):
@@ -153,24 +161,13 @@ def read_trace_csv(path) -> RunTrace:
                     continue
                 if line.rstrip("\n") != _HEADER:
                     raise ValueError(f"unexpected trace header {line.rstrip()!r}")
-                try:
-                    data = _loadtxt(fh)
-                    bad = len(data) and data.shape[1] != len(TRACE_COLUMNS)
-                except UnicodeDecodeError:      # named below, without walking the rows
-                    raise
-                except ValueError:
-                    bad = True
-                if bad:
-                    header_lines = number
-                    fh.seek(0)
-                    for number, line in enumerate(fh, 1):
-                        if number > header_lines:
-                            _check_row(line)
-                    raise ValueError("np.loadtxt rejects the rows, but none alone")
+                header_lines = number
+                data = _rows(fh)
                 break
         except ValueError as exc:   # UnicodeDecodeError included
-            if isinstance(exc, UnicodeDecodeError):     # chunks decode ahead of the line read
-                number, exc = _undecodable_line(path, fh.encoding) or (number, exc)
+            # text decodes in chunks ahead of the line read; np.loadtxt names no line
+            if header_lines or isinstance(exc, UnicodeDecodeError):
+                number, exc = _bad_line(path, fh.encoding, header_lines) or (number, exc)
             raise ValueError(f"{path}, line {number}: {exc}") from None
     if not len(data):
         raise ValueError(f"{path}: no trace data found")

@@ -573,15 +573,24 @@ class TestTraceCsv:
         assert json.loads(loaded.meta["scenario"]) == scenario
 
     @pytest.mark.parametrize("meta", [{"k": "a\nb: c"}, {"k": "a\n# b: c"},
-                                      {"k": "a\rb"}, {"k\n": "v"}],
-                             ids=["value-lf", "value-lf-comment", "value-cr", "key-lf"])
+                                      {"k": "a\rb"}, {"k\n": "v"}, {"a:b": "c"},
+                                      {"k": " v "}, {" k": "v"}, {"k": "v\t"}],
+                             ids=["value-lf", "value-lf-comment", "value-cr", "key-lf",
+                                  "key-colon", "value-spaces", "key-space", "value-tab"])
     def test_line_break_in_the_header_is_rejected_before_writing(self, tmp_path, meta):
-        # read back, the first two would be a bad header line and a silent extra key
+        # read back, the first two would be a bad header line and a silent extra key,
+        # a ':' in a key would move into the value, and surrounding whitespace is stripped
         path = tmp_path / "trace.csv"
         key = next(iter(meta))
         with pytest.raises(ValueError, match=f"^trace header {re.escape(repr(key))}: "):
             write_trace_csv(path, RunTrace(np.zeros((2, len(TRACE_COLUMNS))), meta))
         assert not path.exists()
+
+    def test_colons_in_values_and_unusual_keys_read_back(self, tmp_path):
+        meta = {"k": "a: b", "": "v", "#k": "v"}
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, RunTrace(np.zeros((2, len(TRACE_COLUMNS))), meta))
+        assert read_trace_csv(path).meta == meta
 
     @pytest.mark.parametrize("line", [1, 5, 57])
     def test_undecodable_byte_names_its_line(self, tmp_path, line):
@@ -619,6 +628,55 @@ class TestTraceCsv:
         self.hundred_rows(path, 57, text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {where}"):
             read_trace_csv(path)
+
+    @staticmethod
+    def long_trace(path, edit, first, last=None):
+        """Write a 4001-row trace (its header is lines 1-2) and pass each of its raw
+        lines ``first`` to ``last`` (default: ``first``) through ``edit``."""
+        data = np.arange(4001 * len(TRACE_COLUMNS), dtype=float).reshape(4001, -1) / 7.0
+        write_trace_csv(path, RunTrace(data))
+        lines = path.read_bytes().splitlines(keepends=True)
+        for i in range(first - 1, last or first):
+            lines[i] = edit(lines[i])
+        path.write_bytes(b"".join(lines))
+
+    @staticmethod
+    def count_loadtxt(monkeypatch):
+        """Count the np.loadtxt calls from here on; returns the list of calls."""
+        calls, loadtxt = [], np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr("dpsim.traces.np.loadtxt", counting)
+        return calls
+
+    def test_good_trace_is_one_loadtxt_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        self.long_trace(path, lambda line: line, 3)
+        calls = self.count_loadtxt(monkeypatch)
+        assert len(read_trace_csv(path)) == 4001
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("edit, first, last, where", [
+        (b"x".__add__, 3, None, "line 3: could not convert string 'x.*' to float64 in column 1"),
+        (b"x".__add__, 2003, None, "line 2003: could not convert string 'x.*' to float64 in "
+                                   "column 1"),
+        (b"x".__add__, 4003, None, "line 4003: could not convert string 'x.*' to float64 in "
+                                   "column 1"),
+        (lambda raw: raw[raw.index(b",") + 1:], 3, 4003, "line 3: 17 fields, expected 18"),
+        (lambda raw: raw[:3] + b"\xff" + raw[3:], 4003, None,
+         "line 4003: .* byte 0xff in position 3"),
+    ], ids=["value-first", "value-middle", "value-last", "all-17-fields", "undecodable-last"])
+    def test_bad_line_of_a_long_trace_is_named_in_few_parses(self, tmp_path, monkeypatch,
+                                                             edit, first, last, where):
+        path = tmp_path / "trace.csv"
+        self.long_trace(path, edit, first, last)
+        calls = self.count_loadtxt(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {where}"):
+            read_trace_csv(path)
+        assert len(calls) <= 20
 
     def test_blank_lines_and_comments_in_the_data_are_skipped(self, tmp_path):
         path = tmp_path / "trace.csv"
