@@ -61,7 +61,7 @@ def grid_nodes(ranges, points_per_dim: int, ceiling: int = GRID_NODE_CEILING) ->
         raise GridCapacityError(
             f"points_per_dim gives {points_per_dim}^{n_dims} = {count} nodes, "
             f"over the node ceiling {ceiling}")
-    return np.array([np.linspace(lo, hi, points_per_dim) for lo, hi in ranges])
+    return np.linspace(ranges[:, 0], ranges[:, 1], points_per_dim, axis=1)
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,6 @@ def _load_config(args):
 
 
 def _add_run_overrides(parser):
-    parser.add_argument("--controller", help=f"one of {', '.join(CONTROLLER_TYPES)}")
-    parser.add_argument("--disturbance", help=f"one of {', '.join(DISTURBANCE_TYPES)}")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--duration", type=float)
     parser.add_argument("--dt", type=float)
@@ -175,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="trace CSV output path")
     run.add_argument("--weights-out", help="final weight snapshot CSV path")
     run.add_argument("--decimate", type=int, help="log every Nth sample")
+    # not for figures, which sets both for each of its scenarios
+    run.add_argument("--controller", help=f"one of {', '.join(CONTROLLER_TYPES)}")
+    run.add_argument("--disturbance", help=f"one of {', '.join(DISTURBANCE_TYPES)}")
     _add_run_overrides(run)
     run.set_defaults(func=_cmd_run)
 

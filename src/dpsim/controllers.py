@@ -52,7 +52,8 @@ def as_gain_matrix(value, name: str = "gain") -> np.ndarray:
 
 
 def _require_spd(mat, name):
-    if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
+    # np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12) for a finite mat, without its overhead
+    if not (np.abs(mat - mat.T) <= 1e-12 + 1e-12 * np.abs(mat.T)).all():
         raise ValueError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(mat).min() <= 0:
         raise ValueError(f"{name} must be positive definite")

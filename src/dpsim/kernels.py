@@ -19,12 +19,17 @@ the l = L R basis values: with ``theta`` viewed as (3L, R),
 A run's stages share one :class:`Workspace`: the input column, the
 exponent, gather and product buffers, and the (3L, R) view of the weights,
 which are read in place.  So :func:`adaptive_core` allocates only its three
-outputs.
+outputs.  ``Workspace.halves`` is the one place a factor vector, or a stack
+of them, is split into its ``left`` and ``right`` views.  The kernels take
+those views as arguments, so a caller that binds them once per run (as
+``dpsim.simulate`` does for each factor row and for the rows before it)
+makes a stage slice no factor row.
 
 The weight update is integrated in the span of the weights and the basis
 vectors of the steps since the weights were last formed (see
-``dpsim.simulate``); :func:`fold` forms the weights from those coordinates
-every few steps.
+``dpsim.simulate``): :func:`gram_row` gives the dot products of a stage's
+basis with those of the earlier rows, and :func:`fold` forms the weights
+from the coordinates every few steps.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ class Workspace:
     caller writes the network input into ``z``, a view of the (m, 1) column
     the exponents are taken against.  ``values`` holds the m*p axis values
     followed by ``c`` and 1, which are set once; ``gathered`` is the
-    (m//2 + 1, L + R) gather of ``values`` by ``index``.  ``theta``, when
+    (m//2 + 1, L + R) gather of ``values`` by ``index``, taken without a
+    bounds check (the index is built in range).  ``theta``, when
     given, is the (3, l) weight array, read in place; the workspace keeps its
     (3L, R) view and the 3L-vector its products go to.  :func:`fold` writes
     ``theta`` in place, so it must then be C-contiguous.
@@ -97,30 +103,39 @@ class Workspace:
         np.square(e, out=e)
         np.multiply(e, self.exponent_scale, out=e)     # the bits of -(square * 1/(2 h^2))
         np.exp(e, out=self.axis_values)
-        self.values.take(self.index, out=self.gathered)
+        # the index lies in [0, m p + 2), so "wrap" only skips the bounds check
+        self.values.take(self.index, out=self.gathered, mode="wrap")
         return np.multiply.reduce(self.gathered, axis=0, out=f)
+
+    def halves(self, f):
+        """The ``left`` and ``right`` views of a factor vector, or of each row of a stack."""
+        return f[..., :self.left], f[..., self.left:]
 
     def basis(self, f):
         """The p^m basis values ``outer(left, right).ravel()`` of the factors ``f``."""
-        return np.multiply.outer(f[:self.left], f[self.left:]).ravel()
+        return np.multiply.outer(*self.halves(f)).ravel()
 
 
-def adaptive_core(work, f):
+def adaptive_core(work, f, halves):
     """Per-axis network outputs ``theta_i . g`` at ``work.z``, with no basis vector.
 
     Fills ``f`` with the factors of the basis and returns ``left . (Theta_i
-    right)`` for the three rows of the workspace's ``theta``.
+    right)`` for the three rows of the workspace's ``theta``; ``halves`` is
+    ``work.halves(f)``, bound once by the caller.
     """
+    left, right = halves
     work.factors(f)
-    left = work.left
-    np.matmul(work.theta_rows, f[left:], out=work.product)
-    return work.product_rows @ f[:left]
+    np.matmul(work.theta_rows, right, out=work.product)
+    return work.product_rows @ left
 
 
-def gram_row(work, factors, f):
-    """Dot products ``g_j . g`` of the bases with factor rows ``factors`` and factors ``f``."""
-    left = work.left
-    return (factors[:, :left] @ f[:left]) * (factors[:, left:] @ f[left:])
+def gram_row(rows, halves):
+    """Dot products ``g_j . g`` of the bases of factor rows and the basis of one factor vector.
+
+    ``rows`` and ``halves`` are the ``Workspace.halves`` of the rows and of the vector.
+    """
+    (lefts, rights), (left, right) = rows, halves
+    return (lefts @ left) * (rights @ right)
 
 
 def fold(work, x, factors, out):
@@ -130,9 +145,10 @@ def fold(work, x, factors, out):
     rows.  The sum is one (3L x n) @ (n x R) product, written into ``out``
     (shaped like ``theta``) and then added.
     """
-    left, theta = work.left, work.theta
+    theta = work.theta
+    lefts, rights = work.halves(factors)
     theta *= x[:, :1]
-    scaled = (factors[:, :left].T * x[:, None, 1:]).reshape(-1, factors.shape[0])
-    np.matmul(scaled, factors[:, left:], out=out.reshape(scaled.shape[0], -1))
+    scaled = (lefts.T * x[:, None, 1:]).reshape(-1, factors.shape[0])
+    np.matmul(scaled, rights, out=out.reshape(scaled.shape[0], -1))
     theta += out
     return theta

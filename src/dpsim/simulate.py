@@ -203,15 +203,21 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     steps, at the end of the run, and every step while a probe is attached.
     The weight norms come from the Gram identity
     ``|x_0 theta + sum_s x_s g_s|^2 = x_0^2 |theta|^2 + 2 x_0 sum_s x_s
-    theta . g_s + sum_st x_s x_t g_s . g_t``; only when that is not finite
-    or negative are the weights folded and their norms taken directly.
+    theta . g_s + sum_st x_s x_t g_s . g_t``, taken in floats: each stage
+    keeps its ``theta . g_s`` and ``g_t . g_s`` (t <= s) as the floats its
+    span term reads, and the end of the step carries ``|theta|^2`` on.
+    Only when a square is not finite or negative are the weights folded and
+    their norms taken directly.
     The law's 3-vector arithmetic is ``controllers.backstep_law``, in floats.
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
     diagnostics; only then is the sample's basis vector formed.
     ``trace.final_theta`` is a read-only view of the run's weights, which
     for a frozen run are ``weights0.theta`` itself.  The stages share one
-    ``kernels.Workspace``, so a stage allocates only its results.
+    ``kernels.Workspace``, so a stage allocates only its results.  The views
+    a stage reads are bound once per run: each factor row's halves and those
+    of the rows before it (``Workspace.halves``), and the coefficient columns
+    for each pending count; a frozen run binds its one factor row's halves.
     """
     if weights0.node_count != network.node_count:
         raise ValueError("initial weights do not match the network size")
@@ -223,11 +229,11 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     z = work.z
     pending = 0                 # factor rows not yet folded into theta
 
-    def network_terms(yv, c, s, stage, f):
+    def network_terms(yv, c, s, stage, f, halves):
         """Errors, ``theta_i . g`` and probe fields at a stage; the factors go to ``f``."""
         z1, alpha1, z2 = errors(yv, c, s)
         z[:] = (*yv[:6], *alpha1)
-        core = kernels.adaptive_core(work, f)
+        core = kernels.adaptive_core(work, f, halves)
         fields = None
         if probe is not None and stage == 0:
             fields = dict(theta=theta, z1=z1, z2=z2, alpha1=alpha1, basis=work.basis(f))
@@ -237,16 +243,27 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         fold_steps = 1 if probe is not None else FOLD_STEPS     # probes read theta
         # factors of the pending rows, then of g_1 .. g_4 of the step
         factors = np.empty((4 * fold_steps, work.size))
+        # row j, bound once: the row, its halves, and the halves of rows 0 .. j
+        rows = [(f, work.halves(f), work.halves(factors[:j + 1]))
+                for j, f in enumerate(factors)]
         fold_out = np.empty_like(theta)
         coef = np.zeros((3, 1 + factors.shape[0]))      # [a, c_1 .. c_pending] per row
         coef[:, 0] = 1.0
-        # row i: the Gram matrix of theta_i(t_k), g_1 .. g_4
-        gram5 = np.empty((3, 5, 5))
+        scale = coef[:, 0]
+        # per pending count p, bound once: the columns c_1 .. c_p a stage reads,
+        # [a, c_1 .. c_p], which the step's end scales, and the four it writes
+        coef_views = {p: (coef[:, 1:p + 1], coef[:, :p + 1], coef[:, p + 1:p + 5])
+                      for p in range(0, factors.shape[0], 4)}
+        coords = np.empty((3, 5))       # the step's x, for the coefficient update
+        x_flat, x_head, x_tail = coords.ravel(), coords[:, :1], coords[:, 1:]
         decay = (gains.gamma * sign * gains.sigma).tolist()
         gain = (gains.gamma * sign).tolist()
         unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
         norms = row_norms(theta)
-        gram5[:, 0, 0] = norms * norms
+        theta_sq = (norms * norms).tolist()     # |theta_i(t_k)|^2
+        # per stage s: theta_i(t_k) . g_s for the three rows, and g_j . g_s for j <= s
+        stage_theta_g = [None] * 4
+        stage_gram = [None] * 4
 
         def fold():
             nonlocal pending
@@ -256,18 +273,17 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         def control(yv, c, s, stage):
             at = pending + stage
-            f = factors[at]
-            z1, z2, core, fields = network_terms(yv, c, s, stage, f)
-            gram = kernels.gram_row(work, factors[:at + 1], f)
-            theta_g = coef[:, 0] * core + coef[:, 1:pending + 1] @ gram[:pending]
-            gram5[:, 0, stage + 1] = gram5[:, stage + 1, 0] = theta_g
-            gram5[:, stage + 1, 1:stage + 2] = gram5[:, 1:stage + 2, stage + 1] = gram[pending:]
-            nn, here = theta_g.tolist(), gram[pending:at].tolist()
+            f, halves, upto = rows[at]
+            z1, z2, core, fields = network_terms(yv, c, s, stage, f, halves)
+            gram = kernels.gram_row(upto, halves)
+            theta_g = scale * core + coef_views[pending][0] @ gram[:pending] if pending else core
+            stage_theta_g[stage] = nn = theta_g.tolist()
+            stage_gram[stage] = here = gram[pending:].tolist()
             out, dx = [], []
             for i in range(3):
                 x = yv[6 + 5 * i:11 + 5 * i]
                 span = 0.0
-                for xj, gj in zip(x[1:], here):
+                for xj, gj in zip(x[1:stage + 1], here):
                     span += xj * gj
                 out.append(x[0] * nn[i] + span)
                 row = [decay[i] * xj for xj in x]
@@ -276,32 +292,40 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             return torque(z1, z2, out, c, s), dx, z2, norms, fields
 
         def end_step(y):
-            nonlocal norms, pending
-            x = np.array(y[6:]).reshape(3, 5)
+            nonlocal norms, pending, theta_sq
+            # the Gram identity, in floats: |x_0 theta(t_k) + sum_s x_s g_s|^2 per row
+            (g11,), (g12, g22), (g13, g23, g33), (g14, g24, g34, g44) = stage_gram
+            sq = [x0 * x0 * t0 + 2.0 * x0 * (x1 * t1 + x2 * t2 + x3 * t3 + x4 * t4)
+                  + x1 * (x1 * g11 + 2.0 * (x2 * g12 + x3 * g13 + x4 * g14))
+                  + x2 * (x2 * g22 + 2.0 * (x3 * g23 + x4 * g24))
+                  + x3 * (x3 * g33 + 2.0 * x4 * g34) + x4 * x4 * g44
+                  for t0, (x0, x1, x2, x3, x4), (t1, t2, t3, t4)
+                  in zip(theta_sq, (y[6:11], y[11:16], y[16:21]), zip(*stage_theta_g))]
+            x_flat[:] = y[6:]
             y[6:] = unit
-            # the Gram identity: |x_0 theta(t_k) + sum_s x_s g_s|^2 per row
-            sq = (x[:, None] @ gram5 @ x[:, :, None]).ravel()
-            coef[:, :pending + 1] *= x[:, :1]
-            coef[:, pending + 1:pending + 5] = x[:, 1:]
+            _, scaled, new = coef_views[pending]
+            scaled *= x_head
+            new[...] = x_tail
             pending += 4
-            norms = np.sqrt(sq)
-            finite = np.isfinite(norms).all()
-            if pending == factors.shape[0] or not finite:
-                fold()
-            if not finite:
-                # a norm overflows before the weights do, so only then look closer
-                norms = row_norms(theta)
-                sq = norms * norms
-            gram5[:, 0, 0] = sq
-            return bool(finite or np.isfinite(norms).all() or np.isfinite(theta).all())
+            if all(0.0 <= q < math.inf for q in sq):
+                theta_sq, norms = sq, [math.sqrt(q) for q in sq]
+                if pending == factors.shape[0]:
+                    fold()
+                return True
+            # a norm overflows before the weights do, so only then look closer
+            fold()
+            norms = row_norms(theta)
+            theta_sq = (norms * norms).tolist()
+            return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
 
         law = (unit, control, end_step)
     else:
         f_buf = np.empty(work.size)
+        f_halves = work.halves(f_buf)
         frozen_norms = row_norms(theta)
 
         def control(yv, c, s, stage):
-            z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf)
+            z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf, f_halves)
             return torque(z1, z2, core.tolist(), c, s), (), z2, frozen_norms, fields
 
         law = ((), control, None)

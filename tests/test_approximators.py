@@ -108,7 +108,8 @@ def network_output(net, theta, z):
     """The per-axis outputs theta_i . g(z) as the engine computes them."""
     work = net.workspace(np.ascontiguousarray(theta))
     work.z[:] = np.asarray(z, dtype=float)
-    return kernels.adaptive_core(work, np.empty(work.size))
+    f = np.empty(work.size)
+    return kernels.adaptive_core(work, f, work.halves(f))
 
 
 class TestRbfOutput:
@@ -252,6 +253,16 @@ class TestSeparableBasis:
             # the workspace runs the oracle's operations into its buffers
             assert np.array_equal(self.factors(net, z), basis_factors(net, z))
 
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_factor_index_stays_inside_the_gathered_values(self, name):
+        # Workspace.factors gathers with mode="wrap", which would hide an index
+        # out of range; the networks have both odd (9) and even (2) m
+        nodes = self.NETWORKS[name]().nodes
+        m, p = nodes.shape
+        index = kernels.factor_index(nodes)
+        assert index.shape == (m // 2 + 1, p ** (m // 2) + p ** (m - m // 2))
+        assert 0 <= index.min() and index.max() < m * p + 2
+
     @staticmethod
     def factors(net, z):
         work = net.workspace()
@@ -268,7 +279,7 @@ class TestSeparableBasis:
             work = net.workspace(theta)
             f = np.empty(work.size)
             work.z[:] = z
-            nn = kernels.adaptive_core(work, f)
+            nn = kernels.adaptive_core(work, f, work.halves(f))
             assert np.array_equal(f, basis_factors(net, z))
             assert np.array_equal(nn, factored_output(net, theta, f))
             g = work.basis(f)
@@ -283,8 +294,9 @@ class TestSeparableBasis:
         points = self.inputs(net, rng)
         factors = np.stack([self.factors(net, z) for z in points])
         dense = np.stack([dense_basis(net, z) for z in points])
+        work = net.workspace()
         for s, z in enumerate(points):
-            gram = kernels.gram_row(net.workspace(), factors, factors[s])
+            gram = kernels.gram_row(work.halves(factors), work.halves(factors[s]))
             # dot products of positive terms; underflowed ones carry no digits
             np.testing.assert_allclose(gram, dense @ dense[s], rtol=1e-12,
                                        atol=np.finfo(float).tiny)

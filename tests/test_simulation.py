@@ -451,7 +451,8 @@ class TestFloatEngine:
     @staticmethod
     def check_adaptive(load, steps, start):
         """An adaptive 2^9 run on the coupled plant, non-diagonal K1 and K2, against
-        the dense joint-RK4 oracle: pose, velocity, weights, V1 and V2a at rtol 1e-12.
+        the dense joint-RK4 oracle: pose, velocity, weights, weight norms, V1 and V2a
+        at rtol 1e-12.
 
         ``load()`` makes a fresh load for each of the two runs.  Returns the trace
         and the oracle's states.
@@ -469,6 +470,10 @@ class TestFloatEngine:
         np.testing.assert_allclose(trace.velocity, states[:, 3:6], rtol=1e-12)
         np.testing.assert_allclose(trace.final_theta, states[-1, 6:].reshape(3, n),
                                    rtol=1e-12)
+        # every step's norms, from the Gram identity between folds
+        np.testing.assert_allclose(
+            trace.theta_norms, np.linalg.norm(states[:, 6:].reshape(-1, 3, n), axis=2),
+            rtol=1e-12)
         eta_d = start["eta_d"]
         alpha1 = [compute_alpha1(COUPLED_K1, s[2], pose_error(s[:3], eta_d)) for s in states]
         v1, v2 = energies(states[:, :3], states[:, 3:6] - np.array(alpha1), eta_d, COUPLED_M)
@@ -985,6 +990,17 @@ class TestCli:
                          str(tmp_path / "x.csv")])
         assert code == 1
         assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--controller", "pid"),
+                                             ("--disturbance", "markov")])
+    def test_figures_rejects_the_scenario_type_overrides(self, tmp_path, capsys, monkeypatch,
+                                                         flag, value):
+        # figures runs every controller under every load; it must not drop the flag silently
+        monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)
+        code = cli_main(["figures", "--outdir", str(tmp_path / "panels"), flag, value])
+        assert code == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_override_changes_markov_draws(self, tmp_path):
