@@ -51,12 +51,15 @@ def as_gain_matrix(value, name: str = "gain") -> np.ndarray:
     return arr
 
 
-def _require_spd(mat, name):
+def _require_spd(mat, name) -> float:
+    """Reject a matrix that is not symmetric positive definite; returns its smallest eigenvalue."""
     # np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12) for a finite mat, without its overhead
     if not (np.abs(mat - mat.T) <= 1e-12 + 1e-12 * np.abs(mat.T)).all():
         raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() <= 0:
+    lowest = np.linalg.eigvalsh(mat).min()
+    if lowest <= 0:
         raise ValueError(f"{name} must be positive definite")
+    return lowest
 
 
 @dataclass
@@ -153,7 +156,7 @@ class BackstepGains:
         self.K1 = as_gain_matrix(self.K1, "K1")
         self.K2 = as_gain_matrix(self.K2, "K2")
         _require_spd(self.K1, "K1")
-        _require_spd(self.K2, "K2")
+        k2_lowest = _require_spd(self.K2, "K2")
         self.sigma = np.asarray(self.sigma, dtype=float) * np.ones(3)
         if not (self.sigma > 0).all():
             raise ValueError("sigma entries must be positive")
@@ -166,7 +169,7 @@ class BackstepGains:
         if self.law not in ADAPTATION_LAWS:
             raise ValueError(f"adaptation_law must be one of {list(ADAPTATION_LAWS)}, "
                              f"got {self.law!r}")
-        if np.linalg.eigvalsh(self.K2).min() <= 0.5:
+        if k2_lowest <= 0.5:
             # stacklevel 3 skips the dataclass __init__ to name the caller
             warnings.warn("K2 <= I/2: the closed-loop dissipation bound does not apply",
                           stacklevel=3)

@@ -1,18 +1,18 @@
 """Closed-loop simulation engine, run metrics, and run comparison.
 
 ``_closed_loop`` advances plant + control law + disturbance with a fixed-step
-RK4 integrator, one loop for every controller.  A law appends its own state to
-the pose and velocity and may rewrite it at the end of each step: the
-adaptive law appends 15 coordinates of its weights, resets them each step
-and forms the weights every ``FOLD_STEPS`` steps (see ``simulate_adaptive``);
-frozen weights and PID append nothing, and PID holds its output over each
-step.  Every load, constant or Markov, is read through ``body_load(cos psi,
-sin psi)`` once per step, held across the sub-stages, and advanced by
-``step(dt)``; both laws clamp through ``controllers.saturate``.  The state
-is a list of floats and the engine's and the laws' 3-vector arithmetic is
-written in floats, not numpy calls, since the call cost dominates at that
-size.  The engine fills one row per
-full-rate sample and hands the rows to ``RunTrace`` as they are.
+RK4 integrator, one loop for every controller.  Its RK4 state is the pose and
+velocity, six floats, for every controller; a law with state of its own
+integrates it at the same stages.  The adaptive law carries 15 coordinates
+of its weights, resets them each step and forms the weights every
+``FOLD_STEPS`` steps (see ``simulate_adaptive``); frozen weights and PID
+carry none, and PID holds its output over each step.  Every load, constant
+or Markov, is read through ``body_load(cos psi, sin psi)`` once per step,
+held across the sub-stages, and advanced by ``step(dt)``; both laws clamp
+through ``controllers.saturate``.  The engine's and the laws' 3-vector
+arithmetic is written in floats, not numpy calls, since the call cost
+dominates at that size.  The engine fills one row per full-rate sample and
+hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``; ``run_simulation`` decimates the trace after them.
 The bands and the tail window are the module constants below.
@@ -93,19 +93,18 @@ def _run_metrics(trace: RunTrace, target, window) -> RunMetrics:
 def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, probe):
     """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
-    The state ``y`` is a list of floats: pose, velocity, then ``state0``, the
-    law's own state.  ``law = (state0, control, end_step)``.
-    ``control(y, c, s, stage)`` runs at RK4 stage 0 (the full-rate sample)
-    to 3, with ``(c, s)`` the cosine and sine of the stage's yaw, and returns
-    ``(tau, dstate, z2, theta_norms, probe_fields)``: ``tau`` and ``z2`` are
-    three floats, ``dstate`` the derivative of the law's state as floats;
-    the last three are read at stage 0 only.  ``end_step(y)``, if not None,
-    runs after each RK4 combine, may rewrite ``y[6:]``, and returns False when
-    the law's state went non-finite, which aborts the run like a non-finite
-    ``y``.  Each step calls ``control`` at stages 0 to 3 in that order and
-    then ``end_step``, and the last sample calls stage 0 only, so a law may
-    carry work from one call to the next.  Probe arrays are built only when
-    ``probe`` is given.
+    The RK4 state ``y`` is the pose and velocity, a tuple of six floats, for
+    every controller.  ``law = (control, end_step)``.  ``control(y, c, s,
+    stage)`` runs at RK4 stage 0 (the full-rate sample) to 3, with ``(c,
+    s)`` the cosine and sine of the stage's yaw, and returns ``(tau, z2,
+    theta_norms, probe_fields)``: ``tau`` and ``z2`` are three floats, and
+    the last three are read at stage 0 only.  ``end_step()``, if not None,
+    runs after each RK4 combine and returns False when the law's own state
+    went non-finite, which aborts the run like a non-finite ``y``.  Each
+    step calls ``control`` at stages 0 to 3 in that order and then
+    ``end_step``, and the last sample calls stage 0 only, so a law may carry
+    work, and state of its own, from one call to the next.  Probe arrays are
+    built only when ``probe`` is given.
     """
     steps = int(round(duration / dt))
     t = (np.arange(steps + 1) * dt).tolist()
@@ -113,55 +112,59 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
     xd, yd, psid = eta_d.tolist()
-    state0, control, end_step = law
+    control, end_step = law
     half, sixth = 0.5 * dt, dt / 6.0
 
-    y = [*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist(),
-         *state0]
+    y = (*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist())
     # one row per sample; yaw stays unwrapped until the end
     rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
 
-    def rate(yv, c, s, tau, dstate):
-        """[R nu, M^-1 (tau + delta - D nu), dstate] at the held load ``delta``."""
-        u, v, r = yv[3:6]
+    def rate(yv, c, s, tau):
+        """(R nu, M^-1 (tau + delta - D nu)) at the held load ``delta`` = (l0, l1, l2)."""
+        _, _, _, u, v, r = yv
         t0, t1, t2 = tau
-        f0 = t0 + delta[0] - (d00 * u + d01 * v + d02 * r)
-        f1 = t1 + delta[1] - (d10 * u + d11 * v + d12 * r)
-        f2 = t2 + delta[2] - (d20 * u + d21 * v + d22 * r)
-        return [c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
-                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2, *dstate]
+        f0 = t0 + l0 - (d00 * u + d01 * v + d02 * r)
+        f1 = t1 + l1 - (d10 * u + d11 * v + d12 * r)
+        f2 = t2 + l2 - (d20 * u + d21 * v + d22 * r)
+        return (c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
+                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
 
-    def stage_rate(stage, h, d_in):
-        yv = [d * h + v for d, v in zip(d_in, y)]
+    def stage_rate(stage, h, k):
+        k0, k1, k2, k3, k4, k5 = k
+        yv = (k0 * h + y0, k1 * h + y1, k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5)
         c, s = yaw_cos_sin(yv[2])
-        return rate(yv, c, s, *control(yv, c, s, stage)[:2])
+        return rate(yv, c, s, control(yv, c, s, stage)[0])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            c, s = yaw_cos_sin(y[2])
-            delta = disturbance.body_load(c, s)
-            tau, dstate, z2, norms, fields = control(y, c, s, 0)
-            d1 = rate(y, c, s, tau, dstate)
-            pv = y[:6]
-            e0, e1, e2 = pv[0] - xd, pv[1] - yd, ssa(pv[2] - psid)
-            v1 = 0.5 * (e0 * e0 + e1 * e1 + e2 * e2)
+            y0, y1, y2, y3, y4, y5 = y
+            c, s = yaw_cos_sin(y2)
+            l0, l1, l2 = disturbance.body_load(c, s)
+            tau, z2, norms, fields = control(y, c, s, 0)
+            a0, a1, a2, a3, a4, a5 = d1 = rate(y, c, s, tau)
+            ex, ey, epsi = y0 - xd, y1 - yd, ssa(y2 - psid)
+            v1 = 0.5 * (ex * ex + ey * ey + epsi * epsi)
             q0, q1, q2 = z2
             v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
                 m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
-            rows[k] = (t[k], *pv, *tau, *delta, *norms, v1, v2a)
+            rows[k] = (t[k], *y, *tau, l0, l1, l2, *norms, v1, v2a)
             if probe is not None:
-                info = dict(eta=pv[:3], nu=pv[3:], **fields, tau=tau, delta=delta)
+                info = dict(eta=y[:3], nu=y[3:], **fields, tau=tau, delta=(l0, l1, l2))
                 probe(t[k], {key: np.array(value, dtype=float) for key, value in info.items()})
             if k == steps:
                 break
-            d2 = stage_rate(1, half, d1)
-            d3 = stage_rate(2, half, d2)
-            d4 = stage_rate(3, dt, d3)
+            b0, b1, b2, b3, b4, b5 = d2 = stage_rate(1, half, d1)
+            g0, g1, g2, g3, g4, g5 = d3 = stage_rate(2, half, d2)
+            h0, h1, h2, h3, h4, h5 = stage_rate(3, dt, d3)
             # y + (dt/6) (d1 + 2 d2 + 2 d3 + d4); this summation order keeps the traces' bits
-            y = [v + (((g2 * 2.0 + g1) + g3 * 2.0) + g4) * sixth
-                 for v, g1, g2, g3, g4 in zip(y, d1, d2, d3, d4)]
-            if not ((end_step is None or end_step(y)) and all(map(math.isfinite, y))):
-                raise SimulationAbort(t[k + 1], t[k], pv[:3], pv[3:])
+            y = (y0 + (((b0 * 2.0 + a0) + g0 * 2.0) + h0) * sixth,
+                 y1 + (((b1 * 2.0 + a1) + g1 * 2.0) + h1) * sixth,
+                 y2 + (((b2 * 2.0 + a2) + g2 * 2.0) + h2) * sixth,
+                 y3 + (((b3 * 2.0 + a3) + g3 * 2.0) + h3) * sixth,
+                 y4 + (((b4 * 2.0 + a4) + g4 * 2.0) + h4) * sixth,
+                 y5 + (((b5 * 2.0 + a5) + g5 * 2.0) + h5) * sixth)
+            if not ((end_step is None or end_step()) and all(map(math.isfinite, y))):
+                raise SimulationAbort(t[k + 1], t[k], (y0, y1, y2), (y3, y4, y5))
             disturbance.step(dt)
 
     trace = RunTrace(rows)
@@ -182,16 +185,20 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     """Run the adaptive (or frozen-weight) backstepping loop.
 
     ``adapt=False`` keeps the initial weights for the whole run and reads
-    them in place; the integrated state is then only the pose and velocity.  With adaptation,
-    the update ``theta_dot_i = gamma_i s (z2_i g + sigma_i theta_i)``, with
-    ``s = gains.law_sign``, is linear in ``theta_i`` with a scalar gain per
-    axis, so every RK4 stage value of ``theta_i`` lies in the span of
-    ``theta_i(t_k)``, the weights at the start of the step, and
-    ``g_1 .. g_4``, the basis vectors of the step's stages.  Row i of the law's 3 x 5 state ``x`` holds those
-    coordinates, reset to ``[1, 0, 0, 0, 0]`` each step.  This is the same
-    RK4 as integrating all 3 l weights, up to rounding.  Each stage keeps
-    only the two tensor factors of its basis vector (see ``dpsim.kernels``):
-    the network output, the Gram products ``g_j . g_s`` and the fold are all
+    them in place; the law then has no state.  With adaptation, the update
+    ``theta_dot_i = gamma_i s (z2_i g + sigma_i theta_i)``, with ``s =
+    gains.law_sign``, is linear in ``theta_i`` with a scalar gain per axis,
+    so every RK4 stage value of ``theta_i`` lies in the span of
+    ``theta_i(t_k)``, the weights at the start of the step, and ``g_1 ..
+    g_4``, the basis vectors of the step's stages.  Row i of the law's 3 x 5
+    coordinates ``x`` holds those coordinates, ``[1, 0, 0, 0, 0]`` at the
+    start of each step.  The law integrates them itself with the engine's
+    RK4 operations: stage s takes ``k_(s-1) h_s + x`` from the derivative
+    its stage s - 1 produced (the entries past s come out exactly 0.0), and
+    ``end_step`` combines the four derivatives.  This is the same RK4 as
+    integrating all 3 l weights, up to rounding.  Each stage keeps only the
+    two tensor factors of its basis vector (see ``dpsim.kernels``): the
+    network output, the Gram products ``g_j . g_s`` and the fold are all
     taken on the factors.
 
     The weights are not formed every step.  ``theta(t_k) = a theta + sum_j
@@ -232,7 +239,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     def network_terms(yv, c, s, stage, f, halves):
         """Errors, ``theta_i . g`` and probe fields at a stage; the factors go to ``f``."""
         z1, alpha1, z2 = errors(yv, c, s)
-        z[:] = (*yv[:6], *alpha1)
+        z[:] = (*yv, *alpha1)
         core = kernels.adaptive_core(work, f, halves)
         fields = None
         if probe is not None and stage == 0:
@@ -258,10 +265,14 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         x_flat, x_head, x_tail = coords.ravel(), coords[:, :1], coords[:, 1:]
         decay = (gains.gamma * sign * gains.sigma).tolist()
         gain = (gains.gamma * sign).tolist()
-        unit = [1.0, 0.0, 0.0, 0.0, 0.0] * 3
+        unit = (1.0, 0.0, 0.0, 0.0, 0.0)        # x at the start of every step, per row
+        # stage s is x0 + h_s k_(s-1), and the combine scales by dt/6, as for the plant
+        heights, sixth = (None, 0.5 * dt, 0.5 * dt, dt), dt / 6.0
+        # per stage s: the three rows of the coordinates' derivative k_s, theta_i(t_k) . g_s,
+        # and g_j . g_s for j <= s
+        slopes = [None] * 4
         norms = row_norms(theta)
         theta_sq = (norms * norms).tolist()     # |theta_i(t_k)|^2
-        # per stage s: theta_i(t_k) . g_s for the three rows, and g_j . g_s for j <= s
         stage_theta_g = [None] * 4
         stage_gram = [None] * 4
 
@@ -279,20 +290,31 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             theta_g = scale * core + coef_views[pending][0] @ gram[:pending] if pending else core
             stage_theta_g[stage] = nn = theta_g.tolist()
             stage_gram[stage] = here = gram[pending:].tolist()
+            if stage:
+                # k_(s-1) h_s + x0, written out; the entries past ``stage`` come out 0.0
+                h = heights[stage]
+                xs = [(k0 * h + 1.0, k1 * h + 0.0, k2 * h + 0.0, k3 * h + 0.0, k4 * h + 0.0)
+                      for k0, k1, k2, k3, k4 in slopes[stage - 1]]
+            else:
+                xs = (unit, unit, unit)
             out, dx = [], []
-            for i in range(3):
-                x = yv[6 + 5 * i:11 + 5 * i]
+            for i, x in enumerate(xs):
                 span = 0.0
                 for xj, gj in zip(x[1:stage + 1], here):
                     span += xj * gj
                 out.append(x[0] * nn[i] + span)
                 row = [decay[i] * xj for xj in x]
                 row[stage + 1] += gain[i] * z2[i]
-                dx += row
-            return torque(z1, z2, out, c, s), dx, z2, norms, fields
+                dx.append(row)
+            slopes[stage] = dx
+            return torque(z1, z2, out, c, s), z2, norms, fields
 
-        def end_step(y):
+        def end_step():
             nonlocal norms, pending, theta_sq
+            # x0 + (dt/6) (k_0 + 2 k_1 + 2 k_2 + k_3), rows one after another, in the
+            # plant's summation order
+            x = [x0 + (((g2 * 2.0 + g1) + g3 * 2.0) + g4) * sixth
+                 for k in zip(*slopes) for x0, g1, g2, g3, g4 in zip(unit, *k)]
             # the Gram identity, in floats: |x_0 theta(t_k) + sum_s x_s g_s|^2 per row
             (g11,), (g12, g22), (g13, g23, g33), (g14, g24, g34, g44) = stage_gram
             sq = [x0 * x0 * t0 + 2.0 * x0 * (x1 * t1 + x2 * t2 + x3 * t3 + x4 * t4)
@@ -300,9 +322,8 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                   + x2 * (x2 * g22 + 2.0 * (x3 * g23 + x4 * g24))
                   + x3 * (x3 * g33 + 2.0 * x4 * g34) + x4 * x4 * g44
                   for t0, (x0, x1, x2, x3, x4), (t1, t2, t3, t4)
-                  in zip(theta_sq, (y[6:11], y[11:16], y[16:21]), zip(*stage_theta_g))]
-            x_flat[:] = y[6:]
-            y[6:] = unit
+                  in zip(theta_sq, (x[:5], x[5:10], x[10:]), zip(*stage_theta_g))]
+            x_flat[:] = x
             _, scaled, new = coef_views[pending]
             scaled *= x_head
             new[...] = x_tail
@@ -318,7 +339,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             theta_sq = (norms * norms).tolist()
             return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
 
-        law = (unit, control, end_step)
+        law = (control, end_step)
     else:
         f_buf = np.empty(work.size)
         f_halves = work.halves(f_buf)
@@ -326,9 +347,9 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         def control(yv, c, s, stage):
             z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf, f_halves)
-            return torque(z1, z2, core.tolist(), c, s), (), z2, frozen_norms, fields
+            return torque(z1, z2, core.tolist(), c, s), z2, frozen_norms, fields
 
-        law = ((), control, None)
+        law = (control, None)
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
@@ -353,10 +374,10 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
         nonlocal tau
         if stage == 0:
             tau = saturate(controller.control(yv[:3], yv[3:6], target, dt).tolist(), limits)
-        return tau, (), yv[3:6], zeros3, {}
+        return tau, yv[3:], zeros3, {}
 
     return _closed_loop(
-        plant, ((), control, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
+        plant, (control, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
         duration=duration, probe=probe)
 
 

@@ -72,10 +72,10 @@ _ROWS_PER_WRITE = 256
 
 
 def write_rows(fh, row_format, data) -> None:
-    """Write each row of a 2-D array through one %-format, a block of rows per write."""
+    """Write the rows of a 2-D array through ``row_format``: one %-format per block of rows."""
     for start in range(0, len(data), _ROWS_PER_WRITE):
-        block = data[start:start + _ROWS_PER_WRITE].tolist()
-        fh.write("".join([row_format % tuple(row) for row in block]))
+        block = data[start:start + _ROWS_PER_WRITE]
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:

@@ -106,11 +106,13 @@ def weight_derivative(gains, basis_vec, z2, theta) -> np.ndarray:
                                    + sign * (gains.sigma[:, None] * theta))
 
 
-def joint_rk4_states(plant, gains, network, weights0, load, *, eta0, nu0, eta_d, dt, steps):
+def joint_rk4_states(plant, gains, network, weights0, load, *, eta0, nu0, eta_d, dt, steps,
+                     adapt=True):
     """The (steps + 1, 6 + 3 l) states of the adaptive loop with all weights as RK4 state.
 
     ``load`` is read through ``body_load(cos psi, sin psi)`` at the start of
     each step, held over its stages and advanced by ``step(dt)`` after it.
+    ``adapt=False`` gives the weights a zero derivative: the frozen-weight loop.
     """
     n = network.node_count
 
@@ -122,7 +124,8 @@ def joint_rk4_states(plant, gains, network, weights0, load, *, eta0, nu0, eta_d,
         g = gaussian_basis(network, np.concatenate([eta, nu, alpha1]))
         tau = backstep_control(gains, eta[2], z1, z2, g, theta)
         eta_dot, nu_dot = plant_derivative(eta, nu, plant, tau, delta)
-        return np.concatenate([eta_dot, nu_dot, weight_derivative(gains, g, z2, theta).ravel()])
+        theta_dot = weight_derivative(gains, g, z2, theta) if adapt else np.zeros_like(theta)
+        return np.concatenate([eta_dot, nu_dot, theta_dot.ravel()])
 
     states = [np.concatenate([eta0, nu0, weights0.theta.ravel()])]
     for _ in range(steps):

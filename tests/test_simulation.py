@@ -384,13 +384,15 @@ def wrapped(states):
     return np.column_stack([states[:, :2], wrap_angle(states[:, 2])])
 
 
-def pid_rk4_rows(plant, frame, load, *, eta0, nu0, eta_d, dt, steps):
-    """Rows [eta, nu, tau] of a PID run with COUPLED_PID gains, yaw unwrapped.
+def pid_rk4_rows(plant, pid, frame, load, *, eta0, nu0, eta_d, dt, steps):
+    """Rows [eta, nu, tau, delta] of a PID run with gains ``pid`` = (Kp, Ki, Kd), yaw unwrapped.
 
     The oracle PID: the three products, trapezoid integral, numpy rotations;
     the plant is oracles.plant_derivative under rk4_step, tau held per step.
+    ``load`` is read through ``body_load(cos psi, sin psi)`` at the start of
+    each step and advanced by ``step(dt)`` after it.
     """
-    Kp, Ki, Kd = COUPLED_PID
+    Kp, Ki, Kd = pid
     y = np.concatenate([eta0, nu0])
     integral, prev, rows = np.zeros(3), None, []
     for _ in range(steps + 1):
@@ -404,39 +406,135 @@ def pid_rk4_rows(plant, frame, load, *, eta0, nu0, eta_d, dt, steps):
             integral = integral + 0.5 * dt * (prev + err)
         prev = err
         tau = Kp @ err + Ki @ integral + Kd @ rate
-        rows.append(np.concatenate([y, tau]))
+        delta = np.array(load.body_load(np.cos(y[2]), np.sin(y[2])))
+        rows.append(np.concatenate([y, tau, delta]))
         y = rk4_step(y, dt, lambda s: np.concatenate(
-            plant_derivative(s[:3], s[3:], plant, tau, load)))
+            plant_derivative(s[:3], s[3:], plant, tau, delta)))
+        load.step(dt)
     return np.array(rows)
+
+
+def assert_close(actual, want, per_column=False):
+    """rtol 1e-12; with ``per_column``, also within 1e-12 of each column's largest magnitude.
+
+    Drawn runs need the second where a component passes through zero, since
+    there the engine's sums and the oracle's round differently.
+    """
+    want = np.asarray(want)
+    if per_column:
+        scale = np.abs(want).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        actual, want = actual / scale, want / scale
+    np.testing.assert_allclose(actual, want, rtol=1e-12, atol=1e-12 if per_column else 0.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def scaled(draw, scales, full, coupling=0.3):
+    """diag(r) C diag(r), r_i = sqrt of a draw from ``scales[i]``, C with unit diagonal.
+
+    The off-diagonal positions of C listed in ``full`` get entries drawn from
+    [-coupling, coupling], the others stay 0; at 0.3, C stays diagonally
+    dominant.
+    """
+    root = np.sqrt([draw(log_uniform(lo, hi)) for lo, hi in scales])
+    c = np.eye(3)
+    for i, j in full:
+        c[i, j] = draw(st.floats(-coupling, coupling))
+    return root[:, None] * c * root[None, :]
+
+
+def symmetric(draw, scales):
+    """A symmetric positive definite gain, full or diagonal."""
+    k = scaled(draw, scales, [(0, 1), (0, 2), (1, 2)] if draw(st.booleans()) else [])
+    return np.triu(k) + np.triu(k, 1).T
+
+
+@st.composite
+def drawn_runs(draw):
+    """(plant, load factory, start, steps, weight seed) of a short drawn run at dt 0.1.
+
+    M and D keep the plant's structural zeros (surge decouples from sway and
+    yaw); the load is constant or a Markov bias; start and target headings
+    lie anywhere in [-pi, pi], so the heading error crosses the seam.
+    """
+    sway_yaw = [(1, 2), (2, 1)]
+    plant = VesselParams(scaled(draw, [(1e6, 1e7), (1e6, 1e7), (1e9, 1e10)], sway_yaw),
+                         scaled(draw, [(1e4, 1e5), (1e5, 1e6), (1e8, 1e9)], sway_yaw))
+    amplitude = np.array([5e3, 5e3, 2e5])
+    bias = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]) * amplitude
+    if draw(st.booleans()):
+        load = lambda: ConstantDisturbance(bias)      # noqa: E731
+    else:
+        time_constants = [draw(log_uniform(10.0, 1e3)) for _ in range(3)]
+        noise = [draw(st.floats(0.0, 0.1)) * a for a in amplitude]
+        seed = draw(st.integers(0, 2 ** 16))
+        load = lambda: MarkovBias(time_constants, noise, seed, bias)      # noqa: E731
+    position, heading = st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi)
+    start = dict(eta0=np.array([draw(position), draw(position), draw(heading)]),
+                 nu0=np.array([draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+                               draw(st.floats(-0.05, 0.05))]),
+                 eta_d=np.array([draw(position), draw(position), draw(heading)]), dt=0.1)
+    return plant, load, start, draw(st.integers(10, 30)), draw(st.integers(0, 2 ** 16))
+
+
+@st.composite
+def backstep_gains(draw):
+    """SPD K1 and K2, per-axis gamma and sigma with gamma sigma dt < 2.785 at dt 0.1, and
+    either law."""
+    k1 = symmetric(draw, [(0.01, 0.1), (0.01, 0.1), (0.1, 1.0)])
+    k2 = symmetric(draw, [(1e4, 1e5), (1e4, 1e5), (1e4, 1e8)])
+    sigma = np.array([draw(log_uniform(0.05, 5.0)) for _ in range(3)])
+    leak = np.array([draw(log_uniform(1e-3, 2.7)) for _ in range(3)])     # gamma sigma dt
+    return BackstepGains(k1, k2, leak / (sigma * 0.1), sigma,
+                         law=draw(st.sampled_from(["stable", "unstable"])))
+
+
+@st.composite
+def pid_gains(draw):
+    """(Kp, Ki, Kd), each with its own diagonal scales and coupled off-diagonal entries."""
+    anywhere = [(i, j) for i in range(3) for j in range(3) if i != j]
+    return (scaled(draw, [(1e3, 1e5), (1e3, 1e5), (1e6, 1e8)], anywhere),
+            scaled(draw, [(1.0, 1e2), (1.0, 1e2), (1e2, 1e4)], anywhere),
+            scaled(draw, [(1e4, 1e6), (1e4, 1e6), (1e7, 1e9)], anywhere))
+
+
+COUPLED_PLANT = VesselParams(COUPLED_M, COUPLED_D)
+COUPLED_GAINS = BackstepGains(COUPLED_K1, COUPLED_K2, (0.5, 2.0, 6.0), (2.13, 2.13, 0.302))
 
 
 class TestFloatEngine:
     """The engine's float arithmetic against the numpy oracles of ``tests/oracles.py``."""
 
     @staticmethod
-    def pid_run(plant, frame, steps, start):
-        return simulate_pid(plant, PidController(PidGains(*COUPLED_PID), frame),
-                            ConstantDisturbance(COUPLED_LOAD), duration=steps * start["dt"],
-                            **start)[0]
+    def pid_run(plant, frame, steps, start, pid=COUPLED_PID, load=None):
+        load = ConstantDisturbance(COUPLED_LOAD) if load is None else load
+        return simulate_pid(plant, PidController(PidGains(*pid), frame), load,
+                            duration=steps * start["dt"], **start)[0]
 
-    def check_pid(self, frame, steps, start):
-        """A PID run on the coupled plant against ``pid_rk4_rows`` at rtol 1e-12."""
-        plant = VesselParams(COUPLED_M, COUPLED_D)
-        want = pid_rk4_rows(plant, frame, COUPLED_LOAD, steps=steps, **start)
-        trace = self.pid_run(plant, frame, steps, start)
-        np.testing.assert_allclose(trace.pose, wrapped(want), rtol=1e-12)
-        np.testing.assert_allclose(np.column_stack([trace.velocity, trace.tau]), want[:, 3:],
-                                   rtol=1e-12)
-        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (steps + 1, 1)))
-        v1, v2 = energies(want[:, :3], want[:, 3:6], start["eta_d"], COUPLED_M)
-        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
-        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+    def check_pid(self, frame, steps, start, *, plant=COUPLED_PLANT, pid=COUPLED_PID,
+                  load=lambda: ConstantDisturbance(COUPLED_LOAD), per_column=False):
+        """A PID run against ``pid_rk4_rows`` at rtol 1e-12 (see ``assert_close``).
+
+        ``load()`` makes a fresh load for each of the two runs.
+        """
+        want = pid_rk4_rows(plant, pid, frame, load(), steps=steps, **start)
+        trace = self.pid_run(plant, frame, steps, start, pid, load())
+        assert_close(trace.pose, wrapped(want), per_column)
+        assert_close(np.column_stack([trace.velocity, trace.tau, trace.delta]), want[:, 3:],
+                     per_column)
+        v1, v2 = energies(want[:, :3], want[:, 3:6], start["eta_d"], plant.M)
+        assert_close(np.column_stack([trace.v1, trace.v2a_partial]), np.column_stack([v1, v2]),
+                     per_column)
         return trace, want
 
     @pytest.mark.parametrize("frame", ["body", "earth"])
     def test_pid_on_coupled_plant_matches_plant_derivative(self, frame):
         steps = 30
         trace, _ = self.check_pid(frame, steps, COUPLED_START)
+        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (steps + 1, 1)))
         # the coupling terms move the run far beyond the tolerance above
         diagonal = self.pid_run(VesselParams(np.diag(np.diag(COUPLED_M)),
                                              np.diag(np.diag(COUPLED_D))),
@@ -445,40 +543,39 @@ class TestFloatEngine:
 
     @pytest.mark.parametrize("frame", ["body", "earth"])
     def test_pid_across_the_seam_matches_plant_derivative(self, frame):
-        _, want = self.check_pid(frame, 20, SEAM_START)
+        trace, want = self.check_pid(frame, 20, SEAM_START)
+        np.testing.assert_array_equal(trace.delta, np.tile(COUPLED_LOAD, (21, 1)))
         assert want[0, 2] < math.pi < want[-1, 2]
 
     @staticmethod
-    def check_adaptive(load, steps, start):
-        """An adaptive 2^9 run on the coupled plant, non-diagonal K1 and K2, against
-        the dense joint-RK4 oracle: pose, velocity, weights, weight norms, V1 and V2a
-        at rtol 1e-12.
+    def check_adaptive(load, steps, start, *, plant=COUPLED_PLANT, gains=COUPLED_GAINS,
+                       network=None, weight_seed=3, adapt=True, per_column=False):
+        """A run on a 2^9 grid (or ``network``) against the dense joint-RK4 oracle: pose,
+        velocity, weights, weight norms, V1 and V2a at rtol 1e-12 (see ``assert_close``).
 
+        By default the plant is the coupled one and K1 and K2 are not diagonal.
         ``load()`` makes a fresh load for each of the two runs.  Returns the trace
         and the oracle's states.
         """
-        plant = VesselParams(COUPLED_M, COUPLED_D)
-        network = RbfNetwork.grid(points_per_dim=2)
+        network = RbfNetwork.grid(points_per_dim=2) if network is None else network
         n = network.node_count
-        weights0 = AdaptiveWeights.random_init(n, 3)
-        gains = BackstepGains(COUPLED_K1, COUPLED_K2, (0.5, 2.0, 6.0), (2.13, 2.13, 0.302))
+        weights0 = AdaptiveWeights.random_init(n, weight_seed)
         states = joint_rk4_states(plant, gains, network, weights0, load(), steps=steps,
-                                  **start)
+                                  adapt=adapt, **start)
         trace, _ = simulate_adaptive(plant, gains, network, weights0, load(),
-                                     duration=steps * start["dt"], **start)
-        np.testing.assert_allclose(trace.pose, wrapped(states), rtol=1e-12)
-        np.testing.assert_allclose(trace.velocity, states[:, 3:6], rtol=1e-12)
-        np.testing.assert_allclose(trace.final_theta, states[-1, 6:].reshape(3, n),
-                                   rtol=1e-12)
+                                     duration=steps * start["dt"], adapt=adapt, **start)
+        assert_close(trace.pose, wrapped(states), per_column)
+        assert_close(trace.velocity, states[:, 3:6], per_column)
+        assert_close(trace.final_theta.T, states[-1, 6:].reshape(3, n).T, per_column)
         # every step's norms, from the Gram identity between folds
         np.testing.assert_allclose(
             trace.theta_norms, np.linalg.norm(states[:, 6:].reshape(-1, 3, n), axis=2),
             rtol=1e-12)
         eta_d = start["eta_d"]
-        alpha1 = [compute_alpha1(COUPLED_K1, s[2], pose_error(s[:3], eta_d)) for s in states]
-        v1, v2 = energies(states[:, :3], states[:, 3:6] - np.array(alpha1), eta_d, COUPLED_M)
-        np.testing.assert_allclose(trace.v1, v1, rtol=1e-12)
-        np.testing.assert_allclose(trace.v2a_partial, v2, rtol=1e-12)
+        alpha1 = [compute_alpha1(gains.K1, s[2], pose_error(s[:3], eta_d)) for s in states]
+        v1, v2 = energies(states[:, :3], states[:, 3:6] - np.array(alpha1), eta_d, plant.M)
+        assert_close(np.column_stack([trace.v1, trace.v2a_partial]), np.column_stack([v1, v2]),
+                     per_column)
         return trace, states
 
     def test_adaptive_on_coupled_plant_matches_plant_derivative(self):
@@ -493,6 +590,35 @@ class TestFloatEngine:
         trace, _ = self.check_adaptive(
             lambda: MarkovBias(1000.0, 1000.0, 12, (3e3, -2e3, 1e5)), 15, COUPLED_START)
         assert (np.diff(trace.delta, axis=0) != 0).all()
+
+    def test_gram_identity_norms_on_fast_moving_bases(self):
+        # far from the target at 3 m/s, on a narrow basis whose nodes bracket
+        # the path: each stage's basis differs from the last, so every term of
+        # the identity weighs in the norms check_adaptive compares each step
+        start = dict(eta0=np.array([40.0, -30.0, 2.0]), nu0=np.array([3.0, -2.0, 0.2]),
+                     eta_d=np.array([1.0, 2.0, -0.3]), dt=0.1)
+        ranges = ((39.5, 40.5), (-30.0, -23.0), (2.0, 2.4), (2.9, 3.0), (-2.0, -1.7),
+                  (0.15, 0.2), (1.7, 1.95), (0.1, 0.5), (-2.3, -2.0))
+        network = RbfNetwork.grid(ranges, points_per_dim=2, width=0.3)
+        _, states = self.check_adaptive(lambda: ConstantDisturbance(COUPLED_LOAD), 20, start,
+                                        network=network, per_column=True)
+        bases = [gaussian_basis(network, np.concatenate(
+            [s[:6], compute_alpha1(COUPLED_K1, s[2], pose_error(s[:3], start["eta_d"]))]))
+            for s in states]
+        change = [np.linalg.norm(b - a) / np.linalg.norm(a) for a, b in zip(bases, bases[1:])]
+        assert min(change) > 0.4
+
+    @given(run=drawn_runs(), gains=backstep_gains(), adapt=st.booleans())
+    def test_drawn_backstepping_runs_match_joint_rk4(self, run, gains, adapt):
+        # the adaptive law under either sign, or frozen weights (adapt=False)
+        plant, load, start, steps, seed = run
+        self.check_adaptive(load, steps, start, plant=plant, gains=gains, weight_seed=seed,
+                            adapt=adapt, per_column=True)
+
+    @given(run=drawn_runs(), frame=st.sampled_from(["body", "earth"]), pid=pid_gains())
+    def test_drawn_pid_runs_match_plant_derivative(self, run, frame, pid):
+        plant, load, start, steps, _ = run
+        self.check_pid(frame, steps, start, plant=plant, pid=pid, load=load, per_column=True)
 
     def test_markov_load_is_the_rotated_bias_stream(self):
         # oracle: an independent MarkovBias with the run's seed, stepped once
