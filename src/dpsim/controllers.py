@@ -23,6 +23,7 @@ it is kept selectable for side-by-side demonstration of why the sign matters.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -115,8 +116,8 @@ class PidController:
 
     def control(self, eta, nu, eta_d, dt: float) -> np.ndarray:
         """Control force/moment for the current sample; advances the integral."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         err, c, s = self._error(eta, eta_d)
         if self._prev_error is not None:
             (i0, i1, i2), (p0, p1, p2), (e0, e1, e2) = self.integral, self._prev_error, err
@@ -129,7 +130,7 @@ class PidController:
             rate = (-(c * u - s * v), -(s * u + c * v), -r)
         else:
             rate = (-u, -v, -r)
-        return self._stacked @ np.array((*err, *self.integral, *rate))
+        return self._stacked.dot((*err, *self.integral, *rate))
 
 
 @dataclass

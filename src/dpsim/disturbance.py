@@ -72,8 +72,8 @@ class MarkovBias:
 
     def step(self, dt: float) -> tuple:
         """Advance the bias by one Euler-Maruyama step; returns the new bias."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not self._noise:
             self._noise = self._rng.standard_normal((NOISE_BLOCK, 3)).tolist()[::-1]
         n0, n1, n2 = self._noise.pop()

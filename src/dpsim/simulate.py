@@ -6,7 +6,8 @@ velocity, six floats, for every controller; a law with state of its own
 integrates it at the same stages.  The adaptive law carries 15 coordinates
 of its weights, resets them each step and forms the weights every
 ``FOLD_STEPS`` steps (see ``simulate_adaptive``); frozen weights and PID
-carry none, and PID holds its output over each step.  Every load, constant
+carry none.  PID holds its output over each step, so it is called once per
+step and its tau reused at the sub-stages.  Every load, constant
 or Markov, is read through ``body_load(cos psi, sin psi)`` once per step,
 held across the sub-stages, and advanced by ``step(dt)``; both laws clamp
 through ``controllers.saturate``.  The engine's and the laws' 3-vector
@@ -94,17 +95,19 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     """Integrate plant, control law and disturbance; returns the trace and the metrics.
 
     The RK4 state ``y`` is the pose and velocity, a tuple of six floats, for
-    every controller.  ``law = (control, end_step)``.  ``control(y, c, s,
-    stage)`` runs at RK4 stage 0 (the full-rate sample) to 3, with ``(c,
-    s)`` the cosine and sine of the stage's yaw, and returns ``(tau, z2,
-    theta_norms, probe_fields)``: ``tau`` and ``z2`` are three floats, and
-    the last three are read at stage 0 only.  ``end_step()``, if not None,
-    runs after each RK4 combine and returns False when the law's own state
-    went non-finite, which aborts the run like a non-finite ``y``.  Each
-    step calls ``control`` at stages 0 to 3 in that order and then
-    ``end_step``, and the last sample calls stage 0 only, so a law may carry
-    work, and state of its own, from one call to the next.  Probe arrays are
-    built only when ``probe`` is given.
+    every controller.  ``law = (control, held, end_step)``.  ``control(y, c,
+    s, stage)`` runs at RK4 stage 0, the full-rate sample, with ``(c, s)``
+    the cosine and sine of the yaw, and returns ``(tau, z2, theta_norms,
+    probe_fields)``: ``tau`` and ``z2`` are three floats.  A ``held`` law
+    holds tau over the step, and stages 1 to 3 reuse it; otherwise
+    ``control`` runs at stages 1 to 3 too and returns tau alone there.  Each
+    stage forms its state, yaw, tau and plant rate in one call,
+    ``stage_rate``.  ``end_step()``, if not None, runs after each RK4
+    combine and returns False when the law's own state went non-finite,
+    which aborts the run like a non-finite ``y``.  The stages run in order
+    and ``end_step`` after them, and the last sample runs stage 0 only, so
+    a law may carry work, and state of its own, from one call to the next.
+    Probe arrays are built only when ``probe`` is given.
     """
     steps = int(round(duration / dt))
     t = (np.arange(steps + 1) * dt).tolist()
@@ -112,28 +115,25 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
     xd, yd, psid = eta_d.tolist()
-    control, end_step = law
+    control, held, end_step = law
     half, sixth = 0.5 * dt, dt / 6.0
 
     y = (*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist())
     # one row per sample; yaw stays unwrapped until the end
     rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
 
-    def rate(yv, c, s, tau):
-        """(R nu, M^-1 (tau + delta - D nu)) at the held load ``delta`` = (l0, l1, l2)."""
-        _, _, _, u, v, r = yv
-        t0, t1, t2 = tau
+    def stage_rate(stage, h, k):
+        """(R nu, M^-1 (tau + delta - D nu)) at ``y + h k``, its yaw and its tau, in one call."""
+        k0, k1, k2, k3, k4, k5 = k
+        psi, u, v, r = k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5
+        c, s = yaw_cos_sin(psi)
+        t0, t1, t2 = tau if held else control(
+            (k0 * h + y0, k1 * h + y1, psi, u, v, r), c, s, stage)
         f0 = t0 + l0 - (d00 * u + d01 * v + d02 * r)
         f1 = t1 + l1 - (d10 * u + d11 * v + d12 * r)
         f2 = t2 + l2 - (d20 * u + d21 * v + d22 * r)
         return (c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
                 a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
-
-    def stage_rate(stage, h, k):
-        k0, k1, k2, k3, k4, k5 = k
-        yv = (k0 * h + y0, k1 * h + y1, k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5)
-        c, s = yaw_cos_sin(yv[2])
-        return rate(yv, c, s, control(yv, c, s, stage)[0])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
@@ -141,7 +141,13 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             c, s = yaw_cos_sin(y2)
             l0, l1, l2 = disturbance.body_load(c, s)
             tau, z2, norms, fields = control(y, c, s, 0)
-            a0, a1, a2, a3, a4, a5 = d1 = rate(y, c, s, tau)
+            t0, t1, t2 = tau
+            f0 = t0 + l0 - (d00 * y3 + d01 * y4 + d02 * y5)     # the plant rate, as in stage_rate
+            f1 = t1 + l1 - (d10 * y3 + d11 * y4 + d12 * y5)
+            f2 = t2 + l2 - (d20 * y3 + d21 * y4 + d22 * y5)
+            a0, a1, a2, a3, a4, a5 = d1 = (
+                c * y3 - s * y4, s * y3 + c * y4, y5, a00 * f0 + a01 * f1 + a02 * f2,
+                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
             ex, ey, epsi = y0 - xd, y1 - yd, ssa(y2 - psid)
             v1 = 0.5 * (ex * ex + ey * ey + epsi * epsi)
             q0, q1, q2 = z2
@@ -307,7 +313,8 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                 row[stage + 1] += gain[i] * z2[i]
                 dx.append(row)
             slopes[stage] = dx
-            return torque(z1, z2, out, c, s), z2, norms, fields
+            tau = torque(z1, z2, out, c, s)
+            return tau if stage else (tau, z2, norms, fields)
 
         def end_step():
             nonlocal norms, pending, theta_sq
@@ -339,7 +346,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             theta_sq = (norms * norms).tolist()
             return bool(np.isfinite(norms).all() or np.isfinite(theta).all())
 
-        law = (control, end_step)
+        law = (control, False, end_step)
     else:
         f_buf = np.empty(work.size)
         f_halves = work.halves(f_buf)
@@ -347,9 +354,10 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         def control(yv, c, s, stage):
             z1, z2, core, fields = network_terms(yv, c, s, stage, f_buf, f_halves)
-            return torque(z1, z2, core.tolist(), c, s), z2, frozen_norms, fields
+            tau = torque(z1, z2, core.tolist(), c, s)
+            return tau if stage else (tau, z2, frozen_norms, fields)
 
-        law = (control, None)
+        law = (control, False, None)
 
     trace, metrics = _closed_loop(
         plant, law, disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
@@ -368,16 +376,14 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
     eta_d = np.asarray(eta_d, dtype=float)
     target = eta_d.tolist()
     controller.reset()
-    zeros3 = tau = (0.0, 0.0, 0.0)
+    zeros3 = (0.0, 0.0, 0.0)
 
-    def control(yv, c, s, stage):
-        nonlocal tau
-        if stage == 0:
-            tau = saturate(controller.control(yv[:3], yv[3:6], target, dt).tolist(), limits)
-        return tau, yv[3:], zeros3, {}
+    def control(y, c, s, stage):
+        tau = saturate(controller.control(y[:3], y[3:], target, dt).tolist(), limits)
+        return tau, y[3:], zeros3, {}
 
     return _closed_loop(
-        plant, (control, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
+        plant, (control, True, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,
         duration=duration, probe=probe)
 
 

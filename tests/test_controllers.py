@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +75,17 @@ class TestPid:
                                    [0.0, -1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(earth.control(eta, np.zeros(3), eta_d, 0.1),
                                    [1.0, 0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_dt_is_rejected_before_the_integral_moves(self, dt):
+        # a nan dt once made every later output nan through the integral
+        pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
+        eta = np.array([1.0, 2.0, 0.1])
+        pid.control(eta, np.zeros(3), np.zeros(3), 0.1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pid.control(eta, np.zeros(3), np.zeros(3), dt)
+        assert np.isfinite(pid.integral).all()
+        assert np.isfinite(pid.control(eta, np.zeros(3), np.zeros(3), 0.1)).all()
 
     def test_reset_clears_state(self):
         pid = PidController(PidGains(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))))

@@ -82,6 +82,13 @@ class TestMarkovBias:
         with pytest.raises(ValueError):
             MarkovBias([1.0] * 3, [0.0] * 3, seed=0).step(0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_is_rejected(self, dt):
+        bias = MarkovBias(100.0, 1.0, 3)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            bias.step(dt)
+        assert bias.b == (0.0, 0.0, 0.0)
+
 
 class TestBodyRotation:
     def test_identity_heading(self):

@@ -2,7 +2,9 @@
 
 ``output_digests.json`` holds the digests of the six ``dpsim figures`` traces
 at a 20 s horizon on the default 3^9 grid, and of one decimated Markov
-adaptive run's trace and weight snapshot.  The ``# version:`` line is left out
+adaptive run's trace and weight snapshot, and under ``saturated_pid`` those of
+two 20 s full-rate PID traces under the Markov load, one per ``error_frame``,
+with a ``tau_max`` that clips every axis.  The ``# version:`` line is left out
 of each digest, so a version bump moves none.  The adaptive runs pass through
 BLAS products, whose last bits may differ under another numpy or BLAS, so the
 file records the host line beside the digests.  A change that moves a digest
@@ -16,6 +18,7 @@ import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dpsim.cli import main as cli_main
 
@@ -48,3 +51,18 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, capsys):
     assert got == recorded["digests"], (
         f"recorded on: {recorded['host']}\nthis host:   {host_line()}\n"
         + json.dumps({"host": host_line(), "digests": got}, indent=2))
+
+
+@pytest.mark.parametrize("frame", ["body", "earth"])
+def test_saturated_pid_traces_match_the_recorded_digests(tmp_path, capsys, frame):
+    # tau_max clips surge, sway and yaw in 90, 173 and 87 of the body-frame
+    # run's 201 samples, and in 1, 166 and 87 of the earth-frame run's
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "controller": {"type": "pid", "error_frame": frame, "tau_max": [3e4, 7e4, 1e7]},
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}}))
+    trace = tmp_path / "trace.csv"
+    assert cli_main(["run", "--config", str(scenario), "--out", str(trace)]) == 0
+    recorded = json.loads(DIGESTS.read_text())
+    assert digest(trace) == recorded["saturated_pid"][frame], (
+        f"recorded on: {recorded['host']}\nthis host:   {host_line()}")

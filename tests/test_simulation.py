@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dpsim
-from dpsim import kernels
+from dpsim import kernels, simulate
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
@@ -111,6 +111,22 @@ class TestRunSimulation:
         assert np.isfinite(abort.pose).all()
         assert np.isfinite(abort.velocity).all()
         assert "last finite sample" in str(abort)
+
+    def test_pid_blowup_aborts_at_the_same_step(self):
+        # the values are those of an engine that called the held law at every
+        # RK4 stage, which aborted at the same step
+        cfg = small_cfg(controller_type="pid", dt=50.0, duration=20000.0)
+        with pytest.raises(SimulationAbort) as excinfo:
+            run_simulation(cfg)
+        abort = excinfo.value
+        assert abort.t_failed == 10200.0
+        assert abort.t_last == 10150.0
+        np.testing.assert_allclose(
+            abort.pose, [-4.052953985105945e+300, 2.802063610967814e+300,
+                         -5.094317673247657e+299], rtol=1e-12)
+        np.testing.assert_allclose(
+            abort.velocity, [-2.630714302606353e+297, -3.680437527391113e+299,
+                             6.091535070060971e+298], rtol=1e-12)
 
     def test_overflowing_weights_abort_at_the_same_step(self):
         # gamma 100 under the unstable law multiplies the weights by about 1e4
@@ -294,10 +310,10 @@ class TestRunSimulation:
         assert abs(c_coarse - c_fine) / c_coarse < 0.05
 
 
-def counting_folds(monkeypatch):
-    """A list that gets one entry per ``kernels.fold`` call from now on."""
-    calls, fold = [], kernels.fold
-    monkeypatch.setattr(kernels, "fold", lambda *args: calls.append(1) or fold(*args))
+def counting_calls(monkeypatch, module, name):
+    """A list that gets one entry per call of ``module.name`` from now on."""
+    calls, func = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or func(*args))
     return calls
 
 
@@ -343,12 +359,45 @@ class TestDeferredFold:
 
     @pytest.mark.parametrize("steps", [4 * FOLD_STEPS, 4 * FOLD_STEPS + 3])
     def test_folds_once_per_fold_steps_and_every_step_under_a_probe(self, monkeypatch, steps):
-        calls = counting_folds(monkeypatch)
+        calls = counting_calls(monkeypatch, kernels, "fold")
         self.run(steps)
         assert len(calls) == math.ceil(steps / FOLD_STEPS) < steps
         calls.clear()
         self.run(steps, probe=lambda t, info: None)
         assert len(calls) == steps
+
+
+class TestLawCalls:
+    """A held law is called once per step; a law whose tau moves within the step, at every stage."""
+
+    STEPS = 20
+
+    def test_pid_law_is_called_once_per_step(self, monkeypatch):
+        stages = []
+        closed_loop = simulate._closed_loop
+
+        def counted_loop(plant, law, *args, **kwargs):
+            control, *rest = law
+
+            def counted(y, c, s, stage):
+                stages.append(stage)
+                return control(y, c, s, stage)
+
+            return closed_loop(plant, (counted, *rest), *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_closed_loop", counted_loop)
+        rotations = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        run_simulation(small_cfg(controller_type="pid", duration=self.STEPS * 0.1))
+        assert stages == [0] * (self.STEPS + 1)
+        # the engine still rotates at every stage
+        assert len(rotations) == 4 * self.STEPS + 1
+
+    @pytest.mark.parametrize("controller", ["adaptive-nn", "nn-fixed"])
+    def test_network_laws_run_at_every_stage(self, monkeypatch, controller):
+        cores = counting_calls(monkeypatch, kernels, "adaptive_core")
+        rotations = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        run_simulation(small_cfg(controller_type=controller, duration=self.STEPS * 0.1))
+        assert len(cores) == len(rotations) == 4 * self.STEPS + 1
 
 
 # A plant with sway-yaw coupling in M and D, neither symmetric, so that a
