@@ -84,8 +84,8 @@ class PidController:
     with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.
     ``reset``, which the run calls at its start, zeroes ``integral`` (three
     floats) and stacks the gains as ``[Kp Ki Kd]`` for one product per call.
-    ``control`` unpacks eta, nu and eta_d, any sequences of three numbers, in
-    floats; the gain product stays one numpy product, whose sums round
+    ``bind(eta_d, dt)`` is the law of one run, in floats; ``control`` runs
+    through it.  The gain product stays one numpy product, whose sums round
     differently from a float loop's.
     """
 
@@ -101,36 +101,47 @@ class PidController:
         self._prev_error = None
         self._stacked = np.hstack([self.gains.Kp, self.gains.Ki, self.gains.Kd])
 
-    def _error(self, eta, eta_d):
-        """The pose error as three floats, and the yaw's (cos, sin)."""
-        (x, y, psi), (xd, yd, psid) = eta, eta_d
-        dx, dy = xd - x, yd - y
-        c, s = yaw_cos_sin(psi)
-        dpsi = ssa(psid - psi)
-        if self.frame == "earth":
-            return (dx, dy, dpsi), c, s
-        return (c * dx + s * dy, c * dy - s * dx, dpsi), c, s
+    def _errors(self, eta_d):
+        """``error(x, y, psi, c, s)``: three floats toward ``eta_d``, ``(c, s)`` the yaw's."""
+        (xd, yd, psid), body = eta_d, self.frame == "body"
+
+        def error(x, y, psi, c, s):
+            dx, dy, dpsi = xd - x, yd - y, ssa(psid - psi)
+            return (c * dx + s * dy, c * dy - s * dx, dpsi) if body else (dx, dy, dpsi)
+
+        return error
+
+    def bind(self, eta_d, dt: float):
+        """``law(state, c, s)`` toward ``eta_d`` at step ``dt``, which is checked once here.
+
+        ``state`` is pose and velocity and ``(c, s)`` the yaw's cosine and
+        sine; each call returns the control and advances the integral.
+        """
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        error, half, dot = self._errors(eta_d), 0.5 * dt, self._stacked.dot
+        body = self.frame == "body"
+
+        def law(state, c, s):
+            x, y, psi, u, v, r = state
+            e0, e1, e2 = err = error(x, y, psi, c, s)
+            (i0, i1, i2), prev, self._prev_error = self.integral, self._prev_error, err
+            if prev is not None:
+                p0, p1, p2 = prev
+                self.integral = i0, i1, i2 = (i0 + half * (p0 + e0), i1 + half * (p1 + e1),
+                                              i2 + half * (p2 + e2))
+            if body:
+                return dot((e0, e1, e2, i0, i1, i2, -u, -v, -r))
+            return dot((e0, e1, e2, i0, i1, i2, -(c * u - s * v), -(s * u + c * v), -r))
+
+        return law
 
     def error(self, eta, eta_d) -> np.ndarray:
-        return np.array(self._error(eta, eta_d)[0])
+        return np.array(self._errors(eta_d)(*eta, *yaw_cos_sin(eta[2])))
 
     def control(self, eta, nu, eta_d, dt: float) -> np.ndarray:
         """Control force/moment for the current sample; advances the integral."""
-        if not 0.0 < dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        err, c, s = self._error(eta, eta_d)
-        if self._prev_error is not None:
-            (i0, i1, i2), (p0, p1, p2), (e0, e1, e2) = self.integral, self._prev_error, err
-            half = 0.5 * dt
-            self.integral = (i0 + half * (p0 + e0), i1 + half * (p1 + e1),
-                             i2 + half * (p2 + e2))
-        self._prev_error = err
-        u, v, r = nu
-        if self.frame == "earth":
-            rate = (-(c * u - s * v), -(s * u + c * v), -r)
-        else:
-            rate = (-u, -v, -r)
-        return self._stacked.dot((*err, *self.integral, *rate))
+        return self.bind(eta_d, dt)((*eta, *nu), *yaw_cos_sin(eta[2]))
 
 
 @dataclass

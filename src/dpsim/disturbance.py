@@ -1,8 +1,8 @@
 """Environmental load generators: constant load and first-order Markov bias.
 
-Both expose the two calls the simulation engine makes: ``body_load(c, s)``,
-the body-frame load as three floats at a heading with cosine ``c`` and sine
-``s``, and ``step(dt)``, which advances the load by one step.
+Both expose what the engine uses: ``body_load(c, s)``, the body-frame
+load as three floats at a heading with cosine ``c`` and sine ``s``, and
+``stepper(dt)``, bound once per run, whose calls each advance it by ``dt``.
 The constant load ignores both the heading and the step.  The Markov bias
 is an Ornstein-Uhlenbeck force/moment vector in the earth frame, rotated
 into the body frame at query time.  Euler-Maruyama stepping with sqrt(dt)
@@ -13,6 +13,7 @@ noise scaling keeps the stationary variance step-size invariant at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class ConstantDisturbance:
     def body_load(self, c: float, s: float) -> list:
         return self.delta.tolist()
 
+    def stepper(self, dt: float):
+        """Nothing to advance: the load is constant."""
+        return lambda: None
+
     def step(self, dt: float) -> None:
         """Nothing to advance: the load is constant."""
 
@@ -59,9 +64,9 @@ class MarkovBias:
             raise ValueError("noise_scale entries must be non-negative")
         self.time_constants = T
         self.noise_scale = psi
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
         if b.shape != (3,) or not np.isfinite(b).all():
             raise ValueError("initial_bias must be a finite 3-vector")
@@ -70,19 +75,28 @@ class MarkovBias:
         self._rng = np.random.default_rng(self.seed)
         self._noise = []        # the block's unused draws, next one last
 
-    def step(self, dt: float) -> tuple:
-        """Advance the bias by one Euler-Maruyama step; returns the new bias."""
+    def stepper(self, dt: float):
+        """``advance()``: one step of ``dt``, returning the new bias; ``dt`` is checked once."""
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if not self._noise:
-            self._noise = self._rng.standard_normal((NOISE_BLOCK, 3)).tolist()[::-1]
-        n0, n1, n2 = self._noise.pop()
-        (b0, b1, b2), (T0, T1, T2), (p0, p1, p2) = self.b, self._T, self._psi
         root = math.sqrt(dt)
-        self.b = (b0 + dt * (-b0 / T0) + p0 * root * n0,
-                  b1 + dt * (-b1 / T1) + p1 * root * n1,
-                  b2 + dt * (-b2 / T2) + p2 * root * n2)
-        return self.b
+        (T0, T1, T2), (s0, s1, s2) = self._T, [p * root for p in self._psi]     # (p root) n
+
+        def advance():
+            if not self._noise:
+                self._noise = self._rng.standard_normal((NOISE_BLOCK, 3)).tolist()[::-1]
+            n0, n1, n2 = self._noise.pop()
+            b0, b1, b2 = self.b
+            self.b = (b0 + dt * (-b0 / T0) + s0 * n0,
+                      b1 + dt * (-b1 / T1) + s1 * n1,
+                      b2 + dt * (-b2 / T2) + s2 * n2)
+            return self.b
+
+        return advance
+
+    def step(self, dt: float) -> tuple:
+        """Advance the bias by one Euler-Maruyama step; returns the new bias."""
+        return self.stepper(dt)()
 
     def body_load(self, c: float, s: float) -> tuple:
         b0, b1, b2 = self.b

@@ -6,13 +6,14 @@ velocity, six floats, for every controller; a law with state of its own
 integrates it at the same stages.  The adaptive law carries 15 coordinates
 of its weights, resets them each step and forms the weights every
 ``FOLD_STEPS`` steps (see ``simulate_adaptive``); frozen weights and PID
-carry none.  PID holds its output over each step, so it is called once per
-step and its tau reused at the sub-stages.  Every load, constant
-or Markov, is read through ``body_load(cos psi, sin psi)`` once per step,
-held across the sub-stages, and advanced by ``step(dt)``; both laws clamp
-through ``controllers.saturate``.  The engine's and the laws' 3-vector
-arithmetic is written in floats, not numpy calls, since the call cost
-dominates at that size.  The engine fills one row per full-rate sample and
+carry none.  PID holds its output over each step: its law, bound once per
+run by ``PidController.bind``, runs once per step on the engine's yaw cosine
+and sine.  Every load, constant or Markov, is read through ``body_load(cos
+psi, sin psi)`` once per step, held across the sub-stages, and advanced by
+the call its ``stepper(dt)`` binds once per run; both laws clamp through
+``controllers.saturate``.  The engine's and the laws' 3-vector arithmetic
+is written in floats, not numpy calls, since the call cost dominates at
+that size.  The engine fills one row per full-rate sample and
 hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``; ``run_simulation`` decimates the trace after them.
@@ -100,11 +101,12 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     the cosine and sine of the yaw, and returns ``(tau, z2, theta_norms,
     probe_fields)``: ``tau`` and ``z2`` are three floats.  A ``held`` law
     holds tau over the step, and stages 1 to 3 reuse it; otherwise
-    ``control`` runs at stages 1 to 3 too and returns tau alone there.  Each
-    stage forms its state, yaw, tau and plant rate in one call,
-    ``stage_rate``.  ``end_step()``, if not None, runs after each RK4
-    combine and returns False when the law's own state went non-finite,
-    which aborts the run like a non-finite ``y``.  The stages run in order
+    ``control`` runs at them too and returns tau alone there.  Stages 1 to 3
+    are one loop: each forms its state, yaw, tau and plant rate inline and
+    adds the rate, weighted, to a running sum from stage 0's rate.
+    ``end_step()``, if not None, runs after each RK4 combine and returns
+    False when the law's own state went non-finite, which aborts the run
+    like a non-finite ``y``.  The stages run in order
     and ``end_step`` after them, and the last sample runs stage 0 only, so
     a law may carry work, and state of its own, from one call to the next.
     Probe arrays are built only when ``probe`` is given.
@@ -116,24 +118,13 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
     xd, yd, psid = eta_d.tolist()
     control, held, end_step = law
-    half, sixth = 0.5 * dt, dt / 6.0
+    # (s, h, w): stage s's state is y + h k_(s-1), and it adds w k_s to the sum
+    stages, sixth = ((1, 0.5 * dt, 2.0), (2, 0.5 * dt, 2.0), (3, dt, 1.0)), dt / 6.0
+    advance = disturbance.stepper(dt)
 
     y = (*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist())
     # one row per sample; yaw stays unwrapped until the end
     rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
-
-    def stage_rate(stage, h, k):
-        """(R nu, M^-1 (tau + delta - D nu)) at ``y + h k``, its yaw and its tau, in one call."""
-        k0, k1, k2, k3, k4, k5 = k
-        psi, u, v, r = k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5
-        c, s = yaw_cos_sin(psi)
-        t0, t1, t2 = tau if held else control(
-            (k0 * h + y0, k1 * h + y1, psi, u, v, r), c, s, stage)
-        f0 = t0 + l0 - (d00 * u + d01 * v + d02 * r)
-        f1 = t1 + l1 - (d10 * u + d11 * v + d12 * r)
-        f2 = t2 + l2 - (d20 * u + d21 * v + d22 * r)
-        return (c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
-                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
@@ -142,36 +133,47 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             l0, l1, l2 = disturbance.body_load(c, s)
             tau, z2, norms, fields = control(y, c, s, 0)
             t0, t1, t2 = tau
-            f0 = t0 + l0 - (d00 * y3 + d01 * y4 + d02 * y5)     # the plant rate, as in stage_rate
+            f0 = t0 + l0 - (d00 * y3 + d01 * y4 + d02 * y5)     # the plant rate, as at stages 1-3
             f1 = t1 + l1 - (d10 * y3 + d11 * y4 + d12 * y5)
             f2 = t2 + l2 - (d20 * y3 + d21 * y4 + d22 * y5)
-            a0, a1, a2, a3, a4, a5 = d1 = (
+            k0, k1, k2, k3, k4, k5 = (
                 c * y3 - s * y4, s * y3 + c * y4, y5, a00 * f0 + a01 * f1 + a02 * f2,
                 a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
             ex, ey, epsi = y0 - xd, y1 - yd, ssa(y2 - psid)
             v1 = 0.5 * (ex * ex + ey * ey + epsi * epsi)
-            q0, q1, q2 = z2
+            (q0, q1, q2), (n0, n1, n2) = z2, norms
             v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
                 m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
-            rows[k] = (t[k], *y, *tau, l0, l1, l2, *norms, v1, v2a)
+            rows[k] = (t[k], y0, y1, y2, y3, y4, y5, t0, t1, t2, l0, l1, l2, n0, n1, n2, v1, v2a)
             if probe is not None:
                 info = dict(eta=y[:3], nu=y[3:], **fields, tau=tau, delta=(l0, l1, l2))
                 probe(t[k], {key: np.array(value, dtype=float) for key, value in info.items()})
             if k == steps:
                 break
-            b0, b1, b2, b3, b4, b5 = d2 = stage_rate(1, half, d1)
-            g0, g1, g2, g3, g4, g5 = d3 = stage_rate(2, half, d2)
-            h0, h1, h2, h3, h4, h5 = stage_rate(3, dt, d3)
-            # y + (dt/6) (d1 + 2 d2 + 2 d3 + d4); this summation order keeps the traces' bits
-            y = (y0 + (((b0 * 2.0 + a0) + g0 * 2.0) + h0) * sixth,
-                 y1 + (((b1 * 2.0 + a1) + g1 * 2.0) + h1) * sixth,
-                 y2 + (((b2 * 2.0 + a2) + g2 * 2.0) + h2) * sixth,
-                 y3 + (((b3 * 2.0 + a3) + g3 * 2.0) + h3) * sixth,
-                 y4 + (((b4 * 2.0 + a4) + g4 * 2.0) + h4) * sixth,
-                 y5 + (((b5 * 2.0 + a5) + g5 * 2.0) + h5) * sixth)
+            # ((k_0 + 2 k_1) + 2 k_2) + k_3, in stage order: this order keeps the traces' bits
+            acc0, acc1, acc2, acc3, acc4, acc5 = k0, k1, k2, k3, k4, k5
+            for stage, h, w in stages:
+                psi, u, v, r = k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5
+                c, s = yaw_cos_sin(psi)
+                if not held:
+                    t0, t1, t2 = control((k0 * h + y0, k1 * h + y1, psi, u, v, r), c, s, stage)
+                f0 = t0 + l0 - (d00 * u + d01 * v + d02 * r)
+                f1 = t1 + l1 - (d10 * u + d11 * v + d12 * r)
+                f2 = t2 + l2 - (d20 * u + d21 * v + d22 * r)
+                k0, k1, k2, k3, k4, k5 = (
+                    c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
+                    a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
+                acc0 += k0 * w
+                acc1 += k1 * w
+                acc2 += k2 * w
+                acc3 += k3 * w
+                acc4 += k4 * w
+                acc5 += k5 * w
+            y = (y0 + acc0 * sixth, y1 + acc1 * sixth, y2 + acc2 * sixth,
+                 y3 + acc3 * sixth, y4 + acc4 * sixth, y5 + acc5 * sixth)
             if not ((end_step is None or end_step()) and all(map(math.isfinite, y))):
                 raise SimulationAbort(t[k + 1], t[k], (y0, y1, y2), (y3, y4, y5))
-            disturbance.step(dt)
+            advance()
 
     trace = RunTrace(rows)
     trace.pose[:, 2] = wrap_angle(trace.pose[:, 2])
@@ -374,13 +376,11 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
                  probe=None):
     """Run the PID loop: one control update per step, zero-order hold."""
     eta_d = np.asarray(eta_d, dtype=float)
-    target = eta_d.tolist()
     controller.reset()
-    zeros3 = (0.0, 0.0, 0.0)
+    law = controller.bind(eta_d.tolist(), dt)
 
     def control(y, c, s, stage):
-        tau = saturate(controller.control(y[:3], y[3:], target, dt).tolist(), limits)
-        return tau, y[3:], zeros3, {}
+        return saturate(law(y, c, s).tolist(), limits), y[3:], (0.0, 0.0, 0.0), {}
 
     return _closed_loop(
         plant, (control, True, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,

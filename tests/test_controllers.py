@@ -87,6 +87,34 @@ class TestPid:
         assert np.isfinite(pid.integral).all()
         assert np.isfinite(pid.control(eta, np.zeros(3), np.zeros(3), 0.1)).all()
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_binding_rejects_a_bad_dt(self, dt):
+        pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pid.bind((0.0, 0.0, 0.0), dt)
+
+    @pytest.mark.parametrize("frame", PID_FRAMES)
+    def test_bound_law_is_control_bitwise(self, frame):
+        # the engine's law takes its (cos, sin); control() takes its own, on the
+        # same states, across the +-pi seam, and on the first call after reset()
+        rng = np.random.default_rng(22)
+        gains = PidGains(*(rng.normal(size=(3, 3, 3)) * [[[3e3]], [[50.0]], [[5e4]]]))
+        bound, called = PidController(gains, frame), PidController(gains, frame)
+        eta_d = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), math.pi - 0.05)
+        for _ in range(2):
+            bound.reset()
+            called.reset()
+            law = bound.bind(eta_d, 0.1)
+            yaws = [math.pi, -math.pi, *(rng.choice([-1.0, 1.0], 30) * math.pi
+                                         + rng.uniform(-0.3, 0.3, 30))]
+            for psi in map(float, yaws):
+                state = (*rng.uniform(-50.0, 50.0, 2).tolist(), psi,
+                         *rng.normal(size=3).tolist())
+                got = law(state, *yaw_cos_sin(psi))
+                want = called.control(np.array(state[:3]), np.array(state[3:]), eta_d, 0.1)
+                assert got.tobytes() == want.tobytes()
+                assert np.array(bound.integral).tobytes() == np.array(called.integral).tobytes()
+
     def test_reset_clears_state(self):
         pid = PidController(PidGains(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))))
         pid.control(np.ones(3), np.zeros(3), np.zeros(3), 0.1)

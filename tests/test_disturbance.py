@@ -17,8 +17,10 @@ class TestConstant:
         # the same body-frame load at every heading and after any number of steps
         cfg = ConstantDisturbance([1000.0, 2000.0, 1500.0])
         first = cfg.body_load(1.0, 0.0)
+        advance = cfg.stepper(100.0)
         for _ in range(5):
             cfg.step(100.0)
+            assert advance() is None
         np.testing.assert_array_equal(cfg.body_load(*yaw_cos_sin(2.0)), first)
 
     def test_zero(self):
@@ -88,6 +90,28 @@ class TestMarkovBias:
         with pytest.raises(ValueError, match="dt must be positive"):
             bias.step(dt)
         assert bias.b == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_stepper_rejects_a_bad_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            MarkovBias(100.0, 1.0, 3).stepper(dt)
+
+    def test_stepper_is_the_step_stream(self):
+        a, b = (MarkovBias(50.0, 1e3, 7, b0=[1.0, -2.0, 3.0]) for _ in range(2))
+        advance = a.stepper(0.1)
+        for _ in range(2 * NOISE_BLOCK + 3):
+            assert advance() == b.step(0.1)
+
+    @pytest.mark.parametrize("seed", [3.7, 3.0, "5", True, None, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # int() once turned 3.7 into 3, '5' into 5 and True into 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MarkovBias(100.0, 1.0, seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        a, b = MarkovBias(100.0, 1.0, np.int64(5)), MarkovBias(100.0, 1.0, 5)
+        assert a.seed == 5 and type(a.seed) is int
+        assert a.step(0.1) == b.step(0.1)
 
 
 class TestBodyRotation:

@@ -2,9 +2,11 @@
 
 ``output_digests.json`` holds the digests of the six ``dpsim figures`` traces
 at a 20 s horizon on the default 3^9 grid, and of one decimated Markov
-adaptive run's trace and weight snapshot, and under ``saturated_pid`` those of
+adaptive run's trace and weight snapshot, under ``saturated_pid`` those of
 two 20 s full-rate PID traces under the Markov load, one per ``error_frame``,
-with a ``tau_max`` that clips every axis.  The ``# version:`` line is left out
+with a ``tau_max`` that clips every axis, and under ``saturated_nn`` those of
+20 s adaptive-nn and nn-fixed traces under the same load, also clipped on
+every axis, which pin the network laws' per-stage path.  The ``# version:`` line is left out
 of each digest, so a version bump moves none.  The adaptive runs pass through
 BLAS products, whose last bits may differ under another numpy or BLAS, so the
 file records the host line beside the digests.  A change that moves a digest
@@ -65,4 +67,19 @@ def test_saturated_pid_traces_match_the_recorded_digests(tmp_path, capsys, frame
     assert cli_main(["run", "--config", str(scenario), "--out", str(trace)]) == 0
     recorded = json.loads(DIGESTS.read_text())
     assert digest(trace) == recorded["saturated_pid"][frame], (
+        f"recorded on: {recorded['host']}\nthis host:   {host_line()}")
+
+
+@pytest.mark.parametrize("controller", ["adaptive-nn", "nn-fixed"])
+def test_saturated_network_traces_match_the_recorded_digests(tmp_path, capsys, controller):
+    # tau_max clips surge, sway and yaw in 67, 132 and 201 of the adaptive
+    # run's 201 samples, and in 56, 121 and 64 of the nn-fixed run's
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "controller": {"type": controller, "tau_max": [2.2e4, 3e4, 7.5e3]},
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}}))
+    trace = tmp_path / "trace.csv"
+    assert cli_main(["run", "--config", str(scenario), "--out", str(trace)]) == 0
+    recorded = json.loads(DIGESTS.read_text())
+    assert digest(trace) == recorded["saturated_nn"][controller], (
         f"recorded on: {recorded['host']}\nthis host:   {host_line()}")

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dpsim
-from dpsim import kernels, simulate
+from dpsim import controllers, kernels, simulate
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, gaussian_basis
 from dpsim.cli import main as cli_main
 from dpsim.config import build_components, default_scenario, parse_scenario
@@ -391,6 +391,27 @@ class TestLawCalls:
         assert stages == [0] * (self.STEPS + 1)
         # the engine still rotates at every stage
         assert len(rotations) == 4 * self.STEPS + 1
+
+    def test_pid_law_uses_the_engine_rotation(self, monkeypatch):
+        own = counting_calls(monkeypatch, controllers, "yaw_cos_sin")
+        engine = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        run_simulation(small_cfg(controller_type="pid", duration=self.STEPS * 0.1))
+        assert len(own) == 0
+        assert len(engine) == 4 * self.STEPS + 1
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_markov_load_takes_one_step_per_step(self, monkeypatch, controller):
+        built, build = [], simulate.build_components
+        monkeypatch.setattr(simulate, "build_components",
+                            lambda cfg: built.append(build(cfg)) or built[-1])
+        cfg = small_cfg(controller_type=controller, disturbance_type="markov",
+                        duration=self.STEPS * 0.1)
+        run_simulation(cfg)
+        fresh = MarkovBias(cfg.time_constants, cfg.noise_scale, cfg.disturbance_seed,
+                           cfg.initial_bias)
+        for _ in range(self.STEPS):
+            fresh.step(cfg.dt)
+        assert np.array(built[0].disturbance.b).tobytes() == np.array(fresh.b).tobytes()
 
     @pytest.mark.parametrize("controller", ["adaptive-nn", "nn-fixed"])
     def test_network_laws_run_at_every_stage(self, monkeypatch, controller):
