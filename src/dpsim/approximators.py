@@ -11,6 +11,7 @@ controlled axes; each axis has its own weight vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,13 @@ class AdaptiveWeights:
 
     @classmethod
     def random_init(cls, node_count: int, seed) -> "AdaptiveWeights":
-        """Uniform [0, 1) initialization from ``np.random.default_rng(seed)``."""
+        """Uniform [0, 1) initialization from ``np.random.default_rng(seed)``.
+
+        ``seed`` must be an integer >= 0: ``None`` would draw fresh entropy, so
+        the same scenario would not give the same weights twice.
+        """
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         return cls(np.random.default_rng(seed).random((3, node_count)))
 
     @classmethod

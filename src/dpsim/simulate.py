@@ -13,7 +13,11 @@ psi, sin psi)`` once per step, held across the sub-stages, and advanced by
 the call its ``stepper(dt)`` binds once per run; both laws clamp through
 ``controllers.saturate``.  The engine's and the laws' 3-vector arithmetic
 is written in floats, not numpy calls, since the call cost dominates at
-that size.  The engine fills one row per full-rate sample and
+that size.  It skips what is exactly zero: the plant rate and V2a read only
+surge and the sway-yaw block of M, M^-1 and D, which ``VesselParams``
+requires; a held law's plant force ``tau + load`` is formed once per step;
+and the adaptive law forms only the live entries of its weight coordinates.
+The engine fills one row per full-rate sample and
 hands the rows to ``RunTrace`` as they are.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``; ``run_simulation`` decimates the trace after them.
@@ -101,9 +105,16 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     the cosine and sine of the yaw, and returns ``(tau, z2, theta_norms,
     probe_fields)``: ``tau`` and ``z2`` are three floats.  A ``held`` law
     holds tau over the step, and stages 1 to 3 reuse it; otherwise
-    ``control`` runs at them too and returns tau alone there.  Stages 1 to 3
+    ``control`` runs at them too and returns tau alone there.  The plant
+    force ``p = tau + load`` is formed once per step for a held law and once
+    per stage otherwise.  Stages 1 to 3
     are one loop: each forms its state, yaw, tau and plant rate inline and
-    adds the rate, weighted, to a running sum from stage 0's rate.
+    adds the rate, weighted, to a running sum from stage 0's rate.  The
+    plant rate ``M^-1 (p - D nu)`` and V2a's ``z2' M z2`` read only the
+    surge entry and the sway-yaw block of each matrix: the entries that
+    couple them are zero, so their products would only add a signed zero.
+    Every kept operation has its old operands in its old order, so the
+    traces keep their bytes; only an exact zero sum could differ in sign.
     ``end_step()``, if not None, runs after each RK4 combine and returns
     False when the law's own state went non-finite, which aborts the run
     like a non-finite ``y``.  The stages run in order
@@ -113,9 +124,12 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     """
     steps = int(round(duration / dt))
     t = (np.arange(steps + 1) * dt).tolist()
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = plant.M_inv.tolist()
-    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = plant.D.tolist()
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = plant.M.tolist()
+    # surge and the sway-yaw block only: the entries that couple them are exact
+    # zeros in M and D (vessel._check_structural_zeros) and so in M^-1, and a
+    # product with one adds only a signed zero to a finite sum
+    (a00, _, _), (_, a11, a12), (_, a21, a22) = plant.M_inv.tolist()
+    (d00, _, _), (_, d11, d12), (_, d21, d22) = plant.D.tolist()
+    (m00, _, _), (_, m11, m12), (_, m21, m22) = plant.M.tolist()
     xd, yd, psid = eta_d.tolist()
     control, held, end_step = law
     # (s, h, w): stage s's state is y + h k_(s-1), and it adds w k_s to the sum
@@ -133,17 +147,17 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             l0, l1, l2 = disturbance.body_load(c, s)
             tau, z2, norms, fields = control(y, c, s, 0)
             t0, t1, t2 = tau
-            f0 = t0 + l0 - (d00 * y3 + d01 * y4 + d02 * y5)     # the plant rate, as at stages 1-3
-            f1 = t1 + l1 - (d10 * y3 + d11 * y4 + d12 * y5)
-            f2 = t2 + l2 - (d20 * y3 + d21 * y4 + d22 * y5)
-            k0, k1, k2, k3, k4, k5 = (
-                c * y3 - s * y4, s * y3 + c * y4, y5, a00 * f0 + a01 * f1 + a02 * f2,
-                a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
+            p0, p1, p2 = t0 + l0, t1 + l1, t2 + l2      # the plant force, as at stages 1-3
+            f0 = p0 - d00 * y3
+            f1 = p1 - (d11 * y4 + d12 * y5)
+            f2 = p2 - (d21 * y4 + d22 * y5)
+            k0, k1, k2, k3, k4, k5 = (c * y3 - s * y4, s * y3 + c * y4, y5, a00 * f0,
+                                      a11 * f1 + a12 * f2, a21 * f1 + a22 * f2)
             ex, ey, epsi = y0 - xd, y1 - yd, ssa(y2 - psid)
             v1 = 0.5 * (ex * ex + ey * ey + epsi * epsi)
             (q0, q1, q2), (n0, n1, n2) = z2, norms
-            v2a = v1 + 0.5 * (q0 * (m00 * q0 + m01 * q1 + m02 * q2) + q1 * (
-                m10 * q0 + m11 * q1 + m12 * q2) + q2 * (m20 * q0 + m21 * q1 + m22 * q2))
+            v2a = v1 + 0.5 * (q0 * (m00 * q0) + q1 * (m11 * q1 + m12 * q2)
+                              + q2 * (m21 * q1 + m22 * q2))
             rows[k] = (t[k], y0, y1, y2, y3, y4, y5, t0, t1, t2, l0, l1, l2, n0, n1, n2, v1, v2a)
             if probe is not None:
                 info = dict(eta=y[:3], nu=y[3:], **fields, tau=tau, delta=(l0, l1, l2))
@@ -157,12 +171,12 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
                 c, s = yaw_cos_sin(psi)
                 if not held:
                     t0, t1, t2 = control((k0 * h + y0, k1 * h + y1, psi, u, v, r), c, s, stage)
-                f0 = t0 + l0 - (d00 * u + d01 * v + d02 * r)
-                f1 = t1 + l1 - (d10 * u + d11 * v + d12 * r)
-                f2 = t2 + l2 - (d20 * u + d21 * v + d22 * r)
-                k0, k1, k2, k3, k4, k5 = (
-                    c * u - s * v, s * u + c * v, r, a00 * f0 + a01 * f1 + a02 * f2,
-                    a10 * f0 + a11 * f1 + a12 * f2, a20 * f0 + a21 * f1 + a22 * f2)
+                    p0, p1, p2 = t0 + l0, t1 + l1, t2 + l2
+                f0 = p0 - d00 * u
+                f1 = p1 - (d11 * v + d12 * r)
+                f2 = p2 - (d21 * v + d22 * r)
+                k0, k1, k2, k3, k4, k5 = (c * u - s * v, s * u + c * v, r, a00 * f0,
+                                          a11 * f1 + a12 * f2, a21 * f1 + a22 * f2)
                 acc0 += k0 * w
                 acc1 += k1 * w
                 acc2 += k2 * w
@@ -202,12 +216,17 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     coordinates ``x`` holds those coordinates, ``[1, 0, 0, 0, 0]`` at the
     start of each step.  The law integrates them itself with the engine's
     RK4 operations: stage s takes ``k_(s-1) h_s + x`` from the derivative
-    its stage s - 1 produced (the entries past s come out exactly 0.0), and
-    ``end_step`` combines the four derivatives.  This is the same RK4 as
-    integrating all 3 l weights, up to rounding.  Each stage keeps only the
-    two tensor factors of its basis vector (see ``dpsim.kernels``): the
-    network output, the Gram products ``g_j . g_s`` and the fold are all
-    taken on the factors.
+    its stage s - 1 produced, and ``end_step`` combines the four
+    derivatives.  This is the same RK4 as integrating all 3 l weights, up
+    to rounding.  The coordinates are carried in closed form: ``x_0`` sees
+    only the leak, so its stage values, their slopes and its combine are
+    per-run constants per row, and an entry past the stage is exactly +0.0
+    with slope ``decay * 0.0``.  So stage s forms only entries 1 .. s of x
+    and 1 .. s + 1 of its slope, and ``end_step`` combines entries 1 .. 4,
+    each with the expression it had when all five were carried.  Each stage
+    keeps only the two tensor factors of its basis vector (see
+    ``dpsim.kernels``): the network output, the Gram products ``g_j . g_s``
+    and the fold are all taken on the factors.
 
     The weights are not formed every step.  ``theta(t_k) = a theta + sum_j
     c_j g_j`` over the pending factor rows of the steps since the last fold,
@@ -273,11 +292,19 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         x_flat, x_head, x_tail = coords.ravel(), coords[:, :1], coords[:, 1:]
         decay = (gains.gamma * sign * gains.sigma).tolist()
         gain = (gains.gamma * sign).tolist()
-        unit = (1.0, 0.0, 0.0, 0.0, 0.0)        # x at the start of every step, per row
         # stage s is x0 + h_s k_(s-1), and the combine scales by dt/6, as for the plant
         heights, sixth = (None, 0.5 * dt, 0.5 * dt, dt), dt / 6.0
-        # per stage s: the three rows of the coordinates' derivative k_s, theta_i(t_k) . g_s,
-        # and g_j . g_s for j <= s
+        # x starts every step at [1, 0, 0, 0, 0].  Entry 0 sees only the leak, so per row its
+        # value at each stage (stage_head) and its combine (step_head) are per-run constants;
+        # an entry past the stage is +0.0, whose slope is decay * 0.0
+        zero_slope = [d * 0.0 for d in decay]
+        stage_head = [(1.0, 1.0, 1.0)]
+        for h in heights[1:]:
+            stage_head.append([d * x0 * h + 1.0 for d, x0 in zip(decay, stage_head[-1])])
+        step_head = [1.0 + (((d * b * 2.0 + d * a) + d * c * 2.0) + d * e) * sixth
+                     for d, a, b, c, e in zip(decay, *stage_head)]
+        # per stage s: the rows of entries 1 .. s + 1 of the coordinates' derivative k_s,
+        # theta_i(t_k) . g_s, and g_j . g_s for j <= s
         slopes = [None] * 4
         norms = row_norms(theta)
         theta_sq = (norms * norms).tolist()     # |theta_i(t_k)|^2
@@ -298,21 +325,19 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
             theta_g = scale * core + coef_views[pending][0] @ gram[:pending] if pending else core
             stage_theta_g[stage] = nn = theta_g.tolist()
             stage_gram[stage] = here = gram[pending:].tolist()
-            if stage:
-                # k_(s-1) h_s + x0, written out; the entries past ``stage`` come out 0.0
-                h = heights[stage]
-                xs = [(k0 * h + 1.0, k1 * h + 0.0, k2 * h + 0.0, k3 * h + 0.0, k4 * h + 0.0)
-                      for k0, k1, k2, k3, k4 in slopes[stage - 1]]
-            else:
-                xs = (unit, unit, unit)
+            h = heights[stage]
+            prev = slopes[stage - 1] if stage else ((), (), ())     # stage 0 has no entries
             out, dx = [], []
-            for i, x in enumerate(xs):
+            for x0, k, n, d, dz, g, q in zip(stage_head[stage], prev, nn, decay, zero_slope,
+                                             gain, z2):
                 span = 0.0
-                for xj, gj in zip(x[1:stage + 1], here):
+                row = []
+                for kj, gj in zip(k, here):     # entries 1 .. s of k_(s-1) h_s + x0
+                    xj = kj * h + 0.0
                     span += xj * gj
-                out.append(x[0] * nn[i] + span)
-                row = [decay[i] * xj for xj in x]
-                row[stage + 1] += gain[i] * z2[i]
+                    row.append(d * xj)
+                out.append(x0 * n + span)
+                row.append(dz + g * q)
                 dx.append(row)
             slopes[stage] = dx
             tau = torque(z1, z2, out, c, s)
@@ -321,9 +346,14 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         def end_step():
             nonlocal norms, pending, theta_sq
             # x0 + (dt/6) (k_0 + 2 k_1 + 2 k_2 + k_3), rows one after another, in the
-            # plant's summation order
-            x = [x0 + (((g2 * 2.0 + g1) + g3 * 2.0) + g4) * sixth
-                 for k in zip(*slopes) for x0, g1, g2, g3, g4 in zip(unit, *k)]
+            # plant's summation order; entry 0 is the run's constant
+            x = []
+            for x0, z, (a1,), (b1, b2), (c1, c2, c3), (d1, d2, d3, d4) in zip(
+                    step_head, zero_slope, *slopes):
+                x += (x0, 0.0 + (((b1 * 2.0 + a1) + c1 * 2.0) + d1) * sixth,
+                      0.0 + (((b2 * 2.0 + z) + c2 * 2.0) + d2) * sixth,
+                      0.0 + (((z * 2.0 + z) + c3 * 2.0) + d3) * sixth,
+                      0.0 + (((z * 2.0 + z) + z * 2.0) + d4) * sixth)
             # the Gram identity, in floats: |x_0 theta(t_k) + sum_s x_s g_s|^2 per row
             (g11,), (g12, g22), (g13, g23, g33), (g14, g24, g34, g44) = stage_gram
             sq = [x0 * x0 * t0 + 2.0 * x0 * (x1 * t1 + x2 * t2 + x3 * t3 + x4 * t4)

@@ -170,6 +170,16 @@ class TestWeights:
         np.testing.assert_array_equal(a.theta, b.theta)
         assert ((a.theta >= 0) & (a.theta < 1)).all()
 
+    @pytest.mark.parametrize("seed", [True, None, 3.7, 3.0, "5", -1])
+    def test_random_init_seed_must_be_a_non_negative_integer(self, seed):
+        # True would seed as 1 and None with fresh entropy on every call
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            AdaptiveWeights.random_init(4, seed)
+
+    def test_random_init_takes_a_numpy_integer_seed(self):
+        np.testing.assert_array_equal(AdaptiveWeights.random_init(4, np.int64(5)).theta,
+                                      AdaptiveWeights.random_init(4, 5).theta)
+
     def test_norms(self):
         w = AdaptiveWeights(np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w.norms(), [5.0, 0.0, 1.0])

@@ -6,7 +6,11 @@ adaptive run's trace and weight snapshot, under ``saturated_pid`` those of
 two 20 s full-rate PID traces under the Markov load, one per ``error_frame``,
 with a ``tau_max`` that clips every axis, and under ``saturated_nn`` those of
 20 s adaptive-nn and nn-fixed traces under the same load, also clipped on
-every axis, which pin the network laws' per-stage path.  The ``# version:`` line is left out
+every axis, which pin the network laws' per-stage path.  Under
+``unstable_nn`` is a 20 s unstable-law adaptive-nn trace under the Markov
+load, whose weight leak has the opposite sign, and under ``signed_zero_plant``
+20 s PID and adaptive-nn traces under the same load from a plant whose
+structural zeros are written ``-0.0``.  The ``# version:`` line is left out
 of each digest, so a version bump moves none.  The adaptive runs pass through
 BLAS products, whose last bits may differ under another numpy or BLAS, so the
 file records the host line beside the digests.  A change that moves a digest
@@ -39,6 +43,15 @@ def digest(path):
                                    if not line.startswith(b"# version:"))).hexdigest()
 
 
+def run_digest(tmp_path, scenario):
+    """The digest of a full-rate ``dpsim run`` trace of ``scenario``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    trace = tmp_path / "trace.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(trace)]) == 0
+    return digest(trace)
+
+
 def test_cli_outputs_match_the_recorded_digests(tmp_path, capsys):
     assert cli_main(["figures", "--outdir", str(tmp_path / "figures"),
                      "--duration", "20"]) == 0
@@ -59,14 +72,11 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, capsys):
 def test_saturated_pid_traces_match_the_recorded_digests(tmp_path, capsys, frame):
     # tau_max clips surge, sway and yaw in 90, 173 and 87 of the body-frame
     # run's 201 samples, and in 1, 166 and 87 of the earth-frame run's
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
+    got = run_digest(tmp_path, {
         "controller": {"type": "pid", "error_frame": frame, "tau_max": [3e4, 7e4, 1e7]},
-        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}}))
-    trace = tmp_path / "trace.csv"
-    assert cli_main(["run", "--config", str(scenario), "--out", str(trace)]) == 0
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}})
     recorded = json.loads(DIGESTS.read_text())
-    assert digest(trace) == recorded["saturated_pid"][frame], (
+    assert got == recorded["saturated_pid"][frame], (
         f"recorded on: {recorded['host']}\nthis host:   {host_line()}")
 
 
@@ -74,12 +84,37 @@ def test_saturated_pid_traces_match_the_recorded_digests(tmp_path, capsys, frame
 def test_saturated_network_traces_match_the_recorded_digests(tmp_path, capsys, controller):
     # tau_max clips surge, sway and yaw in 67, 132 and 201 of the adaptive
     # run's 201 samples, and in 56, 121 and 64 of the nn-fixed run's
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
+    got = run_digest(tmp_path, {
         "controller": {"type": controller, "tau_max": [2.2e4, 3e4, 7.5e3]},
-        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}}))
-    trace = tmp_path / "trace.csv"
-    assert cli_main(["run", "--config", str(scenario), "--out", str(trace)]) == 0
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}})
     recorded = json.loads(DIGESTS.read_text())
-    assert digest(trace) == recorded["saturated_nn"][controller], (
+    assert got == recorded["saturated_nn"][controller], (
+        f"recorded on: {recorded['host']}\nthis host:   {host_line()}")
+
+
+def test_unstable_law_trace_matches_the_recorded_digest(tmp_path, capsys):
+    # the unstable law's leak gamma * sigma has the sign of its drive, so the
+    # slope of a weight coordinate past its stage is +0.0, not the stable law's -0.0
+    got = run_digest(tmp_path, {
+        "controller": {"type": "adaptive-nn", "adaptation_law": "unstable"},
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}})
+    recorded = json.loads(DIGESTS.read_text())
+    assert got == recorded["unstable_nn"], (
+        f"recorded on: {recorded['host']}\nthis host:   {host_line()}")
+
+
+@pytest.mark.parametrize("controller", ["pid", "adaptive-nn"])
+def test_signed_zero_plant_traces_match_the_recorded_digests(tmp_path, capsys, controller):
+    # the entries that decouple surge from sway and yaw, written as -0.0; the
+    # traces are those of the default plant (figures/pid_markov.csv and
+    # figures/adaptive_nn_markov.csv)
+    z = -0.0
+    got = run_digest(tmp_path, {
+        "plant": {"M": [[5.3122e6, z, z], [z, 8.2831e6, 0.0], [z, 0.0, 3.7454e9]],
+                  "D": [[5.0242e4, z, z], [z, 2.7229e5, -4.3933e6],
+                        [z, -4.3933e6, 4.1894e8]]},
+        "controller": {"type": controller},
+        "disturbance": {"type": "markov"}, "simulation": {"duration": 20.0}})
+    recorded = json.loads(DIGESTS.read_text())
+    assert got == recorded["signed_zero_plant"][controller], (
         f"recorded on: {recorded['host']}\nthis host:   {host_line()}")

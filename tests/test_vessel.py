@@ -16,6 +16,7 @@ BENCH_D = np.array([
 ])
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
+block_entries = st.floats(-1e10, 1e10, allow_nan=False)
 
 
 def det3_cofactor(m):
@@ -138,6 +139,22 @@ class TestDomainTypes:
     def test_singular_inertia(self):
         with pytest.raises(SingularInertiaError):
             VesselParams(np.zeros((3, 3)), BENCH_D)
+
+    @given(st.floats(1e-3, 1e12), st.lists(block_entries, min_size=8, max_size=8),
+           st.lists(st.sampled_from([0.0, -0.0]), min_size=8, max_size=8))
+    def test_inverse_keeps_the_structural_zeros(self, surge, blocks, zeros):
+        # simulate._closed_loop reads only surge and the sway-yaw block of M^-1
+        def plant_matrix(diagonal, block, z):
+            return [[diagonal, z[0], z[1]], [z[2], block[0], block[1]],
+                    [z[3], block[2], block[3]]]
+
+        try:
+            plant = VesselParams(plant_matrix(surge, blocks[:4], zeros[:4]),
+                                 plant_matrix(surge, blocks[4:], zeros[4:]))
+        except SingularInertiaError:
+            hypothesis.reject()
+        for i, j in ((0, 1), (0, 2), (1, 0), (2, 0)):
+            assert plant.M_inv[i, j] == 0.0
 
 
 class TestPlantDerivative:
