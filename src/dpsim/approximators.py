@@ -11,12 +11,12 @@ controlled axes; each axis has its own weight vector.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from dpsim import kernels, traces
+from dpsim.disturbance import check_seed
 
 GRID_NODE_CEILING = 1_000_000
 
@@ -143,12 +143,10 @@ class AdaptiveWeights:
     def random_init(cls, node_count: int, seed) -> "AdaptiveWeights":
         """Uniform [0, 1) initialization from ``np.random.default_rng(seed)``.
 
-        ``seed`` must be an integer >= 0: ``None`` would draw fresh entropy, so
-        the same scenario would not give the same weights twice.
+        ``seed`` must pass ``disturbance.check_seed``: ``None`` would draw fresh
+        entropy, so the same scenario would not give the same weights twice.
         """
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        return cls(np.random.default_rng(seed).random((3, node_count)))
+        return cls(np.random.default_rng(check_seed(seed)).random((3, node_count)))
 
     @classmethod
     def zeros(cls, node_count: int) -> "AdaptiveWeights":

@@ -23,6 +23,17 @@ import numpy as np
 NOISE_BLOCK = 256
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; it must be an integer >= 0 and not a bool.
+
+    ``True`` would seed as 1, ``None`` with fresh entropy on every call, and
+    ``int()`` would truncate 3.7 and parse '5', so each is rejected.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ConstantDisturbance:
     """Fixed body-frame load [N, N, N*m], the same at every heading."""
@@ -64,9 +75,7 @@ class MarkovBias:
             raise ValueError("noise_scale entries must be non-negative")
         self.time_constants = T
         self.noise_scale = psi
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
         if b.shape != (3,) or not np.isfinite(b).all():
             raise ValueError("initial_bias must be a finite 3-vector")

@@ -1,6 +1,7 @@
 """The scripts under ``tools/``, run as a user runs them."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,17 +12,18 @@ AB = ROOT / "tools" / "ab_inprocess.py"
 
 
 def ab(*args):
-    return subprocess.run([sys.executable, str(AB), *map(str, args), "--blocks", "2",
-                           "--runs", "2", "--threads", "1"],
-                          capture_output=True, text=True, timeout=300)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, str(AB), *map(str, args), "--blocks", "1"],
+                          capture_output=True, text=True, timeout=300, env=env)
 
 
 def test_ab_times_two_trees_that_write_the_same_bytes():
     done = ab(ROOT, ROOT)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["workload"] == "pid-markov-io" and result["blocks"] == 2
-    assert 0 <= result["blocks_won"] <= 2 and result["ratio"] > 0
+    assert result["workload"] == "pid-markov-io" and result["seed"] == 1
+    assert result["blocks"] == 1 and result["runs"] == 50
+    assert 0 <= result["blocks_won"] <= 1 and result["ratio"] > 0
 
 
 def test_ab_stops_when_the_trees_write_different_bytes(tmp_path):

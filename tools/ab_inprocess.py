@@ -1,20 +1,20 @@
 """In-process interleaved A/B of ``simulate.run_simulation`` between two source trees.
 
-    python3 tools/ab_inprocess.py BASE [CHANGE] [--workload pid-markov-io] [--seed 1]
-                                  [--blocks 8] [--runs 50] [--threads 2]
+    python3 tools/ab_inprocess.py BASE [CHANGE] [--workload pid-markov-io] [--blocks 8]
 
 BASE and CHANGE are checkouts, each with its own ``src/dpsim`` (CHANGE
 defaults to this one); a parent commit can be unpacked with ``git archive``.
 Both are imported into this one process, each under a module set of its
-own, and run the scenario that perfbench's ``--workload`` sends on
-``--seed``.  The script first checks that both trees give the same trace
-bytes (the ``# version:`` line left out) and final weights, and stops if
-they do not.  It then times ``run_simulation`` with ``perf_counter``, in
-``--blocks`` blocks of ``--runs`` runs per tree, after one warm-up run of
-each.  The two trees take turns going first, run by run.  It prints each
-block's medians, then each tree's median over all runs, the ratio base /
-change (above 1 means the change is faster), and how many blocks the change
-won.  The last line holds the same numbers as JSON.
+own, and run the scenario that perfbench's ``--workload`` sends on seed 1.
+The script first checks that both trees give the same trace bytes (the
+``# version:`` line left out) and final weights, and stops if they do not.
+It then times ``run_simulation`` with ``perf_counter``, in ``--blocks``
+blocks of 50 runs per tree, after one warm-up run of each.  The two trees
+take turns going first, run by run.  It prints each block's medians, then
+each tree's median over all runs, the ratio base / change (above 1 means
+the change is faster), and how many blocks the change won.  The last line
+holds the same numbers as JSON.  numpy's BLAS threads are whatever the
+environment sets (``OPENBLAS_NUM_THREADS`` and the like).
 
 Both trees see the same host speed within a few milliseconds of each other,
 so a 3-9 % difference shows here that the host's own speed swings between
@@ -28,7 +28,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import os
 import statistics
 import sys
 import tempfile
@@ -37,7 +36,8 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEED = 1
+RUNS = 50               # runs per tree in a block
 
 
 def _pop(packages):
@@ -108,25 +108,20 @@ def main(argv=None):
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path, nargs="?", default=ROOT)
     parser.add_argument("--workload", default="pid-markov-io")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--blocks", type=int, default=8)
-    parser.add_argument("--runs", type=int, default=50, help="runs per tree in a block")
-    parser.add_argument("--threads", type=int, default=2, help="BLAS threads")
     args = parser.parse_args(argv)
-    if args.blocks < 1 or args.runs < 1 or args.threads < 1:
-        parser.error("--blocks, --runs and --threads must be at least 1")
-    for var in BLAS_THREAD_VARS:       # read when numpy is first imported, just below
-        os.environ[var] = str(args.threads)
+    if args.blocks < 1:
+        parser.error("--blocks must be at least 1")
 
-    raw = workload_scenario(args.workload, args.seed)
+    raw = workload_scenario(args.workload, SEED)
     trees = {"base": load_tree(args.base), "change": load_tree(args.change)}
     cfgs = {side: tree.config.parse_scenario(raw) for side, tree in trees.items()}
     outputs = {side: output_bytes(tree, cfgs[side]) for side, tree in trees.items()}
     if outputs["base"] != outputs["change"]:
         print(f"the trees' outputs differ: {outputs}", file=sys.stderr)
         return 1
-    print(f"{args.workload} seed {args.seed}: same trace bytes and final weights; "
-          f"{args.blocks} blocks of {args.runs} runs per tree, {args.threads} BLAS threads")
+    print(f"{args.workload} seed {SEED}: same trace bytes and final weights; "
+          f"{args.blocks} blocks of {RUNS} runs per tree")
 
     for side, tree in trees.items():        # warm-up
         timed(tree, cfgs[side])
@@ -134,7 +129,7 @@ def main(argv=None):
     won = 0
     for block in range(args.blocks):
         got = {"base": [], "change": []}
-        for run in range(args.runs):
+        for run in range(RUNS):
             for side in ("base", "change") if run % 2 == 0 else ("change", "base"):
                 got[side].append(timed(trees[side], cfgs[side]))
         base, change = (statistics.median(got[side]) for side in ("base", "change"))
@@ -146,9 +141,9 @@ def main(argv=None):
     base, change = (statistics.median(times[side]) for side in ("base", "change"))
     print(f"median base {base * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
           f"ratio {base / change:.4f}, change won {won} of {args.blocks} blocks")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "base_ms": base * 1e3,
+    print(json.dumps({"workload": args.workload, "seed": SEED, "base_ms": base * 1e3,
                       "change_ms": change * 1e3, "ratio": base / change,
-                      "blocks_won": won, "blocks": args.blocks, "runs": args.runs}))
+                      "blocks_won": won, "blocks": args.blocks, "runs": RUNS}))
     return 0
 
 
