@@ -9,11 +9,16 @@ controller with its benchmark gains, and the constant disturbance.
 This module checks the JSON shape and types and the rules of the run as a
 whole: the time grid, its step and memory ceilings, finite poses, and an
 adaptation gain whose weight leak RK4 can integrate at that step.  Every
-other value is checked by the object that uses it: ``parse_scenario`` calls
-:func:`build_components`, the same function ``run_simulation`` builds its
-run with (keeping no grid network), and reports a constructor's
-``ValueError`` as a ``ConfigError`` on the scenario key.  So a scenario that
-validates also builds.
+other value is checked by the object that uses it: ``parse_scenario`` builds
+the run's components with :func:`build_components`, grid network included,
+and reports a constructor's ``ValueError`` as a ``ConfigError`` on the
+scenario key.  So a scenario that validates also builds.
+
+The parsed config keeps that set for its first run, which takes it (see
+``ScenarioConfig.take_components``), so a request builds its components
+once.  Setting any attribute drops the set, and the parsed arrays are
+read-only, so a config changed after parsing runs as given; a second run
+builds afresh, with a fresh Markov generator.
 """
 
 from __future__ import annotations
@@ -79,7 +84,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Fully validated scenario; all angles in radians, all units SI."""
+    """Fully validated scenario; all angles in radians, all units SI.
+
+    ``parse_scenario`` stores the components it built as ``_built``, an
+    attribute that is not a field and that setting any attribute drops.
+    """
 
     m_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_M.copy())
     d_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_D.copy())
@@ -116,6 +125,22 @@ class ScenarioConfig:
         default_factory=lambda: np.array([10.0, 10.0, math.radians(10.0)]))
     initial_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     target_pose: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    def __setattr__(self, name, value):
+        # into __dict__ directly: a third of super().__setattr__'s cost, and
+        # no field is a descriptor
+        attrs = self.__dict__
+        attrs.pop("_built", None)
+        attrs[name] = value
+
+    def take_components(self) -> Components | None:
+        """The components ``parse_scenario`` built, for the first caller only; else None.
+
+        They are held in a one-item list, so a shallow copy of the config
+        shares it and cannot hand the same set to a second run.
+        """
+        built = self.__dict__.get("_built")
+        return built.pop() if built else None
 
     def steps(self) -> int:
         return int(round(self.duration / self.dt))
@@ -273,7 +298,12 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             if key in section:
                 setattr(cfg, attr, parse(section[key], f"{name}.{key}"))
     _validate(cfg)
-    _check_weight_leak(cfg, build_components(cfg, network=False).gains)
+    parts = build_components(cfg)
+    _check_weight_leak(cfg, parts.gains)
+    for value in vars(cfg).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False    # an edit in place would not reach parts
+    cfg.__dict__["_built"] = [parts]
     return cfg
 
 
@@ -335,16 +365,16 @@ def _section(name):
         raise ConfigError(f"{name}.{exc}") from exc
 
 
-def build_components(cfg: ScenarioConfig, network: bool = True) -> Components:
+def build_components(cfg: ScenarioConfig) -> Components:
     """Construct the run's plant, controllers, limits, disturbance and network.
 
     The plant, both controllers, the limits and the Markov bias are built for
     every scenario, so their values are always checked; only the backstepping
-    controllers warn about a weak K2.  The grid network is built for
-    ``adaptive-nn`` and ``nn-fixed`` if ``network``; otherwise (validation,
-    which leaves the grid to the run) the rbf section is only checked, by the
-    grid's two parts ``grid_nodes`` and ``RbfNetwork``.  PID uses no grid, so
-    its section is checked on at most 2 points per dimension with no ceiling.
+    controllers warn about a weak K2.  ``adaptive-nn`` and ``nn-fixed`` get
+    their grid network.  PID uses no grid, so its rbf section is only
+    checked, by the grid's two parts ``grid_nodes`` and ``RbfNetwork``, on at
+    most 2 points per dimension with no ceiling.  Validation builds with this
+    function too, and the config's first run takes that set.
     """
     uses_grid = cfg.controller_type != "pid"
     with _section("plant"):
@@ -362,13 +392,13 @@ def build_components(cfg: ScenarioConfig, network: bool = True) -> Components:
         disturbance = (markov if cfg.disturbance_type == "markov"
                        else ConstantDisturbance(cfg.constant_delta))
     with _section("rbf"):
-        points, ceiling = ((cfg.points_per_dim, cfg.node_ceiling) if uses_grid
-                           else (min(cfg.points_per_dim, 2), math.inf))
-        if uses_grid and network:
-            net = RbfNetwork.grid(cfg.rbf_ranges, points, cfg.rbf_width, ceiling)
+        if uses_grid:
+            net = RbfNetwork.grid(cfg.rbf_ranges, cfg.points_per_dim, cfg.rbf_width,
+                                  cfg.node_ceiling)
         else:
             net = None
-            RbfNetwork(grid_nodes(cfg.rbf_ranges, points, ceiling), cfg.rbf_width)
+            RbfNetwork(grid_nodes(cfg.rbf_ranges, min(cfg.points_per_dim, 2), math.inf),
+                       cfg.rbf_width)
     return Components(plant, disturbance, limits, pid, gains, net)
 
 

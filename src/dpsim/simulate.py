@@ -419,8 +419,12 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
 
 def run_simulation(cfg: ScenarioConfig):
     """Execute one configured scenario; returns (RunTrace, RunMetrics), the trace
-    stamped with its header and decimated after the metrics saw every sample."""
-    parts = build_components(cfg)
+    stamped with its header and decimated after the metrics saw every sample.
+
+    The run takes the components ``parse_scenario`` built for ``cfg`` if no
+    run has taken them and no field was set since; otherwise it builds its own.
+    """
+    parts = cfg.take_components() or build_components(cfg)
     meta = {"version": __version__, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                   dt=cfg.dt, duration=cfg.duration, limits=parts.limits)

@@ -1,5 +1,6 @@
 """One builder behind validation and the run: what validates also builds."""
 
+import copy
 import json
 import warnings
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpsim import config, simulate
 from dpsim.cli import main as cli_main
 from dpsim.approximators import DEFAULT_INPUT_RANGES, RbfNetwork
 from dpsim.config import (_SCHEMA, CONTROLLER_TYPES, DEFAULT_K1, MAX_NODES, ConfigError,
                           build_components, parse_scenario)
+from dpsim.simulate import run_simulation
+from dpsim.traces import write_trace_csv
 
 # symmetric to 1e-9 but not to the 1e-12 that BackstepGains requires
 ASYMMETRIC_K1 = [[0.037, 1e-10, 0.0], [0.0, 0.063, 0.0], [0.0, 0.0, 0.832]]
@@ -95,15 +99,82 @@ def test_stable_law_beyond_the_rk4_leak_limit_is_a_config_error(tmp_path, capsys
         parse_scenario({"controller": controller})
 
 
-def test_validation_leaves_the_grid_to_the_run(monkeypatch):
-    grids = []
-    build_grid = RbfNetwork.grid
+# adaptive-nn under the Markov load, so that every field below changes the run
+SHORT = {"disturbance": {"type": "markov"}, "rbf": {"points_per_dim": 2},
+         "simulation": {"duration": 2.0}}
+
+
+def test_a_request_builds_its_components_once(monkeypatch):
+    # validation builds the set, grid included, and the first run takes it
+    grids, builds = [], []
+    build_grid, build = RbfNetwork.grid, config.build_components
     monkeypatch.setattr(RbfNetwork, "grid",
                         lambda *args: grids.append(args) or build_grid(*args))
-    cfg = parse_scenario({"rbf": {"points_per_dim": 2}})
-    assert grids == []
-    assert build_components(cfg).network.node_count == 2 ** 9
-    assert len(grids) == 1
+
+    def counted(cfg):
+        builds.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(config, "build_components", counted)
+    monkeypatch.setattr(simulate, "build_components", counted)
+    cfg = parse_scenario(SHORT)
+    assert len(grids) == len(builds) == 1
+    run_simulation(cfg)
+    assert len(grids) == len(builds) == 1
+    run_simulation(cfg)         # a second run builds its own
+    assert len(grids) == len(builds) == 2
+    cfg = parse_scenario(SHORT)
+    cfg.duration = 1.0          # so does a run after a field is set
+    run_simulation(cfg)
+    assert len(grids) == len(builds) == 4
+
+
+def _trace_bytes(cfg, path):
+    write_trace_csv(path, run_simulation(cfg)[0])
+    return path.read_bytes()
+
+
+def _merged(raw, section, key, value):
+    merged = copy.deepcopy(raw)
+    merged.setdefault(section, {})[key] = value
+    return merged
+
+
+@pytest.mark.parametrize("attr, value, section, key, raw_value", [
+    ("controller_type", "pid", "controller", "type", "pid"),
+    ("weight_seed", 7, "rbf", "weight_seed", 7),
+    ("disturbance_seed", 9, "disturbance", "seed", 9),
+    ("k2", np.diag([4e4, 5e4, 6e4]), "controller", "K2", [4e4, 5e4, 6e4]),
+    ("points_per_dim", 3, "rbf", "points_per_dim", 3),
+])
+def test_a_field_set_after_parsing_runs_as_given(tmp_path, attr, value, section, key,
+                                                 raw_value):
+    cfg = parse_scenario(SHORT)
+    setattr(cfg, attr, value)
+    got = _trace_bytes(cfg, tmp_path / "set.csv")
+    want = _trace_bytes(parse_scenario(_merged(SHORT, section, key, raw_value)),
+                        tmp_path / "parsed.csv")
+    assert got == want
+    assert got != _trace_bytes(parse_scenario(SHORT), tmp_path / "unset.csv")
+
+
+@pytest.mark.parametrize("controller", ["pid", "nn-fixed"])
+def test_one_config_runs_the_same_every_time(tmp_path, controller):
+    cfg = parse_scenario(_merged(SHORT, "controller", "type", controller))
+    twin = copy.copy(cfg)       # shares the validated set, which one run takes
+    first = _trace_bytes(cfg, tmp_path / "first.csv")
+    assert _trace_bytes(cfg, tmp_path / "again.csv") == first
+    assert _trace_bytes(twin, tmp_path / "twin.csv") == first
+
+
+def test_parsed_arrays_are_read_only():
+    # an edit in place would run the set validation built from the old value
+    cfg = parse_scenario({"controller": {"tau_max": 1e6}})
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.k2[0, 0] = 1.0
+    arrays = [value for value in vars(cfg).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 18
+    assert not any(array.flags.writeable for array in arrays)
 
 
 @pytest.mark.parametrize("controller, warned", [("pid", 0), ("adaptive-nn", 1)])

@@ -696,7 +696,7 @@ class TestFloatEngine:
         cfg = small_cfg(controller_type="pid", disturbance_type="markov",
                         initial_pose=np.array([10.0, 10.0, math.radians(150.0)]),
                         initial_bias=np.array([3e3, -2e3, 1e5]))
-        parts = build_components(cfg, network=False)
+        parts = build_components(cfg)
         seen = []
         trace, _ = simulate_pid(parts.plant, parts.pid, parts.disturbance,
                                 eta0=cfg.initial_pose, nu0=cfg.initial_velocity,

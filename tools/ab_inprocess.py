@@ -1,4 +1,4 @@
-"""In-process interleaved A/B of ``simulate.run_simulation`` between two source trees.
+"""In-process interleaved A/B of a scenario's parse and run between two source trees.
 
     python3 tools/ab_inprocess.py BASE [CHANGE] [--workload pid-markov-io] [--blocks 8]
 
@@ -8,18 +8,21 @@ Both are imported into this one process, each under a module set of its
 own, and run the scenario that perfbench's ``--workload`` sends on seed 1.
 The script first checks that both trees give the same trace bytes (the
 ``# version:`` line left out) and final weights, and stops if they do not.
-It then times ``run_simulation`` with ``perf_counter``, in ``--blocks``
-blocks of 50 runs per tree, after one warm-up run of each.  The two trees
-take turns going first, run by run.  It prints each block's medians, then
-each tree's median over all runs, the ratio base / change (above 1 means
-the change is faster), and how many blocks the change won.  The last line
-holds the same numbers as JSON.  numpy's BLAS threads are whatever the
-environment sets (``OPENBLAS_NUM_THREADS`` and the like).
+It then times ``config.parse_scenario`` plus ``simulate.run_simulation``
+with ``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
+warm-up run of each.  The parse is timed because it builds the components
+that the run takes; a config parsed once and run again would time a rebuild
+in the run instead.  The two trees take turns going first, run by run.  It
+prints each block's medians, then each tree's median over all runs, the
+ratio base / change (above 1 means the change is faster), and how many
+blocks the change won.  The last line holds the same numbers as JSON.
+numpy's BLAS threads are whatever the environment sets
+(``OPENBLAS_NUM_THREADS`` and the like).
 
 Both trees see the same host speed within a few milliseconds of each other,
 so a 3-9 % difference shows here that the host's own speed swings between
-separate processes hide.  It times only ``run_simulation``, not a request,
-so it adds to perfbench's alternating pairs and does not replace them.
+separate processes hide.  It times no file read or write, so it is not a
+request: it adds to perfbench's alternating pairs and does not replace them.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ def workload_scenario(name, seed):
     return _isolated([str(ROOT), str(ROOT / "src")], {"dpsim", "perfbench"}, load)
 
 
-def output_bytes(tree, cfg):
+def output_bytes(tree, raw):
     """sha256 of the run's trace CSV without its version line, and of its final weights."""
-    trace, _ = tree.simulate.run_simulation(cfg)
+    trace, _ = tree.simulate.run_simulation(tree.config.parse_scenario(raw))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         tree.traces.write_trace_csv(path, trace)
@@ -97,9 +100,9 @@ def output_bytes(tree, cfg):
             None if theta is None else hashlib.sha256(theta.tobytes()).hexdigest())
 
 
-def timed(tree, cfg):
+def timed(tree, raw):
     start = time.perf_counter()
-    tree.simulate.run_simulation(cfg)
+    tree.simulate.run_simulation(tree.config.parse_scenario(raw))
     return time.perf_counter() - start
 
 
@@ -115,23 +118,22 @@ def main(argv=None):
 
     raw = workload_scenario(args.workload, SEED)
     trees = {"base": load_tree(args.base), "change": load_tree(args.change)}
-    cfgs = {side: tree.config.parse_scenario(raw) for side, tree in trees.items()}
-    outputs = {side: output_bytes(tree, cfgs[side]) for side, tree in trees.items()}
+    outputs = {side: output_bytes(tree, raw) for side, tree in trees.items()}
     if outputs["base"] != outputs["change"]:
         print(f"the trees' outputs differ: {outputs}", file=sys.stderr)
         return 1
     print(f"{args.workload} seed {SEED}: same trace bytes and final weights; "
           f"{args.blocks} blocks of {RUNS} runs per tree")
 
-    for side, tree in trees.items():        # warm-up
-        timed(tree, cfgs[side])
+    for tree in trees.values():             # warm-up
+        timed(tree, raw)
     times = {"base": [], "change": []}
     won = 0
     for block in range(args.blocks):
         got = {"base": [], "change": []}
         for run in range(RUNS):
             for side in ("base", "change") if run % 2 == 0 else ("change", "base"):
-                got[side].append(timed(trees[side], cfgs[side]))
+                got[side].append(timed(trees[side], raw))
         base, change = (statistics.median(got[side]) for side in ("base", "change"))
         won += change < base
         for side in times:
