@@ -156,9 +156,6 @@ class AdaptiveWeights:
     def node_count(self) -> int:
         return self.theta.shape[1]
 
-    def norms(self) -> np.ndarray:
-        return row_norms(self.theta)
-
 
 def write_weight_csv(path, weights: AdaptiveWeights) -> None:
     """Snapshot the weights as CSV rows (node_index, theta1, theta2, theta3).

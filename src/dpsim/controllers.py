@@ -4,7 +4,9 @@ Two controller families:
 
 * :class:`PidController` -- baseline PID on the body-frame pose error
   (earth-frame variant selectable), trapezoidal integral, derivative from
-  measured velocity; evaluated in floats with one stacked-gain product.
+  measured velocity.  The controller holds gains and frame; its ``bind``
+  gives a run's law, which owns that run's integral and is evaluated in
+  floats with one stacked-gain product.
 * adaptive backstepping with a radial-basis network -- virtual velocity
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # unused here: perfbench's test_wrappers_are_removed_after_the_request reads rotation_matrix
-from dpsim.vessel import rotation_matrix, ssa, yaw_cos_sin  # noqa: F401
+from dpsim.vessel import rotation_matrix, ssa  # noqa: F401
 
 ADAPTATION_LAWS = ("stable", "unstable")
 PID_FRAMES = ("body", "earth")
@@ -82,11 +84,8 @@ class PidController:
     and takes the yaw error directly, since thrust acts along body axes; the
     derivative term then uses -nu.  ``frame="earth"`` works on eta_d - eta
     with derivative -R nu.  ``frame`` is the scenario's ``error_frame``.
-    ``reset``, which the run calls at its start, zeroes ``integral`` (three
-    floats) and stacks the gains as ``[Kp Ki Kd]`` for one product per call.
-    ``bind(eta_d, dt)`` is the law of one run, in floats; ``control`` runs
-    through it.  The gain product stays one numpy product, whose sums round
-    differently from a float loop's.
+    The controller holds only its gains and frame; ``bind`` gives the law of
+    one run, which owns that run's integral.
     """
 
     def __init__(self, gains: PidGains, frame: str = "body"):
@@ -94,54 +93,45 @@ class PidController:
             raise ValueError(f"error_frame must be one of {list(PID_FRAMES)}, got {frame!r}")
         self.gains = gains
         self.frame = frame
-        self.reset()
-
-    def reset(self):
-        self.integral = (0.0, 0.0, 0.0)
-        self._prev_error = None
-        self._stacked = np.hstack([self.gains.Kp, self.gains.Ki, self.gains.Kd])
-
-    def _errors(self, eta_d):
-        """``error(x, y, psi, c, s)``: three floats toward ``eta_d``, ``(c, s)`` the yaw's."""
-        (xd, yd, psid), body = eta_d, self.frame == "body"
-
-        def error(x, y, psi, c, s):
-            dx, dy, dpsi = xd - x, yd - y, ssa(psid - psi)
-            return (c * dx + s * dy, c * dy - s * dx, dpsi) if body else (dx, dy, dpsi)
-
-        return error
 
     def bind(self, eta_d, dt: float):
         """``law(state, c, s)`` toward ``eta_d`` at step ``dt``, which is checked once here.
 
         ``state`` is pose and velocity and ``(c, s)`` the yaw's cosine and
-        sine; each call returns the control and advances the integral.
+        sine; each call returns the control and advances the integral, which,
+        with the previous error, is the law's own and starts at zero.  The
+        control is one numpy product of ``[Kp Ki Kd]``, stacked here, with
+        nine floats; its sums round differently from a float loop's.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        error, half, dot = self._errors(eta_d), 0.5 * dt, self._stacked.dot
-        body = self.frame == "body"
+        (xd, yd, psid), half = eta_d, 0.5 * dt
+        dot = np.hstack([self.gains.Kp, self.gains.Ki, self.gains.Kd]).dot
+        i0 = i1 = i2 = 0.0
+        prev = None
 
-        def law(state, c, s):
+        def body(state, c, s):
+            nonlocal i0, i1, i2, prev
             x, y, psi, u, v, r = state
-            e0, e1, e2 = err = error(x, y, psi, c, s)
-            (i0, i1, i2), prev, self._prev_error = self.integral, self._prev_error, err
+            dx, dy = xd - x, yd - y
+            e0, e1, e2 = c * dx + s * dy, c * dy - s * dx, ssa(psid - psi)
             if prev is not None:
                 p0, p1, p2 = prev
-                self.integral = i0, i1, i2 = (i0 + half * (p0 + e0), i1 + half * (p1 + e1),
-                                              i2 + half * (p2 + e2))
-            if body:
-                return dot((e0, e1, e2, i0, i1, i2, -u, -v, -r))
+                i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
+            prev = e0, e1, e2
+            return dot((e0, e1, e2, i0, i1, i2, -u, -v, -r))
+
+        def earth(state, c, s):
+            nonlocal i0, i1, i2, prev
+            x, y, psi, u, v, r = state
+            e0, e1, e2 = xd - x, yd - y, ssa(psid - psi)
+            if prev is not None:
+                p0, p1, p2 = prev
+                i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
+            prev = e0, e1, e2
             return dot((e0, e1, e2, i0, i1, i2, -(c * u - s * v), -(s * u + c * v), -r))
 
-        return law
-
-    def error(self, eta, eta_d) -> np.ndarray:
-        return np.array(self._errors(eta_d)(*eta, *yaw_cos_sin(eta[2])))
-
-    def control(self, eta, nu, eta_d, dt: float) -> np.ndarray:
-        """Control force/moment for the current sample; advances the integral."""
-        return self.bind(eta_d, dt)((*eta, *nu), *yaw_cos_sin(eta[2]))
+        return body if self.frame == "body" else earth
 
 
 @dataclass

@@ -404,9 +404,11 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
                  eta0, nu0, eta_d, dt, duration, limits: SaturationLimits | None = None,
                  probe=None):
-    """Run the PID loop: one control update per step, zero-order hold."""
+    """Run the PID loop: one control update per step, zero-order hold.
+
+    The law is bound here, so each run starts from a zero integral.
+    """
     eta_d = np.asarray(eta_d, dtype=float)
-    controller.reset()
     law = controller.bind(eta_d.tolist(), dt)
 
     def control(y, c, s, stage):

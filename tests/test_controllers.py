@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsim.approximators import AdaptiveWeights, RbfNetwork
+from dpsim.approximators import AdaptiveWeights, RbfNetwork, row_norms
 from dpsim.config import default_scenario
 from dpsim.controllers import (PID_FRAMES, BackstepGains, InvalidGainError, PidController,
                                PidGains, SaturationLimits, backstep_law, dissipation_params,
                                saturate, ultimate_bound, weighted_l2_norm)
 from dpsim.disturbance import ConstantDisturbance
 from dpsim.simulate import SimulationAbort, simulate_adaptive, simulate_pid
-from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
+from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin
 
 from oracles import backstep_control, compute_alpha1, compute_alpha1_dot, pose_error
 
@@ -28,64 +28,64 @@ BENCH_KI = np.diag([5.0, 50.0, 30.0])
 BENCH_KD = np.diag([5.0e4, 7.0e4, 300.0])
 
 
+def pid_taus(pid, samples, eta_d=(0.0, 0.0, 0.0), dt=0.1):
+    """The outputs of one law bound from ``pid``, fed the ``(eta, nu)`` samples in turn."""
+    law = pid.bind(np.asarray(eta_d, dtype=float).tolist(), dt)
+    return [law((*eta, *nu), *yaw_cos_sin(eta[2])) for eta, nu in samples]
+
+
+def integrator(frame="body"):
+    """A PID with ``Kp = Kd = 0`` and ``Ki = I``: its output is its law's integral."""
+    return PidController(PidGains(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))), frame)
+
+
 class TestPid:
     def test_zero_error_zero_output(self):
         pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
-        tau = pid.control(np.zeros(3), np.zeros(3), np.zeros(3), dt=0.1)
+        tau, = pid_taus(pid, [(np.zeros(3), np.zeros(3))])
         np.testing.assert_array_equal(tau, np.zeros(3))
 
     def test_proportional_response_from_start(self):
         # hand product: first call has no integral contribution and nu = 0
         pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
         eta = np.array([10.0, 10.0, 0.17453])
-        tau = pid.control(eta, np.zeros(3), np.zeros(3), dt=0.1)
-        expected = BENCH_KP @ pid.error(eta, np.zeros(3))
-        np.testing.assert_allclose(tau, expected, rtol=1e-12)
+        tau, = pid_taus(pid, [(eta, np.zeros(3))])
+        # the body-frame error: eta_d - eta rotated by -psi, the yaw's taken by ssa
+        err = rotation_matrix(eta[2]).T @ -eta
+        err[2] = ssa(-eta[2])
+        np.testing.assert_allclose(tau, BENCH_KP @ err, rtol=1e-12)
         # at small psi the body error is close to -(10, 10, 0.17453)
         np.testing.assert_allclose(tau, [-30000.0, -90000.0, -1.7453e7], rtol=0.2)
 
     def test_proportional_exact_at_zero_heading(self):
         pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
-        tau = pid.control(np.array([10.0, 10.0, 0.0]), np.zeros(3), np.zeros(3), dt=0.1)
+        tau, = pid_taus(pid, [(np.array([10.0, 10.0, 0.0]), np.zeros(3))])
         np.testing.assert_allclose(tau[:2], [-30000.0, -90000.0], rtol=1e-12)
 
     def test_pure_derivative(self):
         pid = PidController(PidGains(np.zeros((3, 3)), np.zeros((3, 3)), BENCH_KD))
         # error ramping at rate 1 in every channel means nu = -1
-        tau = pid.control(np.zeros(3), -np.ones(3), np.zeros(3), dt=0.1)
+        tau, = pid_taus(pid, [(np.zeros(3), -np.ones(3))])
         np.testing.assert_allclose(tau, BENCH_KD @ np.ones(3), rtol=1e-12)
 
     def test_trapezoidal_integral(self):
-        pid = PidController(PidGains(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))))
         eta_seq = [np.array([-1.0, 0.0, 0.0]), np.array([-2.0, 0.0, 0.0]),
                    np.array([-4.0, 0.0, 0.0])]
-        for eta in eta_seq:
-            tau = pid.control(eta, np.zeros(3), np.zeros(3), dt=0.5)
+        taus = pid_taus(integrator(), [(eta, np.zeros(3)) for eta in eta_seq], dt=0.5)
         # trapezoid over errors (1, 2, 4): 0.5*(1+2)/2 + 0.5*(2+4)/2 = 2.25
-        assert tau[0] == pytest.approx(2.25, rel=1e-12)
+        assert taus[-1][0] == pytest.approx(2.25, rel=1e-12)
 
     def test_body_vs_earth_frame(self):
-        eta = np.array([0.0, 0.0, np.pi / 2])
+        sample = [(np.array([0.0, 0.0, np.pi / 2]), np.zeros(3))]
         eta_d = np.array([1.0, 0.0, np.pi / 2])
         body = PidController(PidGains(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))),
                              frame="body")
         earth = PidController(PidGains(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))),
                               frame="earth")
-        np.testing.assert_allclose(body.control(eta, np.zeros(3), eta_d, 0.1),
-                                   [0.0, -1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(earth.control(eta, np.zeros(3), eta_d, 0.1),
-                                   [1.0, 0.0, 0.0], atol=1e-15)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
-    def test_bad_dt_is_rejected_before_the_integral_moves(self, dt):
-        # a nan dt once made every later output nan through the integral
-        pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
-        eta = np.array([1.0, 2.0, 0.1])
-        pid.control(eta, np.zeros(3), np.zeros(3), 0.1)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            pid.control(eta, np.zeros(3), np.zeros(3), dt)
-        assert np.isfinite(pid.integral).all()
-        assert np.isfinite(pid.control(eta, np.zeros(3), np.zeros(3), 0.1)).all()
+        np.testing.assert_allclose(pid_taus(body, sample, eta_d)[0], [0.0, -1.0, 0.0],
+                                   atol=1e-15)
+        np.testing.assert_allclose(pid_taus(earth, sample, eta_d)[0], [1.0, 0.0, 0.0],
+                                   atol=1e-15)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_binding_rejects_a_bad_dt(self, dt):
@@ -94,48 +94,36 @@ class TestPid:
             pid.bind((0.0, 0.0, 0.0), dt)
 
     @pytest.mark.parametrize("frame", PID_FRAMES)
-    def test_bound_law_is_control_bitwise(self, frame):
-        # the engine's law takes its (cos, sin); control() takes its own, on the
-        # same states, across the +-pi seam, and on the first call after reset()
-        rng = np.random.default_rng(22)
+    def test_laws_bound_from_one_controller_do_not_share_state(self, frame):
+        # two laws of one controller, called in turn, give what two controllers'
+        # laws give, on the same states and across the +-pi seam
+        rng = np.random.default_rng(25)
         gains = PidGains(*(rng.normal(size=(3, 3, 3)) * [[[3e3]], [[50.0]], [[5e4]]]))
-        bound, called = PidController(gains, frame), PidController(gains, frame)
-        eta_d = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), math.pi - 0.05)
-        for _ in range(2):
-            bound.reset()
-            called.reset()
-            law = bound.bind(eta_d, 0.1)
-            yaws = [math.pi, -math.pi, *(rng.choice([-1.0, 1.0], 30) * math.pi
-                                         + rng.uniform(-0.3, 0.3, 30))]
-            for psi in map(float, yaws):
-                state = (*rng.uniform(-50.0, 50.0, 2).tolist(), psi,
-                         *rng.normal(size=3).tolist())
-                got = law(state, *yaw_cos_sin(psi))
-                want = called.control(np.array(state[:3]), np.array(state[3:]), eta_d, 0.1)
+        targets = [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), math.pi - 0.05)
+                   for _ in range(2)]
+        shared = PidController(gains, frame)
+        laws = [shared.bind(eta_d, 0.1) for eta_d in targets]
+        apart = [PidController(gains, frame).bind(eta_d, 0.1) for eta_d in targets]
+        for psi in [math.pi, -math.pi, *(rng.choice([-1.0, 1.0], 20) * math.pi
+                                         + rng.uniform(-0.3, 0.3, 20))]:
+            state = (*rng.uniform(-50.0, 50.0, 2).tolist(), float(psi),
+                     *rng.normal(size=3).tolist())
+            for law, alone in zip(laws, apart):
+                got, want = law(state, *yaw_cos_sin(psi)), alone(state, *yaw_cos_sin(psi))
                 assert got.tobytes() == want.tobytes()
-                assert np.array(bound.integral).tobytes() == np.array(called.integral).tobytes()
-
-    def test_reset_clears_state(self):
-        pid = PidController(PidGains(np.zeros((3, 3)), np.eye(3), np.zeros((3, 3))))
-        pid.control(np.ones(3), np.zeros(3), np.zeros(3), 0.1)
-        pid.control(np.ones(3), np.zeros(3), np.zeros(3), 0.1)
-        assert np.abs(pid.integral).max() > 0
-        pid.reset()
-        np.testing.assert_array_equal(pid.integral, np.zeros(3))
-
+        # a second bind starts from a zero integral, whatever the first law did
+        pid, sample = integrator(frame), [(np.array([1.0, 2.0, 0.1]), np.zeros(3))]
+        assert np.abs(pid_taus(pid, sample * 3)[-1]).min() > 0
+        np.testing.assert_array_equal(pid_taus(pid, sample)[0], np.zeros(3))
 
     @pytest.mark.parametrize("frame", PID_FRAMES)
     @pytest.mark.parametrize("psi", [np.inf, -np.inf, np.nan])
     def test_non_finite_yaw_gives_nan(self, frame, psi):
         pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD), frame=frame)
-        eta = np.array([1.0, 2.0, psi])
+        sample = (np.array([1.0, 2.0, psi]), np.array([0.5, -0.2, 0.01]))
         with np.errstate(invalid="ignore"):    # the engine runs under the same state
-            for _ in range(2):
-                tau = pid.control(eta, np.array([0.5, -0.2, 0.01]), np.zeros(3), dt=0.1)
-            err = pid.error(eta, np.zeros(3))
+            tau = pid_taus(pid, [sample] * 2)[-1]
         assert np.isnan(tau).all()
-        assert not np.isfinite(err[2])
-        assert np.isnan(err[:2]).all() == (frame == "body")
 
     @given(frame=st.sampled_from(PID_FRAMES),
            gains=st.lists(st.floats(-1e4, 1e4), min_size=27, max_size=27),
@@ -149,9 +137,9 @@ class TestPid:
         Kp, Ki, Kd = np.array(gains).reshape(3, 3, 3)
         pid = PidController(PidGains(Kp, Ki, Kd), frame=frame)
         eta_d = np.array(eta_d)
+        pairs = [(np.array(sample[:3]), np.array(sample[3:])) for sample in samples]
         integral, prev = np.zeros(3), None
-        for sample in samples:
-            eta, nu = np.array(sample[:3]), np.array(sample[3:])
+        for (eta, nu), tau in zip(pairs, pid_taus(pid, pairs, eta_d, dt)):
             R = rotation_matrix(eta[2])
             diff = eta_d - eta
             if not -np.pi < diff[2] <= np.pi:   # the heading error is the smallest signed angle
@@ -163,17 +151,13 @@ class TestPid:
             if prev is not None:
                 integral = integral + 0.5 * dt * (prev + err)
             prev = err
-            got_err = pid.error(eta, eta_d)
-            assert isinstance(got_err, np.ndarray)
-            np.testing.assert_allclose(got_err, err, rtol=1e-12, atol=1e-12)
-            tau = pid.control(eta, nu, eta_d, dt)
             assert isinstance(tau, np.ndarray) and tau.shape == (3,)
             want = Kp @ err + Ki @ integral + Kd @ rate
             terms = (np.abs(Kp) @ np.abs(err) + np.abs(Ki) @ np.abs(integral)
                      + np.abs(Kd) @ np.abs(rate))
             assert (np.abs(tau - want) <= 1e-12 * terms + 1e-300).all()
-        np.testing.assert_allclose(pid.integral, integral, rtol=1e-12,
-                                   atol=1e-12 * np.abs(integral).max())
+        np.testing.assert_allclose(pid_taus(integrator(frame), pairs, eta_d, dt)[-1], integral,
+                                   rtol=1e-12, atol=1e-12 * np.abs(integral).max())
 
 
 class TestVirtualControl:
@@ -224,8 +208,10 @@ class TestVirtualControl:
             z1 = backstep_law(gains, eta_d, None)[0]([*eta, *nu], *yaw_cos_sin(eta[2]))[0]
             assert z1[2] == pytest.approx(np.radians(-20.0), rel=1e-12)
             np.testing.assert_array_equal(z1, pose_error(eta, eta_d))
-            pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
-            assert pid.error(eta, eta_d)[2] == pytest.approx(np.radians(20.0), rel=1e-12)
+            # with Kp = I and Ki = Kd = 0 the PID's output is its error
+            pid = PidController(PidGains(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))))
+            tau, = pid_taus(pid, [(eta, nu)], eta_d)
+            assert tau[2] == pytest.approx(np.radians(20.0), rel=1e-12)
 
 
 class TestBackstepControl:
@@ -397,7 +383,7 @@ class TestAdaptation:
         assert (np.diff(norms, axis=0) <= 0).all()
         assert (norms[-1] < 0.5 * norms[0]).all()
         factor = rk4_factor(-gains.gamma * gains.sigma * LEAK_DT)
-        np.testing.assert_allclose(norms, weights0.norms() * factor ** np.arange(
+        np.testing.assert_allclose(norms, row_norms(weights0.theta) * factor ** np.arange(
             self.STEPS + 1)[:, None], rtol=1e-13, atol=0)
 
     def test_unstable_law_grows(self):
@@ -468,10 +454,9 @@ def moved(eta, shift, phi):
 
 
 def pid_tau(frame, eta, nu, eta_d):
-    """The second output of a fresh PID in ``frame``, so that P, I and D all act."""
+    """The second output of a freshly bound PID law in ``frame``, so that P, I and D all act."""
     pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD), frame=frame)
-    pid.control(eta, nu, eta_d, 0.1)
-    return pid.control(eta, nu, eta_d, 0.1)
+    return pid_taus(pid, [(eta, nu)] * 2, eta_d)[-1]
 
 
 def backstep_tau(k1, eta, nu, eta_d):

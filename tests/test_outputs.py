@@ -15,20 +15,27 @@ of each digest, so a version bump moves none.  The adaptive runs pass through
 BLAS products, whose last bits may differ under another numpy or BLAS, so the
 file records the host line beside the digests.  A change that moves a digest
 re-records them: the failure message prints both host lines and the new
-digests, ready to paste into the file; say why in CHANGES.md.
+digests, ready to paste into the file; say why in CHANGES.md.  The BLAS
+thread count is not on the host line: a run writes the same CSV bytes under
+one thread and two.
 """
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpsim
 from dpsim.cli import main as cli_main
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
+SRC = Path(dpsim.__file__).resolve().parent.parent
 
 
 def host_line():
@@ -118,3 +125,24 @@ def test_signed_zero_plant_traces_match_the_recorded_digests(tmp_path, capsys, c
     recorded = json.loads(DIGESTS.read_text())
     assert got == recorded["signed_zero_plant"][controller], (
         f"recorded on: {recorded['host']}\nthis host:   {host_line()}")
+
+
+def test_blas_thread_count_moves_no_csv_byte(tmp_path):
+    # the adaptive law's weight products run through BLAS, whose threads may
+    # split a sum differently; the %.9g CSVs must not see it
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-m", "dpsim.cli", "run", "--controller", "adaptive-nn",
+             "--disturbance", "markov", "--duration", "20", "--out", str(out / "trace.csv"),
+             "--weights-out", str(out / "weights.csv")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr
+        written.append([(out / name).read_bytes() for name in ("trace.csv", "weights.csv")])
+    assert written[0][0] == written[1][0], "the trace CSVs differ"
+    assert written[0][1] == written[1][1], "the weight CSVs differ"

@@ -17,7 +17,10 @@ prints each block's medians, then each tree's median over all runs, the
 ratio base / change (above 1 means the change is faster), and how many
 blocks the change won.  The last line holds the same numbers as JSON.
 numpy's BLAS threads are whatever the environment sets
-(``OPENBLAS_NUM_THREADS`` and the like).
+(``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
+binary values, so it holds only within one thread setting, as here: a
+network run's weights and trace values move in their last bits between one
+BLAS thread and two, though its CSVs keep their bytes.
 
 Both trees see the same host speed within a few milliseconds of each other,
 so a 3-9 % difference shows here that the host's own speed swings between
