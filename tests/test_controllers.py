@@ -87,11 +87,73 @@ class TestPid:
         np.testing.assert_allclose(pid_taus(earth, sample, eta_d)[0], [1.0, 0.0, 0.0],
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_dt_is_rejected_before_the_integral_moves(self, dt):
+        # a nan dt once made every later output nan through the integral; a bad
+        # bind now raises and leaves a law already bound from the controller as
+        # it was, step for step, beside a twin that never saw the bad bind
+        eta_d, sample = (0.0, 0.0, 0.0), ((1.0, 2.0, 0.1, 0.0, 0.0, 0.0), *yaw_cos_sin(0.1))
+        pid = integrator()
+        law, twin = pid.bind(eta_d, 0.1), integrator().bind(eta_d, 0.1)
+        law(*sample), twin(*sample)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pid.bind(eta_d, dt)
+        for _ in range(2):
+            tau = law(*sample)
+            assert np.isfinite(tau).all() and np.abs(tau).min() > 0
+            assert tau.tobytes() == twin(*sample).tobytes()
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_binding_rejects_a_bad_dt(self, dt):
         pid = PidController(PidGains(BENCH_KP, BENCH_KI, BENCH_KD))
         with pytest.raises(ValueError, match="dt must be positive"):
             pid.bind((0.0, 0.0, 0.0), dt)
+
+    @pytest.mark.parametrize("frame", PID_FRAMES)
+    def test_bound_law_is_control_bitwise(self, frame):
+        # the bound law's control is one product of the stacked [Kp Ki Kd] with
+        # (error, trapezoid integral, -rate), each formed in the order written
+        # here: every trace's bytes rest on that order.  Checked on the same
+        # states across the +-pi seam, and on the first call after a second bind
+        rng = np.random.default_rng(22)
+        gains = PidGains(*(rng.normal(size=(3, 3, 3)) * [[[3e3]], [[50.0]], [[5e4]]]))
+        pid, dt = PidController(gains, frame), 0.1
+        stacked = np.hstack([gains.Kp, gains.Ki, gains.Kd])
+        xd, yd, psid = eta_d = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                                math.pi - 0.05)
+        for _ in range(2):
+            law, integral, prev = pid.bind(eta_d, dt), (0.0, 0.0, 0.0), None
+            yaws = [math.pi, -math.pi, *(rng.choice([-1.0, 1.0], 30) * math.pi
+                                         + rng.uniform(-0.3, 0.3, 30))]
+            for psi in map(float, yaws):
+                x, y, u, v, r = (*rng.uniform(-50.0, 50.0, 2).tolist(),
+                                 *rng.normal(size=3).tolist())
+                c, s = yaw_cos_sin(psi)
+                if frame == "body":
+                    err = (c * (xd - x) + s * (yd - y), c * (yd - y) - s * (xd - x),
+                           ssa(psid - psi))
+                    rate = (-u, -v, -r)
+                else:
+                    err = (xd - x, yd - y, ssa(psid - psi))
+                    rate = (-(c * u - s * v), -(s * u + c * v), -r)
+                if prev is not None:
+                    integral = tuple(i + 0.5 * dt * (p + e)
+                                     for i, p, e in zip(integral, prev, err))
+                prev = err
+                want = stacked.dot((*err, *integral, *rate))
+                assert law((x, y, psi, u, v, r), c, s).tobytes() == want.tobytes()
+
+    def test_reset_clears_state(self):
+        # binding again is the reset: the new law starts from a zero integral,
+        # while the law bound before it keeps its own
+        pid, dt = integrator(), 0.1
+        sample = ((1.0, 1.0, 0.0, 0.0, 0.0, 0.0), 1.0, 0.0)
+        first = pid.bind((0.0, 0.0, 0.0), dt)
+        first(*sample), first(*sample)
+        second = pid.bind((0.0, 0.0, 0.0), dt)
+        np.testing.assert_array_equal(second(*sample), np.zeros(3))
+        # errors (-1, -1, 0) at every call: three calls make two trapezoids
+        np.testing.assert_allclose(first(*sample), [-2 * dt, -2 * dt, 0.0], rtol=1e-15)
 
     @pytest.mark.parametrize("frame", PID_FRAMES)
     def test_laws_bound_from_one_controller_do_not_share_state(self, frame):
