@@ -157,12 +157,12 @@ class AdaptiveWeights:
         return self.theta.shape[1]
 
 
-def write_weight_csv(path, weights: AdaptiveWeights) -> None:
-    """Snapshot the weights as CSV rows (node_index, theta1, theta2, theta3).
+def write_weight_csv(path, theta: np.ndarray) -> None:
+    """Snapshot the (3, l) weights as CSV rows (node_index, theta1, theta2, theta3).
 
     The bytes are those of ``csv.writer`` writing each weight as ``f"{v:.9g}"``.
     """
     with open(path, "w", newline="") as fh:
         fh.write("node_index,theta1,theta2,theta3\r\n")
         traces.write_rows(fh, "%d,%.9g,%.9g,%.9g\r\n",
-                          np.column_stack((np.arange(weights.node_count), weights.theta.T)))
+                          np.column_stack((np.arange(theta.shape[1]), theta.T)))

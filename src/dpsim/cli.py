@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from dpsim.approximators import AdaptiveWeights, write_weight_csv
+from dpsim.approximators import write_weight_csv
 from dpsim.config import (CONTROLLER_TYPES, DISTURBANCE_TYPES, ConfigError, load_scenario,
                           parse_scenario, read_scenario)
 from dpsim.simulate import (DEFAULT_TAIL_WINDOW_S, SimulationAbort, compare_runs,
@@ -119,7 +119,7 @@ def _cmd_run(args) -> int:
     if args.out:
         write_trace_csv(args.out, trace)
     if args.weights_out:
-        write_weight_csv(args.weights_out, AdaptiveWeights(trace.final_theta))
+        write_weight_csv(args.weights_out, trace.final_theta)
     print(_metrics_line(metrics))
     return 0
 

@@ -14,11 +14,11 @@ the run's components with :func:`build_components`, grid network included,
 and reports a constructor's ``ValueError`` as a ``ConfigError`` on the
 scenario key.  So a scenario that validates also builds.
 
-The parsed config keeps that set for its first run, which takes it (see
-``ScenarioConfig.take_components``), so a request builds its components
-once.  Setting any attribute drops the set, and the parsed arrays are
-read-only, so a config changed after parsing runs as given; a second run
-builds afresh, with a fresh Markov generator.
+A ``ScenarioConfig`` is frozen and its parsed arrays are read-only.  Its
+``components`` are built once, at their first read, which for a parsed
+config is validation's; every run of the config then uses that set, whose
+objects each start their state afresh at each run.  ``dataclasses.replace``
+gives a changed config, which builds its own set and runs as given.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -82,13 +82,9 @@ class ConfigError(ValueError):
     """Scenario file failed to parse or violates an invariant."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario; all angles in radians, all units SI.
-
-    ``parse_scenario`` stores the components it built as ``_built``, an
-    attribute that is not a field and that setting any attribute drops.
-    """
+    """Fully validated scenario; all angles in radians, all units SI."""
 
     m_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_M.copy())
     d_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_D.copy())
@@ -126,21 +122,10 @@ class ScenarioConfig:
     initial_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     target_pose: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def __setattr__(self, name, value):
-        # into __dict__ directly: a third of super().__setattr__'s cost, and
-        # no field is a descriptor
-        attrs = self.__dict__
-        attrs.pop("_built", None)
-        attrs[name] = value
-
-    def take_components(self) -> Components | None:
-        """The components ``parse_scenario`` built, for the first caller only; else None.
-
-        They are held in a one-item list, so a shallow copy of the config
-        shares it and cannot hand the same set to a second run.
-        """
-        built = self.__dict__.get("_built")
-        return built.pop() if built else None
+    @cached_property
+    def components(self) -> Components:
+        """The run's components, built at the first read and shared by every run."""
+        return build_components(self)
 
     def steps(self) -> int:
         return int(round(self.duration / self.dt))
@@ -290,20 +275,19 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON object."""
     raw = _expect_mapping(raw, "scenario")
     _reject_unknown(raw, _SCHEMA, "scenario")
-    cfg = ScenarioConfig()
+    fields = {}
     for name, keys in _SCHEMA.items():
         section = _expect_mapping(raw.get(name, {}), name)
         _reject_unknown(section, keys, name)
         for key, (attr, parse) in keys.items():
             if key in section:
-                setattr(cfg, attr, parse(section[key], f"{name}.{key}"))
+                fields[attr] = parse(section[key], f"{name}.{key}")
+    cfg = ScenarioConfig(**fields)
     _validate(cfg)
-    parts = build_components(cfg)
-    _check_weight_leak(cfg, parts.gains)
+    _check_weight_leak(cfg, cfg.components.gains)
     for value in vars(cfg).values():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False    # an edit in place would not reach parts
-    cfg.__dict__["_built"] = [parts]
+            value.flags.writeable = False    # an edit in place would not reach the components
     return cfg
 
 
@@ -331,7 +315,7 @@ def _check_weight_leak(cfg: ScenarioConfig, gains: BackstepGains):
     """A rule of the run as a whole: RK4 at dt must damp the stable law's leak.
 
     Beyond the limit the weights grow every step and the run aborts after
-    seconds of run time.  A config changed after parsing runs as given.
+    seconds of run time.  A config replaced after parsing runs as given.
     """
     if cfg.controller_type != "adaptive-nn" or gains.law != "stable":
         return
@@ -373,8 +357,8 @@ def build_components(cfg: ScenarioConfig) -> Components:
     controllers warn about a weak K2.  ``adaptive-nn`` and ``nn-fixed`` get
     their grid network.  PID uses no grid, so its rbf section is only
     checked, by the grid's two parts ``grid_nodes`` and ``RbfNetwork``, on at
-    most 2 points per dimension with no ceiling.  Validation builds with this
-    function too, and the config's first run takes that set.
+    most 2 points per dimension with no ceiling.  ``ScenarioConfig.components``
+    calls it once per config, and validation reads that set.
     """
     uses_grid = cfg.controller_type != "pid"
     with _section("plant"):

@@ -5,9 +5,10 @@ load as three floats at a heading with cosine ``c`` and sine ``s``, and
 ``stepper(dt)``, bound once per run, whose calls each advance it by ``dt``.
 The constant load ignores both the heading and the step.  The Markov bias
 is an Ornstein-Uhlenbeck force/moment vector in the earth frame, rotated
-into the body frame at query time.  Euler-Maruyama stepping with sqrt(dt)
-noise scaling keeps the stationary variance step-size invariant at
-``noise_scale_i^2 * time_constant_i / 2``.
+into the body frame at query time; its ``stepper`` starts each run from
+the initial bias and the seed's first draw, so every run is the same.
+Euler-Maruyama stepping with sqrt(dt) noise scaling keeps the stationary
+variance step-size invariant at ``noise_scale_i^2 * time_constant_i / 2``.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class MarkovBias:
     """Slowly varying earth-frame bias b: db = -b/T dt + Psi sqrt(dt) n.
 
     ``n`` is a standard Gaussian 3-vector from the seeded generator, so a
-    trajectory is fully determined by (seed, call count).  ``b`` holds the
-    bias as three floats.  ``body_load(cos psi, sin psi)`` returns R(psi)^T b,
-    the load felt in the body frame.
+    trajectory is fully determined by (seed, steps since ``stepper``).  ``b``,
+    three floats, starts at ``initial_bias``; ``body_load(cos psi, sin psi)``
+    returns R(psi)^T b, the load felt in the body frame.
     """
 
     def __init__(self, time_constants, noise_scale, seed: int, b0=None):
@@ -79,13 +80,13 @@ class MarkovBias:
         b = np.zeros(3) if b0 is None else np.array(b0, dtype=float)
         if b.shape != (3,) or not np.isfinite(b).all():
             raise ValueError("initial_bias must be a finite 3-vector")
-        self.b = tuple(b.tolist())
+        self.initial_bias = self.b = tuple(b.tolist())
         self._T, self._psi = T.tolist(), psi.tolist()
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = None        # default_rng(seed), started at the first draw
         self._noise = []        # the block's unused draws, next one last
 
-    def stepper(self, dt: float):
-        """``advance()``: one step of ``dt``, returning the new bias; ``dt`` is checked once."""
+    def _advancer(self, dt: float):
+        """``advance()``: one step of ``dt`` from the current state; ``dt`` is checked once."""
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
         root = math.sqrt(dt)
@@ -93,6 +94,8 @@ class MarkovBias:
 
         def advance():
             if not self._noise:
+                if self._rng is None:
+                    self._rng = np.random.default_rng(self.seed)
                 self._noise = self._rng.standard_normal((NOISE_BLOCK, 3)).tolist()[::-1]
             n0, n1, n2 = self._noise.pop()
             b0, b1, b2 = self.b
@@ -103,9 +106,19 @@ class MarkovBias:
 
         return advance
 
+    def stepper(self, dt: float):
+        """Start a run: ``advance()`` takes one step of ``dt`` and returns the new bias.
+
+        ``dt`` is checked first; only then do the bias and the noise stream
+        go back to their start, so every run of this instance is the same.
+        """
+        advance = self._advancer(dt)
+        self.b, self._rng, self._noise = self.initial_bias, None, []
+        return advance
+
     def step(self, dt: float) -> tuple:
-        """Advance the bias by one Euler-Maruyama step; returns the new bias."""
-        return self.stepper(dt)()
+        """Advance the bias by one Euler-Maruyama step, on from the current state."""
+        return self._advancer(dt)()
 
     def body_load(self, c: float, s: float) -> tuple:
         b0, b1, b2 = self.b

@@ -10,7 +10,8 @@ carry none.  PID holds its output over each step: its law, bound once per
 run by ``PidController.bind``, runs once per step on the engine's yaw cosine
 and sine.  Every load, constant or Markov, is read through ``body_load(cos
 psi, sin psi)`` once per step, held across the sub-stages, and advanced by
-the call its ``stepper(dt)`` binds once per run; both laws clamp through
+the call its ``stepper(dt)`` binds once per run, which starts the load
+afresh, so one component set serves every run; both laws clamp through
 ``controllers.saturate``.  The engine's and the laws' 3-vector arithmetic
 is written in floats, not numpy calls, since the call cost dominates at
 that size.  It skips what is exactly zero: the plant rate and V2a read only
@@ -33,7 +34,7 @@ import numpy as np
 
 from dpsim import __version__, kernels
 from dpsim.approximators import AdaptiveWeights, RbfNetwork, row_norms
-from dpsim.config import ScenarioConfig, build_components
+from dpsim.config import ScenarioConfig
 from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, target_pose
@@ -423,10 +424,10 @@ def run_simulation(cfg: ScenarioConfig):
     """Execute one configured scenario; returns (RunTrace, RunMetrics), the trace
     stamped with its header and decimated after the metrics saw every sample.
 
-    The run takes the components ``parse_scenario`` built for ``cfg`` if no
-    run has taken them and no field was set since; otherwise it builds its own.
+    The run uses ``cfg.components``, the set validation built; every run of
+    ``cfg`` uses that one set and gives the same trace.
     """
-    parts = cfg.take_components() or build_components(cfg)
+    parts = cfg.components
     meta = {"version": __version__, **cfg.meta()}
     common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
                   dt=cfg.dt, duration=cfg.duration, limits=parts.limits)

@@ -23,6 +23,7 @@ the README's known-limitations section.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,10 +56,9 @@ def seed_runs(k1=None, k2=None):
     """
     runs = []
     for seed in CRIT4_SEEDS:
-        cfg = default_scenario()
-        cfg.weight_seed = seed
+        cfg = replace(default_scenario(), weight_seed=seed)
         if k1 is not None:
-            cfg.k1, cfg.k2 = k1, k2
+            cfg = replace(cfg, k1=k1, k2=k2)
         start = time.perf_counter()
         trace, metrics = run_simulation(cfg)
         runs.append((seed, trace, metrics, time.perf_counter() - start))
@@ -126,12 +126,8 @@ def ideal_law_metrics(cfg, feedforward=True, cancel_load=False):
 
 def markov_scenario(controller="adaptive-nn"):
     """Criterion 6's scenario: default gains, one fixed Markov realization."""
-    cfg = default_scenario()
-    cfg.controller_type = controller
-    cfg.disturbance_type = "markov"
-    cfg.weight_seed = 11
-    cfg.disturbance_seed = 12
-    return cfg
+    return replace(default_scenario(), controller_type=controller, disturbance_type="markov",
+                   weight_seed=11, disturbance_seed=12)
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +231,8 @@ def test_criterion_4_window_unreachable_at_default_gains(converging_gains):
     default_ff = ideal_law_metrics(default_scenario()).convergence_time
     default_ff_load = ideal_law_metrics(default_scenario(),
                                         cancel_load=True).convergence_time
-    converging = default_scenario()
-    converging.k1, converging.k2 = converging_gains
+    k1, k2 = converging_gains
+    converging = replace(default_scenario(), k1=k1, k2=k2)
     converging_ff = ideal_law_metrics(converging).convergence_time
     detail = (
         f"ideal law (network replaced by M*alpha1_dot + D*alpha1) enters the band "
@@ -386,10 +382,8 @@ def test_criterion_9_scalar_loop_dissipation():
 def test_criterion_10_determinism(tmp_path):
     paths = []
     for name in ("first.csv", "second.csv"):
-        cfg = default_scenario()
-        cfg.points_per_dim = 2
-        cfg.duration = 60.0
-        cfg.disturbance_type = "markov"
+        cfg = replace(default_scenario(), points_per_dim=2, duration=60.0,
+                      disturbance_type="markov")
         trace, _ = run_simulation(cfg)
         path = tmp_path / name
         write_trace_csv(path, trace)

@@ -185,9 +185,8 @@ class TestWeights:
         np.testing.assert_allclose(row_norms(w.theta), [5.0, 0.0, 1.0])
 
     def test_csv_export(self, tmp_path):
-        w = AdaptiveWeights(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         path = tmp_path / "weights.csv"
-        write_weight_csv(path, w)
+        write_weight_csv(path, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "node_index,theta1,theta2,theta3"
         assert lines[1] == "0,1,3,5"
@@ -198,15 +197,14 @@ class TestWeights:
         special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5e-310, -1e300,
                    1.0 / 3.0, 123456789012.0, 1e-5, 0.1]
         # more rows than one write formats, so the blocks' seams are checked too
-        w = AdaptiveWeights.zeros(600)
-        w.theta = np.resize(np.array(special), (3, 600))   # past the finite check
+        theta = np.resize(np.array(special), (3, 600))
         path = tmp_path / "weights.csv"
-        write_weight_csv(path, w)
+        write_weight_csv(path, theta)
         want = io.StringIO(newline="")
         writer = csv.writer(want)
         writer.writerow(["node_index", "theta1", "theta2", "theta3"])
         for j in range(600):
-            writer.writerow([j] + [f"{w.theta[i, j]:.9g}" for i in range(3)])
+            writer.writerow([j] + [f"{theta[i, j]:.9g}" for i in range(3)])
         assert path.read_bytes() == want.getvalue().encode()
         lines = path.read_bytes().split(b"\r\n")
         assert lines[1:4] == [b"0,inf,-1e+300,-inf", b"1,-inf,0.333333333,nan",

@@ -1,6 +1,7 @@
 """One builder behind validation and the run: what validates also builds."""
 
 import copy
+import dataclasses
 import json
 import warnings
 
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsim import config, simulate
+from dpsim import config
 from dpsim.cli import main as cli_main
-from dpsim.approximators import DEFAULT_INPUT_RANGES, RbfNetwork
+from dpsim.approximators import DEFAULT_INPUT_RANGES, AdaptiveWeights, RbfNetwork
 from dpsim.config import (_SCHEMA, CONTROLLER_TYPES, DEFAULT_K1, MAX_NODES, ConfigError,
                           build_components, parse_scenario)
-from dpsim.simulate import run_simulation
+from dpsim.simulate import run_simulation, simulate_adaptive, simulate_pid
 from dpsim.traces import write_trace_csv
 
 # symmetric to 1e-9 but not to the 1e-12 that BackstepGains requires
@@ -104,34 +105,70 @@ SHORT = {"disturbance": {"type": "markov"}, "rbf": {"points_per_dim": 2},
          "simulation": {"duration": 2.0}}
 
 
-def test_a_request_builds_its_components_once(monkeypatch):
-    # validation builds the set, grid included, and the first run takes it
-    grids, builds = [], []
-    build_grid, build = RbfNetwork.grid, config.build_components
+def counted_grids(monkeypatch):
+    """A list that gets one entry per call of ``RbfNetwork.grid`` from now on."""
+    grids, build_grid = [], RbfNetwork.grid
     monkeypatch.setattr(RbfNetwork, "grid",
                         lambda *args: grids.append(args) or build_grid(*args))
+    return grids
+
+
+def test_a_request_builds_its_components_once(monkeypatch):
+    # validation builds the set, grid included, and the run uses it
+    grids, builds, build = counted_grids(monkeypatch), [], config.build_components
 
     def counted(cfg):
         builds.append(cfg)
         return build(cfg)
 
     monkeypatch.setattr(config, "build_components", counted)
-    monkeypatch.setattr(simulate, "build_components", counted)
     cfg = parse_scenario(SHORT)
     assert len(grids) == len(builds) == 1
     run_simulation(cfg)
     assert len(grids) == len(builds) == 1
-    run_simulation(cfg)         # a second run builds its own
-    assert len(grids) == len(builds) == 2
-    cfg = parse_scenario(SHORT)
-    cfg.duration = 1.0          # so does a run after a field is set
-    run_simulation(cfg)
-    assert len(grids) == len(builds) == 4
+    cfg = dataclasses.replace(parse_scenario(SHORT), duration=1.0)
+    run_simulation(cfg)         # a replaced config builds its own
+    assert len(grids) == len(builds) == 3
 
 
 def _trace_bytes(cfg, path):
     write_trace_csv(path, run_simulation(cfg)[0])
     return path.read_bytes()
+
+
+def _run_parts(cfg, parts):
+    """One run of ``parts``, dispatched as ``run_simulation`` does; returns its trace."""
+    common = dict(eta0=cfg.initial_pose, nu0=cfg.initial_velocity, eta_d=cfg.target_pose,
+                  dt=cfg.dt, duration=cfg.duration, limits=parts.limits)
+    if parts.network is None:
+        return simulate_pid(parts.plant, parts.pid, parts.disturbance, **common)[0]
+    weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
+    return simulate_adaptive(parts.plant, parts.gains, parts.network, weights0,
+                             parts.disturbance, adapt=cfg.controller_type == "adaptive-nn",
+                             **common)[0]
+
+
+@pytest.mark.parametrize("disturbance", ["constant", "markov"])
+@pytest.mark.parametrize("controller", CONTROLLER_TYPES)
+def test_one_component_set_runs_the_same_every_time(tmp_path, monkeypatch, controller,
+                                                    disturbance):
+    # each run starts the PID law and the Markov load afresh, so the set is reusable
+    raw = _merged(_merged(SHORT, "controller", "type", controller),
+                  "disturbance", "type", disturbance)
+    cfg = parse_scenario(raw)
+    parts = build_components(cfg)
+    runs = []
+    for name in ("first", "second"):
+        path = tmp_path / f"{name}.csv"
+        write_trace_csv(path, _run_parts(cfg, parts))
+        runs.append(path.read_bytes())
+    assert runs[1] == runs[0]
+    # one parsed config: the set validation built serves both runs
+    grids = counted_grids(monkeypatch)
+    cfg = parse_scenario(raw)
+    first = _trace_bytes(cfg, tmp_path / "run1.csv")
+    assert _trace_bytes(cfg, tmp_path / "run2.csv") == first
+    assert len(grids) == (controller != "pid")
 
 
 def _merged(raw, section, key, value):
@@ -149,8 +186,7 @@ def _merged(raw, section, key, value):
 ])
 def test_a_field_set_after_parsing_runs_as_given(tmp_path, attr, value, section, key,
                                                  raw_value):
-    cfg = parse_scenario(SHORT)
-    setattr(cfg, attr, value)
+    cfg = dataclasses.replace(parse_scenario(SHORT), **{attr: value})
     got = _trace_bytes(cfg, tmp_path / "set.csv")
     want = _trace_bytes(parse_scenario(_merged(SHORT, section, key, raw_value)),
                         tmp_path / "parsed.csv")
@@ -161,7 +197,7 @@ def test_a_field_set_after_parsing_runs_as_given(tmp_path, attr, value, section,
 @pytest.mark.parametrize("controller", ["pid", "nn-fixed"])
 def test_one_config_runs_the_same_every_time(tmp_path, controller):
     cfg = parse_scenario(_merged(SHORT, "controller", "type", controller))
-    twin = copy.copy(cfg)       # shares the validated set, which one run takes
+    twin = copy.copy(cfg)       # shares the validated set
     first = _trace_bytes(cfg, tmp_path / "first.csv")
     assert _trace_bytes(cfg, tmp_path / "again.csv") == first
     assert _trace_bytes(twin, tmp_path / "twin.csv") == first
@@ -175,6 +211,8 @@ def test_parsed_arrays_are_read_only():
     arrays = [value for value in vars(cfg).values() if isinstance(value, np.ndarray)]
     assert len(arrays) == 18
     assert not any(array.flags.writeable for array in arrays)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k2 = np.eye(3)
 
 
 @pytest.mark.parametrize("controller, warned", [("pid", 0), ("adaptive-nn", 1)])
@@ -187,8 +225,7 @@ def test_weak_k2_warns_only_for_backstepping(controller, warned):
 
 
 def test_builder_reports_a_mutated_config():
-    cfg = parse_scenario({})
-    cfg.sigma = np.array([1.0, -1.0, 1.0])
+    cfg = dataclasses.replace(parse_scenario({}), sigma=np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ConfigError, match="controller.sigma"):
         build_components(cfg)
 

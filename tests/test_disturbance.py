@@ -102,6 +102,28 @@ class TestMarkovBias:
         for _ in range(2 * NOISE_BLOCK + 3):
             assert advance() == b.step(0.1)
 
+    @pytest.mark.parametrize("k", [1, NOISE_BLOCK + 5])
+    def test_stepper_starts_the_run_afresh(self, k):
+        # a second run of one instance is its first: the bias and the noise restart
+        a, twin = (MarkovBias(50.0, 1e3, 7, b0=[1.0, -2.0, 3.0]) for _ in range(2))
+        for _ in range(k):
+            a.step(0.1)
+        advance = a.stepper(0.1)
+        assert a.b == a.initial_bias == (1.0, -2.0, 3.0)
+        for _ in range(NOISE_BLOCK + 3):
+            assert advance() == twin.step(0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_dt_is_rejected_before_the_bias_moves(self, dt):
+        a, twin = (MarkovBias(50.0, 1e3, 7) for _ in range(2))
+        for bias in (a, twin):
+            bias.step(0.1)
+        before = a.b
+        with pytest.raises(ValueError, match="dt must be positive"):
+            a.stepper(dt)
+        assert a.b == before
+        assert a.step(0.1) == twin.step(0.1)
+
     @pytest.mark.parametrize("seed", [3.7, 3.0, "5", True, None, -1])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # int() once turned 3.7 into 3, '5' into 5 and True into 1

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,7 @@ CONTROLLERS = ("pid", "adaptive-nn", "nn-fixed")
 
 def small_cfg(**overrides):
     """512-node grid, short horizon; fast enough for per-test runs."""
-    cfg = default_scenario()
-    cfg.points_per_dim = 2
-    cfg.duration = 40.0
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(default_scenario(), **{"points_per_dim": 2, "duration": 40.0, **overrides})
 
 
 class TestRunSimulation:
@@ -223,8 +219,7 @@ class TestRunSimulation:
     def test_nn_fixed_reads_the_weights_in_place(self):
         # a frozen run neither copies the weights nor takes their norms through
         # a temporary of their size, so it allocates less than the weights hold
-        cfg = default_scenario()
-        cfg.controller_type, cfg.duration = "nn-fixed", 4.0
+        cfg = replace(default_scenario(), controller_type="nn-fixed", duration=4.0)
         parts = build_components(cfg)
         weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
         initial = weights0.theta.copy()
@@ -403,10 +398,7 @@ class TestLawCalls:
         np.testing.assert_array_equal(tau, [-1.0, -2.0, -0.3])
 
     @pytest.mark.parametrize("controller", CONTROLLERS)
-    def test_markov_load_takes_one_step_per_step(self, monkeypatch, controller):
-        built, build = [], simulate.build_components
-        monkeypatch.setattr(simulate, "build_components",
-                            lambda cfg: built.append(build(cfg)) or built[-1])
+    def test_markov_load_takes_one_step_per_step(self, controller):
         cfg = small_cfg(controller_type=controller, disturbance_type="markov",
                         duration=self.STEPS * 0.1)
         run_simulation(cfg)
@@ -414,7 +406,7 @@ class TestLawCalls:
                            cfg.initial_bias)
         for _ in range(self.STEPS):
             fresh.step(cfg.dt)
-        assert np.array(built[0].disturbance.b).tobytes() == np.array(fresh.b).tobytes()
+        assert np.array(cfg.components.disturbance.b).tobytes() == np.array(fresh.b).tobytes()
 
     @pytest.mark.parametrize("controller", ["adaptive-nn", "nn-fixed"])
     def test_network_laws_run_at_every_stage(self, monkeypatch, controller):
@@ -1166,6 +1158,28 @@ class TestCli:
         assert capsys.readouterr().err == "error: --out and --weights-out name the same file\n"
         assert sorted(tmp_path.iterdir()) == before
         assert (tmp_path / "old.csv").read_text() == "old"
+
+    def test_symlinked_out_is_written_through(self, tmp_path, capsys):
+        # the writer opens the path: the link stays, and its target takes the trace
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        os.symlink(target, link)
+        assert cli_main(["run", "--controller", "pid", "--duration", "2",
+                         "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert len(read_trace_csv(target)) == 21
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_rewritten_trace_shows_under_its_hard_link(self, tmp_path, capsys):
+        # the file is rewritten in place, not replaced: both names keep one inode
+        out, other = tmp_path / "t.csv", tmp_path / "other.csv"
+        argv = ["run", "--controller", "pid", "--duration", "2", "--out", str(out)]
+        assert cli_main(argv) == 0
+        first = out.read_bytes()
+        os.link(out, other)
+        assert cli_main([*argv, "--disturbance", "markov"]) == 0
+        assert other.read_bytes() == out.read_bytes() != first
+        assert os.path.samefile(out, other)
 
     def test_unwritable_directory_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dpsim.cli.run_simulation", fail_if_run)

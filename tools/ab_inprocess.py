@@ -11,11 +11,11 @@ The script first checks that both trees give the same trace bytes (the
 It then times ``config.parse_scenario`` plus ``simulate.run_simulation``
 with ``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
 warm-up run of each.  The parse is timed because it builds the components
-that the run takes; a config parsed once and run again would time a rebuild
-in the run instead.  The two trees take turns going first, run by run.  It
-prints each block's medians, then each tree's median over all runs, the
-ratio base / change (above 1 means the change is faster), and how many
-blocks the change won.  The last line holds the same numbers as JSON.
+that the run uses; a config parsed once and run again would time no build
+at all.  The two trees take turns going first, run by run.  It prints each
+block's medians, then each tree's median over all runs, the ratio base /
+change (above 1 means the change is faster), and how many blocks the change
+won.  The last line holds the same numbers as JSON.
 numpy's BLAS threads are whatever the environment sets
 (``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
 binary values, so it holds only within one thread setting, as here: a
