@@ -6,7 +6,7 @@ Two controller families:
   (earth-frame variant selectable), trapezoidal integral, derivative from
   measured velocity.  The controller holds gains and frame; its ``bind``
   gives a run's law, which owns that run's integral and is evaluated in
-  floats with one stacked-gain product.
+  floats, its 27 gain products written out.
 * adaptive backstepping with a radial-basis network -- virtual velocity
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
@@ -98,17 +98,28 @@ class PidController:
         """``law(state, c, s)`` toward ``eta_d`` at step ``dt``, which is checked once here.
 
         ``state`` is pose and velocity and ``(c, s)`` the yaw's cosine and
-        sine; each call returns the control and advances the integral, which,
-        with the previous error, is the law's own and starts at zero.  The
-        control is one numpy product of ``[Kp Ki Kd]``, stacked here, with
-        nine floats; its sums round differently from a float loop's.
+        sine; each call returns the control as three floats and advances the
+        integral, which, with the previous error, is the law's own and starts
+        at zero.  The gains are unpacked here, and row i of the control is
+        ``(Kp_i . e) + (Ki_i . integral) + (Kd_i . -rate)``, each dot summed
+        left to right: all 27 products, since a gain may be a full matrix.
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
         (xd, yd, psid), half = eta_d, 0.5 * dt
-        dot = np.hstack([self.gains.Kp, self.gains.Ki, self.gains.Kd]).dot
+        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.gains.Kp.tolist()
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = self.gains.Ki.tolist()
+        (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = self.gains.Kd.tolist()
         i0 = i1 = i2 = 0.0
         prev = None
+
+        def product(e0, e1, e2, i0, i1, i2, r0, r1, r2):
+            return ((p00 * e0 + p01 * e1 + p02 * e2) + (i00 * i0 + i01 * i1 + i02 * i2)
+                    + (d00 * r0 + d01 * r1 + d02 * r2),
+                    (p10 * e0 + p11 * e1 + p12 * e2) + (i10 * i0 + i11 * i1 + i12 * i2)
+                    + (d10 * r0 + d11 * r1 + d12 * r2),
+                    (p20 * e0 + p21 * e1 + p22 * e2) + (i20 * i0 + i21 * i1 + i22 * i2)
+                    + (d20 * r0 + d21 * r1 + d22 * r2))
 
         def body(state, c, s):
             nonlocal i0, i1, i2, prev
@@ -119,7 +130,7 @@ class PidController:
                 p0, p1, p2 = prev
                 i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
             prev = e0, e1, e2
-            return dot((e0, e1, e2, i0, i1, i2, -u, -v, -r))
+            return product(e0, e1, e2, i0, i1, i2, -u, -v, -r)
 
         def earth(state, c, s):
             nonlocal i0, i1, i2, prev
@@ -129,7 +140,7 @@ class PidController:
                 p0, p1, p2 = prev
                 i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
             prev = e0, e1, e2
-            return dot((e0, e1, e2, i0, i1, i2, -(c * u - s * v), -(s * u + c * v), -r))
+            return product(e0, e1, e2, i0, i1, i2, -(c * u - s * v), -(s * u + c * v), -r)
 
         return body if self.frame == "body" else earth
 

@@ -413,7 +413,7 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
     law = controller.bind(eta_d.tolist(), dt)
 
     def control(y, c, s, stage):
-        return saturate(law(y, c, s).tolist(), limits), y[3:], (0.0, 0.0, 0.0), {}
+        return saturate(law(y, c, s), limits), y[3:], (0.0, 0.0, 0.0), {}
 
     return _closed_loop(
         plant, (control, True, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,

@@ -101,7 +101,7 @@ class TestPid:
         for _ in range(2):
             tau = law(*sample)
             assert np.isfinite(tau).all() and np.abs(tau).min() > 0
-            assert tau.tobytes() == twin(*sample).tobytes()
+            assert np.array(tau).tobytes() == np.array(twin(*sample)).tobytes()
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_binding_rejects_a_bad_dt(self, dt):
@@ -111,14 +111,15 @@ class TestPid:
 
     @pytest.mark.parametrize("frame", PID_FRAMES)
     def test_bound_law_is_control_bitwise(self, frame):
-        # the bound law's control is one product of the stacked [Kp Ki Kd] with
-        # (error, trapezoid integral, -rate), each formed in the order written
-        # here: every trace's bytes rest on that order.  Checked on the same
-        # states across the +-pi seam, and on the first call after a second bind
+        # row i of the bound law's control is (Kp_i . error) + (Ki_i . trapezoid
+        # integral) + (Kd_i . -rate), each dot summed left to right and every
+        # term formed in the order written here: every trace's bytes rest on
+        # that order.  Checked on the same states across the +-pi seam, and on
+        # the first call after a second bind
         rng = np.random.default_rng(22)
         gains = PidGains(*(rng.normal(size=(3, 3, 3)) * [[[3e3]], [[50.0]], [[5e4]]]))
         pid, dt = PidController(gains, frame), 0.1
-        stacked = np.hstack([gains.Kp, gains.Ki, gains.Kd])
+        rows = list(zip(gains.Kp.tolist(), gains.Ki.tolist(), gains.Kd.tolist()))
         xd, yd, psid = eta_d = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
                                 math.pi - 0.05)
         for _ in range(2):
@@ -140,8 +141,12 @@ class TestPid:
                     integral = tuple(i + 0.5 * dt * (p + e)
                                      for i, p, e in zip(integral, prev, err))
                 prev = err
-                want = stacked.dot((*err, *integral, *rate))
-                assert law((x, y, psi, u, v, r), c, s).tobytes() == want.tobytes()
+                want = tuple((p0 * err[0] + p1 * err[1] + p2 * err[2])
+                             + (i0 * integral[0] + i1 * integral[1] + i2 * integral[2])
+                             + (d0 * rate[0] + d1 * rate[1] + d2 * rate[2])
+                             for (p0, p1, p2), (i0, i1, i2), (d0, d1, d2) in rows)
+                got = law((x, y, psi, u, v, r), c, s)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_reset_clears_state(self):
         # binding again is the reset: the new law starts from a zero integral,
@@ -172,7 +177,7 @@ class TestPid:
                      *rng.normal(size=3).tolist())
             for law, alone in zip(laws, apart):
                 got, want = law(state, *yaw_cos_sin(psi)), alone(state, *yaw_cos_sin(psi))
-                assert got.tobytes() == want.tobytes()
+                assert np.array(got).tobytes() == np.array(want).tobytes()
         # a second bind starts from a zero integral, whatever the first law did
         pid, sample = integrator(frame), [(np.array([1.0, 2.0, 0.1]), np.zeros(3))]
         assert np.abs(pid_taus(pid, sample * 3)[-1]).min() > 0
@@ -213,7 +218,9 @@ class TestPid:
             if prev is not None:
                 integral = integral + 0.5 * dt * (prev + err)
             prev = err
-            assert isinstance(tau, np.ndarray) and tau.shape == (3,)
+            assert isinstance(tau, tuple) and len(tau) == 3
+            assert all(isinstance(t, float) for t in tau)
+            tau = np.array(tau)
             want = Kp @ err + Ki @ integral + Kd @ rate
             terms = (np.abs(Kp) @ np.abs(err) + np.abs(Ki) @ np.abs(integral)
                      + np.abs(Kd) @ np.abs(rate))

@@ -13,7 +13,9 @@ load, whose weight leak has the opposite sign, and under ``signed_zero_plant``
 structural zeros are written ``-0.0``.  The ``# version:`` line is left out
 of each digest, so a version bump moves none.  The adaptive runs pass through
 BLAS products, whose last bits may differ under another numpy or BLAS, so the
-file records the host line beside the digests.  A change that moves a digest
+file records the host line beside the digests.  The PID runs make no BLAS
+call per step, since their law takes its gain products in floats, so their
+digests do not depend on the BLAS build.  A change that moves a digest
 re-records them: the failure message prints both host lines and the new
 digests, ready to paste into the file; say why in CHANGES.md.  The BLAS
 thread count is not on the host line: a run writes the same CSV bytes under

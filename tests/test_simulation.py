@@ -109,8 +109,9 @@ class TestRunSimulation:
         assert "last finite sample" in str(abort)
 
     def test_pid_blowup_aborts_at_the_same_step(self):
-        # the values are those of an engine that called the held law at every
-        # RK4 stage, which aborted at the same step
+        # the abort step is that of an engine that called the held law at every
+        # RK4 stage; the pose and velocity of this diverging run rest on the
+        # last bit of the law's sum order, which the divergence amplifies
         cfg = small_cfg(controller_type="pid", dt=50.0, duration=20000.0)
         with pytest.raises(SimulationAbort) as excinfo:
             run_simulation(cfg)
@@ -118,11 +119,11 @@ class TestRunSimulation:
         assert abort.t_failed == 10200.0
         assert abort.t_last == 10150.0
         np.testing.assert_allclose(
-            abort.pose, [-4.052953985105945e+300, 2.802063610967814e+300,
-                         -5.094317673247657e+299], rtol=1e-12)
+            abort.pose, [-3.704539711737139e+300, -1.0704325803278611e+300,
+                         -5.861145628233066e+299], rtol=1e-12)
         np.testing.assert_allclose(
-            abort.velocity, [-2.630714302606353e+297, -3.680437527391113e+299,
-                             6.091535070060971e+298], rtol=1e-12)
+            abort.velocity, [-4.0192227493137324e+297, -4.240728127350392e+299,
+                             7.006579599113839e+298], rtol=1e-12)
 
     def test_overflowing_weights_abort_at_the_same_step(self):
         # gamma 100 under the unstable law multiplies the weights by about 1e4

@@ -22,6 +22,8 @@ def test_ab_times_two_trees_that_write_the_same_bytes():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["workload"] == "pid-markov-io" and result["seed"] == 1
+    assert result["seeds_checked"] == 64 and result["moved_values"] == 0
+    assert result["values"] > 0
     assert result["blocks"] == 1 and result["runs"] == 50
     assert 0 <= result["blocks_won"] <= 1 and result["ratio"] > 0
 

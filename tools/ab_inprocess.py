@@ -5,17 +5,23 @@
 BASE and CHANGE are checkouts, each with its own ``src/dpsim`` (CHANGE
 defaults to this one); a parent commit can be unpacked with ``git archive``.
 Both are imported into this one process, each under a module set of its
-own, and run the scenario that perfbench's ``--workload`` sends on seed 1.
-The script first checks that both trees give the same trace bytes (the
-``# version:`` line left out) and final weights, and stops if they do not.
-It then times ``config.parse_scenario`` plus ``simulate.run_simulation``
-with ``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
+own, and run the scenarios that perfbench's ``--workload`` sends.
+The script first runs both trees on each of the workload's 64 reference
+seeds (``perfbench.workloads.REFERENCE_SEEDS``) and checks that they give
+the same trace CSV bytes (the ``# version:`` line left out) and final
+weights; it stops at the first seed where they do not.  Over the same runs
+it counts the ``trace.data`` values whose bits differ: a change that keeps
+every CSV byte can still move binary values, by less than the 9 digits the
+CSV prints, and the count shows how many it moved.  It then times
+``config.parse_scenario`` plus ``simulate.run_simulation`` on seed 1 with
+``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
 warm-up run of each.  The parse is timed because it builds the components
 that the run uses; a config parsed once and run again would time no build
 at all.  The two trees take turns going first, run by run.  It prints each
 block's medians, then each tree's median over all runs, the ratio base /
 change (above 1 means the change is faster), and how many blocks the change
-won.  The last line holds the same numbers as JSON.
+won.  The last line holds the same numbers as JSON, with the seeds checked
+and the counts of moved and of all trace values.
 numpy's BLAS threads are whatever the environment sets
 (``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
 binary values, so it holds only within one thread setting, as here: a
@@ -40,6 +46,8 @@ import tempfile
 import time
 import types
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -82,16 +90,19 @@ def load_tree(root):
     return _isolated([str(src)], {"dpsim"}, load)
 
 
-def workload_scenario(name, seed):
-    """The scenario perfbench sends for workload ``name`` on ``seed``, from this checkout."""
+def workload_scenarios(name):
+    """The scenarios perfbench sends for workload ``name`` on its reference seeds, in order."""
     def load():
-        return importlib.import_module("perfbench.workloads").WORKLOADS[name].scenario_for(seed)
+        workloads = importlib.import_module("perfbench.workloads")
+        return [workloads.WORKLOADS[name].scenario_for(seed)
+                for seed in range(workloads.REFERENCE_SEEDS)]
 
     return _isolated([str(ROOT), str(ROOT / "src")], {"dpsim", "perfbench"}, load)
 
 
-def output_bytes(tree, raw):
-    """sha256 of the run's trace CSV without its version line, and of its final weights."""
+def outputs(tree, raw):
+    """sha256 of the run's trace CSV without its version line and of its final
+    weights, and the trace's values."""
     trace, _ = tree.simulate.run_simulation(tree.config.parse_scenario(raw))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -100,7 +111,24 @@ def output_bytes(tree, raw):
     body = b"".join(line for line in lines if not line.startswith(b"# version:"))
     theta = getattr(trace, "final_theta", None)
     return (hashlib.sha256(body).hexdigest(),
-            None if theta is None else hashlib.sha256(theta.tobytes()).hexdigest())
+            None if theta is None else hashlib.sha256(theta.tobytes()).hexdigest()), trace.data
+
+
+def moved_values(trees, scenarios):
+    """(moved, total): how many of the ``trace.data`` values of ``scenarios``
+    differ in their bits between the trees, and how many there are.  None,
+    after printing both trees' digests, at the first scenario whose trace
+    bytes or final weights differ."""
+    moved = total = 0
+    for seed, raw in enumerate(scenarios):
+        (base, base_data), (change, change_data) = (outputs(tree, raw) for tree in trees)
+        if base != change:
+            print(f"the trees' outputs differ on seed {seed}: base {base}, change {change}",
+                  file=sys.stderr)
+            return None
+        moved += int(np.count_nonzero(base_data.view(np.uint64) != change_data.view(np.uint64)))
+        total += base_data.size
+    return moved, total
 
 
 def timed(tree, raw):
@@ -119,15 +147,17 @@ def main(argv=None):
     if args.blocks < 1:
         parser.error("--blocks must be at least 1")
 
-    raw = workload_scenario(args.workload, SEED)
+    scenarios = workload_scenarios(args.workload)
     trees = {"base": load_tree(args.base), "change": load_tree(args.change)}
-    outputs = {side: output_bytes(tree, raw) for side, tree in trees.items()}
-    if outputs["base"] != outputs["change"]:
-        print(f"the trees' outputs differ: {outputs}", file=sys.stderr)
+    counts = moved_values(trees.values(), scenarios)
+    if counts is None:
         return 1
-    print(f"{args.workload} seed {SEED}: same trace bytes and final weights; "
-          f"{args.blocks} blocks of {RUNS} runs per tree")
+    moved, total = counts
+    print(f"{args.workload} seeds 0-{len(scenarios) - 1}: same trace bytes and final weights; "
+          f"{moved} of {total} trace values differ in their bits")
+    print(f"seed {SEED}: {args.blocks} blocks of {RUNS} runs per tree")
 
+    raw = scenarios[SEED]
     for tree in trees.values():             # warm-up
         timed(tree, raw)
     times = {"base": [], "change": []}
@@ -146,8 +176,9 @@ def main(argv=None):
     base, change = (statistics.median(times[side]) for side in ("base", "change"))
     print(f"median base {base * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
           f"ratio {base / change:.4f}, change won {won} of {args.blocks} blocks")
-    print(json.dumps({"workload": args.workload, "seed": SEED, "base_ms": base * 1e3,
-                      "change_ms": change * 1e3, "ratio": base / change,
+    print(json.dumps({"workload": args.workload, "seeds_checked": len(scenarios),
+                      "moved_values": moved, "values": total, "seed": SEED,
+                      "base_ms": base * 1e3, "change_ms": change * 1e3, "ratio": base / change,
                       "blocks_won": won, "blocks": args.blocks, "runs": RUNS}))
     return 0
 
