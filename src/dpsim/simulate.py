@@ -18,8 +18,10 @@ that size.  It skips what is exactly zero: the plant rate and V2a read only
 surge and the sway-yaw block of M, M^-1 and D, which ``VesselParams``
 requires; a held law's plant force ``tau + load`` is formed once per step;
 and the adaptive law forms only the live entries of its weight coordinates.
-The engine fills one row per full-rate sample and
-hands the rows to ``RunTrace`` as they are.
+The engine packs one row of doubles per full-rate sample into a buffer
+that becomes ``RunTrace.data`` without a copy; the time column and V1,
+which nothing in the loop reads, are formed after the loop, in numpy, with
+the per-row operations.
 Metrics come from every full-rate sample, through the same function as
 ``metrics_from_trace``; ``run_simulation`` decimates the trace after them.
 The bands and the tail window are the module constants below.
@@ -28,6 +30,7 @@ The bands and the tail window are the module constants below.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +42,16 @@ from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, target_pose
 # unused here: perfbench's test_wrappers_are_removed_after_the_request reads rotation_matrix
-from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin  # noqa: F401
+from dpsim.vessel import (VesselParams, rotation_matrix, ssa_array,  # noqa: F401
+                          wrap_angle, yaw_cos_sin)
 
 DEFAULT_POS_BAND_M = 0.5
 DEFAULT_PSI_BAND_RAD = math.radians(0.5)
 DEFAULT_TAIL_WINDOW_S = 200.0
+
+# a trace row as _closed_loop packs it: t (column 0) and V1 (column 16) are
+# left out, as pad bytes, and formed after the loop
+_ROW = struct.Struct("8x15d8xd")
 
 
 class SimulationAbort(RuntimeError):
@@ -122,9 +130,18 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     and ``end_step`` after them, and the last sample runs stage 0 only, so
     a law may carry work, and state of its own, from one call to the next.
     Probe arrays are built only when ``probe`` is given.
+
+    Each sample is one ``struct`` pack into a ``bytearray`` of ``steps + 1``
+    rows of ``len(TRACE_COLUMNS)`` doubles, the buffer ``RunTrace.data``
+    then views.  The pack leaves out t and V1 and writes V2a's energy term
+    ``0.5 z2' M z2``.  After the loop, t is ``k dt``, as the probe and
+    ``SimulationAbort`` take it, and ``V1 = 0.5 ((ex ex + ey ey) + epsi
+    epsi)``, with ``epsi = ssa(psi - psi_d)`` on the unwrapped yaw, is formed
+    in its column and added to V2a's, by the same IEEE operations on the
+    same operands, in the same order, as the scalar expression, so those
+    columns keep their bits.
     """
     steps = int(round(duration / dt))
-    t = (np.arange(steps + 1) * dt).tolist()
     # surge and the sway-yaw block only: the entries that couple them are exact
     # zeros in M and D (vessel._check_structural_zeros) and so in M^-1, and a
     # product with one adds only a signed zero to a finite sum
@@ -138,8 +155,11 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     advance = disturbance.stepper(dt)
 
     y = (*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist())
-    # one row per sample; yaw stays unwrapped until the end
-    rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
+    # one row of doubles per sample, packed into the trace's own buffer; t and V1
+    # are left for after the loop, and yaw stays unwrapped until then
+    width = len(TRACE_COLUMNS)
+    buf = bytearray(8 * width * (steps + 1))
+    pack = _ROW.pack_into
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
@@ -154,15 +174,14 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             f2 = p2 - (d21 * y4 + d22 * y5)
             k0, k1, k2, k3, k4, k5 = (c * y3 - s * y4, s * y3 + c * y4, y5, a00 * f0,
                                       a11 * f1 + a12 * f2, a21 * f1 + a22 * f2)
-            ex, ey, epsi = y0 - xd, y1 - yd, ssa(y2 - psid)
-            v1 = 0.5 * (ex * ex + ey * ey + epsi * epsi)
             (q0, q1, q2), (n0, n1, n2) = z2, norms
-            v2a = v1 + 0.5 * (q0 * (m00 * q0) + q1 * (m11 * q1 + m12 * q2)
-                              + q2 * (m21 * q1 + m22 * q2))
-            rows[k] = (t[k], y0, y1, y2, y3, y4, y5, t0, t1, t2, l0, l1, l2, n0, n1, n2, v1, v2a)
+            # V2a's energy term 0.5 z2' M z2; V1 is added to it after the loop
+            pack(buf, 8 * width * k, y0, y1, y2, y3, y4, y5, t0, t1, t2, l0, l1, l2,
+                 n0, n1, n2, 0.5 * (q0 * (m00 * q0) + q1 * (m11 * q1 + m12 * q2)
+                                    + q2 * (m21 * q1 + m22 * q2)))
             if probe is not None:
                 info = dict(eta=y[:3], nu=y[3:], **fields, tau=tau, delta=(l0, l1, l2))
-                probe(t[k], {key: np.array(value, dtype=float) for key, value in info.items()})
+                probe(k * dt, {key: np.array(value, dtype=float) for key, value in info.items()})
             if k == steps:
                 break
             # ((k_0 + 2 k_1) + 2 k_2) + k_3, in stage order: this order keeps the traces' bits
@@ -187,10 +206,25 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             y = (y0 + acc0 * sixth, y1 + acc1 * sixth, y2 + acc2 * sixth,
                  y3 + acc3 * sixth, y4 + acc4 * sixth, y5 + acc5 * sixth)
             if not ((end_step is None or end_step()) and all(map(math.isfinite, y))):
-                raise SimulationAbort(t[k + 1], t[k], (y0, y1, y2), (y3, y4, y5))
+                raise SimulationAbort((k + 1) * dt, k * dt, (y0, y1, y2), (y3, y4, y5))
             advance()
 
-    trace = RunTrace(rows)
+        trace = RunTrace(np.frombuffer(buf).reshape(steps + 1, width))
+        # k dt, as the probe and SimulationAbort take it
+        np.multiply(np.arange(steps + 1), dt, out=trace.t)
+        # V1 = 0.5 ((ex ex + ey ey) + epsi epsi) in the scalar expression's order, in
+        # place in its column with one temporary; V2a is its energy term + V1
+        v1, v2a, err = trace.v1, trace.v2a_partial, trace.pose[:, 0] - xd
+        np.multiply(err, err, out=v1)
+        np.subtract(trace.pose[:, 1], yd, out=err)
+        err *= err
+        v1 += err
+        np.subtract(trace.pose[:, 2], psid, out=err)
+        err = ssa_array(err)
+        err *= err
+        v1 += err
+        v1 *= 0.5
+        v2a += v1
     trace.pose[:, 2] = wrap_angle(trace.pose[:, 2])
     return trace, _run_metrics(trace, eta_d, DEFAULT_TAIL_WINDOW_S)
 

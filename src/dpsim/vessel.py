@@ -3,7 +3,8 @@
 Conventions: earth-frame pose ``eta = [x, y, psi]`` (m, m, rad) and body-frame
 velocity ``nu = [u, v, r]`` (surge m/s, sway m/s, yaw rate rad/s).  Yaw is kept
 unwrapped so error dynamics stay continuous; :func:`wrap_angle` maps to
-(-pi, pi] for reporting and :func:`ssa` the laws' heading error.  All SI.
+(-pi, pi] for reporting and :func:`ssa` the laws' heading error
+(:func:`ssa_array` for a trace's column of them).  All SI.
 """
 
 from __future__ import annotations
@@ -29,6 +30,22 @@ def ssa(angle: float) -> float:
         return angle
     wrapped = -((math.pi - angle) % (2.0 * math.pi) - math.pi)
     return math.pi if wrapped == -math.pi else wrapped   # the remainder may round to 2 pi
+
+
+def ssa_array(angle: np.ndarray) -> np.ndarray:
+    """:func:`ssa` of each element, bit for bit; writes over ``angle`` and returns it.
+
+    Elements inside (-pi, pi] are left as they are.  The others take the
+    scalar's operations in its order; numpy's float remainder, like
+    Python's, takes the sign of the divisor, so the two round alike.
+    """
+    outside = ~((-math.pi < angle) & (angle <= math.pi))
+    if outside.any():
+        with np.errstate(invalid="ignore"):     # +-inf % 2 pi is nan, as for floats
+            wrapped = -((math.pi - angle[outside]) % (2.0 * math.pi) - math.pi)
+        wrapped[wrapped == -math.pi] = math.pi
+        angle[outside] = wrapped
+    return angle
 
 
 def _check_structural_zeros(mat, name):

@@ -26,7 +26,7 @@ from dpsim.disturbance import ConstantDisturbance, MarkovBias
 from dpsim.simulate import (FOLD_STEPS, SimulationAbort, compare_runs, metrics_from_trace,
                             run_simulation, simulate_adaptive, simulate_pid)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, read_trace_csv, write_trace_csv
-from dpsim.vessel import VesselParams, rotation_matrix, wrap_angle, yaw_cos_sin
+from dpsim.vessel import VesselParams, rotation_matrix, ssa, wrap_angle, yaw_cos_sin
 
 from oracles import (compute_alpha1, joint_rk4_states, plant_derivative, pose_error,
                      rk4_step)
@@ -711,6 +711,75 @@ class TestFloatEngine:
             bias.step(cfg.dt)
             b = (b + cfg.dt * (-b / cfg.time_constants)
                  + cfg.noise_scale * np.sqrt(cfg.dt) * rng.standard_normal(3))
+
+
+# as SEAM_START, but the heading error psi - psi_d starts 0.1 deg inside +pi and
+# turns through it in the first step, so the recorder's V1 takes both branches of ssa
+SEAM_ERROR_START = dict(SEAM_START, eta_d=np.array([1.0, 2.0, math.radians(177.0 - 179.9)]))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestRecorder:
+    """The trace columns the engine forms after its loop, against the per-row floats."""
+
+    @staticmethod
+    def probed_run(controller, start, steps):
+        """A run on the coupled plant and what its probe saw: (t, eta, nu) per sample."""
+        seen = []
+
+        def probe(t, info):
+            seen.append((t, info["eta"].tolist(), info["nu"].tolist()))
+
+        common = dict(duration=steps * start["dt"], probe=probe, **start)
+        load = ConstantDisturbance(COUPLED_LOAD)
+        if controller == "pid":
+            pid = PidController(PidGains(*COUPLED_PID), "body")
+            trace, _ = simulate_pid(COUPLED_PLANT, pid, load, **common)
+        else:
+            network = RbfNetwork.grid(points_per_dim=2)
+            weights0 = AdaptiveWeights.random_init(network.node_count, 3)
+            trace, _ = simulate_adaptive(COUPLED_PLANT, COUPLED_GAINS, network, weights0, load,
+                                         adapt=controller == "adaptive-nn", **common)
+        return trace, seen
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    def test_columns_across_the_seam_are_the_per_row_floats(self, controller):
+        start = SEAM_ERROR_START
+        trace, seen = self.probed_run(controller, start, 30)
+        xd, yd, psid = start["eta_d"].tolist()
+        errors = [psi - psid for _, (_, _, psi), _ in seen]
+        assert min(errors) <= math.pi < max(errors)
+        (m00, _, _), (_, m11, m12), (_, m21, m22) = COUPLED_M.tolist()
+        v1, v2a = [], []
+        for _, (x, y, psi), (q0, q1, q2) in seen:
+            ex, ey, epsi = x - xd, y - yd, ssa(psi - psid)
+            v1.append(0.5 * (ex * ex + ey * ey + epsi * epsi))
+            v2a.append(v1[-1] + 0.5 * (q0 * (m00 * q0) + q1 * (m11 * q1 + m12 * q2)
+                                       + q2 * (m21 * q1 + m22 * q2)))
+        np.testing.assert_array_equal(bits(trace.v1), bits(v1))
+        np.testing.assert_array_equal(bits(trace.t), bits([t for t, _, _ in seen]))
+        np.testing.assert_array_equal(bits(trace.t), bits([k * start["dt"] for k in range(31)]))
+        if controller == "pid":     # z2 is nu
+            np.testing.assert_array_equal(bits(trace.v2a_partial), bits(v2a))
+
+    def test_long_pid_markov_run_keeps_no_object_per_sample(self):
+        # a recorder that holds a Python object per sample (a float, a tuple) needs
+        # far more than the 144 B row per step; 4000 steps, since tracemalloc
+        # slows each step about tenfold
+        cfg = parse_scenario({"controller": {"type": "pid"}, "disturbance": {"type": "markov"},
+                              "simulation": {"duration": 400.0}})
+        run_simulation(cfg)     # builds the components and imports numpy.random
+        tracemalloc.start()
+        try:
+            trace, _ = run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 4001
+        assert peak < 2 * trace.data.nbytes, (peak, trace.data.nbytes)
 
 
 class TestTraceCsv:

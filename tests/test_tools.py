@@ -9,23 +9,47 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab_inprocess.py"
+SETUP_AB = ROOT / "tools" / "setup_ab.py"
+ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def ab(*args):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, str(AB), *map(str, args), "--blocks", "1"],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300, env=ENV)
+
+
+def json_lines(stdout):
+    return [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
 
 
 def test_ab_times_two_trees_that_write_the_same_bytes():
     done = ab(ROOT, ROOT)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    [result] = json_lines(done.stdout)
+    assert result == json.loads(done.stdout.splitlines()[-1])
     assert result["workload"] == "pid-markov-io" and result["seed"] == 1
     assert result["seeds_checked"] == 64 and result["moved_values"] == 0
     assert result["values"] > 0
     assert result["blocks"] == 1 and result["runs"] == 50
     assert 0 <= result["blocks_won"] <= 1 and result["ratio"] > 0
+
+
+def test_ab_checks_and_times_each_named_workload():
+    done = ab(ROOT, ROOT, "--workload", "nn-fixed-markov", "pid-markov-io")
+    assert done.returncode == 0, done.stderr
+    results = json_lines(done.stdout)
+    assert [r["workload"] for r in results] == ["nn-fixed-markov", "pid-markov-io"]
+    for result in results:
+        assert result["seeds_checked"] == 64 and result["moved_values"] == 0
+        assert result["values"] > 0 and result["ratio"] > 0
+    # 64 seeds of 41 rows and of 1001 rows, 18 values each
+    assert [r["values"] for r in results] == [64 * 41 * 18, 64 * 1001 * 18]
+
+
+def test_ab_rejects_an_unknown_workload_before_running():
+    done = ab(ROOT, ROOT, "--workload", "pid-markov-io", "no-such-workload")
+    assert done.returncode == 2
+    assert "unknown workload" in done.stderr and "seeds" not in done.stdout
 
 
 def test_ab_stops_when_the_trees_write_different_bytes(tmp_path):
@@ -38,3 +62,14 @@ def test_ab_stops_when_the_trees_write_different_bytes(tmp_path):
     done = ab(tmp_path, ROOT)
     assert done.returncode == 1
     assert "outputs differ" in done.stderr and "block" not in done.stdout
+
+
+def test_setup_ab_probes_two_trees_in_turn():
+    done = subprocess.run([sys.executable, str(SETUP_AB), ROOT, ROOT, "--probes", "2"],
+                          capture_output=True, text=True, timeout=300, env=ENV)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["workload"] == "pid-markov-io" and result["probes"] == 2
+    for side in ("base", "change"):
+        assert 0 < result[f"{side}_min_s"] <= result[f"{side}_median_s"]
+    assert result["ratio"] > 0 and result["min_ratio"] > 0

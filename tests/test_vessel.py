@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpsim.vessel import (SingularInertiaError, VesselParams, rotation_matrix, ssa,
-                          wrap_angle, yaw_cos_sin)
+                          ssa_array, wrap_angle, yaw_cos_sin)
 
 from oracles import plant_derivative, rk4_step, yaw_rate_skew
 
@@ -121,6 +121,46 @@ class TestSmallestSignedAngle:
     @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
     def test_non_finite_gives_nan(self, angle):
         assert np.isnan(ssa(angle))
+
+
+def assert_ssa_array_is_the_scalar(angles):
+    angles = np.array(angles, dtype=float)
+    want = np.array([ssa(float(a)) for a in angles])
+    got = ssa_array(angles.copy())
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+PI_UP, PI_DOWN = np.nextafter(np.pi, 4.0), np.nextafter(np.pi, 0.0)
+TWO_PI = 2.0 * np.pi
+SSA_EDGES = [np.pi, -np.pi, PI_UP, PI_DOWN, -PI_UP, -PI_DOWN,
+             3 * np.pi, -3 * np.pi, 5 * np.pi, -5 * np.pi, 101 * np.pi, -101 * np.pi,
+             np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0),
+             np.nextafter(TWO_PI, 7.0), np.nextafter(-TWO_PI, -7.0),
+             5e-324, -5e-324, 0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestSmallestSignedAngleArray:
+    """``ssa_array`` is ``ssa`` element by element, to the bit."""
+
+    @pytest.mark.parametrize("angle", SSA_EDGES)
+    def test_edges(self, angle):
+        assert_ssa_array_is_the_scalar([angle])
+
+    def test_edges_together(self):
+        assert_ssa_array_is_the_scalar(SSA_EDGES)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_drawn_floats(self, angles):
+        assert_ssa_array_is_the_scalar(angles)
+
+    @given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+    def test_drawn_angles_near_the_seams(self, angles):
+        assert_ssa_array_is_the_scalar(angles)
+
+    def test_writes_over_its_argument(self):
+        angles = np.array([0.5, 4.0, -4.0])
+        assert ssa_array(angles) is angles
+        np.testing.assert_array_equal(angles, [ssa(0.5), ssa(4.0), ssa(-4.0)])
 
 
 class TestDomainTypes:

@@ -1,11 +1,13 @@
 """In-process interleaved A/B of a scenario's parse and run between two source trees.
 
-    python3 tools/ab_inprocess.py BASE [CHANGE] [--workload pid-markov-io] [--blocks 8]
+    python3 tools/ab_inprocess.py BASE [CHANGE] [--workload NAME ...] [--blocks 8]
 
 BASE and CHANGE are checkouts, each with its own ``src/dpsim`` (CHANGE
 defaults to this one); a parent commit can be unpacked with ``git archive``.
 Both are imported into this one process, each under a module set of its
 own, and run the scenarios that perfbench's ``--workload`` sends.
+``--workload`` takes one or more names (default ``pid-markov-io``), which
+run one after another, each checked and then timed as below.
 The script first runs both trees on each of the workload's 64 reference
 seeds (``perfbench.workloads.REFERENCE_SEEDS``) and checks that they give
 the same trace CSV bytes (the ``# version:`` line left out) and final
@@ -20,8 +22,8 @@ that the run uses; a config parsed once and run again would time no build
 at all.  The two trees take turns going first, run by run.  It prints each
 block's medians, then each tree's median over all runs, the ratio base /
 change (above 1 means the change is faster), and how many blocks the change
-won.  The last line holds the same numbers as JSON, with the seeds checked
-and the counts of moved and of all trace values.
+won.  A line of JSON closes each workload's output with the same numbers,
+the seeds checked and the counts of moved and of all trace values.
 numpy's BLAS threads are whatever the environment sets
 (``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
 binary values, so it holds only within one thread setting, as here: a
@@ -137,32 +139,23 @@ def timed(tree, raw):
     return time.perf_counter() - start
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("change", type=Path, nargs="?", default=ROOT)
-    parser.add_argument("--workload", default="pid-markov-io")
-    parser.add_argument("--blocks", type=int, default=8)
-    args = parser.parse_args(argv)
-    if args.blocks < 1:
-        parser.error("--blocks must be at least 1")
-
-    scenarios = workload_scenarios(args.workload)
-    trees = {"base": load_tree(args.base), "change": load_tree(args.change)}
+def ab(trees, name, scenarios, blocks):
+    """Check and time workload ``name`` on its ``scenarios``; its JSON record, or
+    None when the trees' outputs differ."""
     counts = moved_values(trees.values(), scenarios)
     if counts is None:
-        return 1
+        return None
     moved, total = counts
-    print(f"{args.workload} seeds 0-{len(scenarios) - 1}: same trace bytes and final weights; "
+    print(f"{name} seeds 0-{len(scenarios) - 1}: same trace bytes and final weights; "
           f"{moved} of {total} trace values differ in their bits")
-    print(f"seed {SEED}: {args.blocks} blocks of {RUNS} runs per tree")
+    print(f"seed {SEED}: {blocks} blocks of {RUNS} runs per tree")
 
     raw = scenarios[SEED]
     for tree in trees.values():             # warm-up
         timed(tree, raw)
     times = {"base": [], "change": []}
     won = 0
-    for block in range(args.blocks):
+    for block in range(blocks):
         got = {"base": [], "change": []}
         for run in range(RUNS):
             for side in ("base", "change") if run % 2 == 0 else ("change", "base"):
@@ -175,11 +168,32 @@ def main(argv=None):
               f"ratio {base / change:.4f}")
     base, change = (statistics.median(times[side]) for side in ("base", "change"))
     print(f"median base {base * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
-          f"ratio {base / change:.4f}, change won {won} of {args.blocks} blocks")
-    print(json.dumps({"workload": args.workload, "seeds_checked": len(scenarios),
-                      "moved_values": moved, "values": total, "seed": SEED,
-                      "base_ms": base * 1e3, "change_ms": change * 1e3, "ratio": base / change,
-                      "blocks_won": won, "blocks": args.blocks, "runs": RUNS}))
+          f"ratio {base / change:.4f}, change won {won} of {blocks} blocks")
+    return {"workload": name, "seeds_checked": len(scenarios), "moved_values": moved,
+            "values": total, "seed": SEED, "base_ms": base * 1e3, "change_ms": change * 1e3,
+            "ratio": base / change, "blocks_won": won, "blocks": blocks, "runs": RUNS}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path, nargs="?", default=ROOT)
+    parser.add_argument("--workload", nargs="+", default=["pid-markov-io"])
+    parser.add_argument("--blocks", type=int, default=8)
+    args = parser.parse_args(argv)
+    if args.blocks < 1:
+        parser.error("--blocks must be at least 1")
+
+    try:
+        scenarios = {name: workload_scenarios(name) for name in args.workload}
+    except KeyError as exc:
+        parser.error(f"unknown workload {exc}")
+    trees = {"base": load_tree(args.base), "change": load_tree(args.change)}
+    for name, runs in scenarios.items():
+        record = ab(trees, name, runs, args.blocks)
+        if record is None:
+            return 1
+        print(json.dumps(record))
     return 0
 
 
