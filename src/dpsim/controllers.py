@@ -11,8 +11,9 @@ Two controller families:
   command ``alpha1 = -R^T K1 z1``, control law
   ``tau = -R^T z1 - K2 z2 + theta_hat . g(Z)``, and a leaky gradient update
   of the per-axis weights; :func:`backstep_law`, in floats, is its one form here.
-Both laws take the heading error as the smallest signed angle, ``ssa``, and
-both clamp their output through :func:`saturate`, a float clamp.
+Both laws take the heading error as the smallest signed angle, ``ssa``
+(called only outside (-pi, pi], where it is not the identity), and both
+clamp their output through :func:`saturate`, a float clamp, given limits.
 
 The weight update default (``law="stable"``) is
 ``theta_dot_i = -Gamma_i (g z2_i + sigma_i theta_i)``, the unique sign
@@ -106,7 +107,7 @@ class PidController:
         """
         if not 0.0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        (xd, yd, psid), half = eta_d, 0.5 * dt
+        (xd, yd, psid), half, pi = eta_d, 0.5 * dt, math.pi
         (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.gains.Kp.tolist()
         (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = self.gains.Ki.tolist()
         (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = self.gains.Kd.tolist()
@@ -125,7 +126,9 @@ class PidController:
             nonlocal i0, i1, i2, prev
             x, y, psi, u, v, r = state
             dx, dy = xd - x, yd - y
-            e0, e1, e2 = c * dx + s * dy, c * dy - s * dx, ssa(psid - psi)
+            e0, e1, e2 = c * dx + s * dy, c * dy - s * dx, psid - psi
+            if not -pi < e2 <= pi:
+                e2 = ssa(e2)
             if prev is not None:
                 p0, p1, p2 = prev
                 i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
@@ -135,7 +138,9 @@ class PidController:
         def earth(state, c, s):
             nonlocal i0, i1, i2, prev
             x, y, psi, u, v, r = state
-            e0, e1, e2 = xd - x, yd - y, ssa(psid - psi)
+            e0, e1, e2 = xd - x, yd - y, psid - psi
+            if not -pi < e2 <= pi:
+                e2 = ssa(e2)
             if prev is not None:
                 p0, p1, p2 = prev
                 i0, i1, i2 = i0 + half * (p0 + e0), i1 + half * (p1 + e1), i2 + half * (p2 + e2)
@@ -233,17 +238,21 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
 
     ``errors`` reads pose and velocity from ``state[:6]`` and the yaw's cosine
     and sine and returns the triples z1, alpha1 and z2; ``torque(z1, z2, nn,
-    c, s)`` returns ``-R^T z1 - K2 z2 + nn`` clamped by :func:`saturate`.
+    c, s)`` returns ``-R^T z1 - K2 z2 + nn``, clamped by :func:`saturate`
+    given ``limits``.
     This is the package's one form of the law, written out product by
     product; ``tests/oracles.py`` keeps its numpy form as a reference.
     """
     (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gains.K1.tolist()
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = gains.K2.tolist()
     xd, yd, psid = np.asarray(eta_d, dtype=float).tolist()
+    pi = math.pi
 
     def errors(state, c, s):
         x, y, psi, u, v, r = state[:6]
-        e0, e1, e2 = x - xd, y - yd, ssa(psi - psid)
+        e0, e1, e2 = x - xd, y - yd, psi - psid
+        if not -pi < e2 <= pi:
+            e2 = ssa(e2)
         w0 = k00 * e0 + k01 * e1 + k02 * e2
         w1 = k10 * e0 + k11 * e1 + k12 * e2
         w2 = k20 * e0 + k21 * e1 + k22 * e2
@@ -252,9 +261,10 @@ def backstep_law(gains: BackstepGains, eta_d, limits: SaturationLimits | None):
 
     def torque(z1, z2, nn, c, s):
         (e0, e1, e2), (q0, q1, q2) = z1, z2
-        return saturate((-(c * e0 + s * e1) - (q00 * q0 + q01 * q1 + q02 * q2) + nn[0],
-                         -(c * e1 - s * e0) - (q10 * q0 + q11 * q1 + q12 * q2) + nn[1],
-                         -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2]), limits)
+        tau = (-(c * e0 + s * e1) - (q00 * q0 + q01 * q1 + q02 * q2) + nn[0],
+               -(c * e1 - s * e0) - (q10 * q0 + q11 * q1 + q12 * q2) + nn[1],
+               -e2 - (q20 * q0 + q21 * q1 + q22 * q2) + nn[2])
+        return tau if limits is None else saturate(tau, limits)
 
     return errors, torque
 

@@ -8,16 +8,17 @@ of its weights, resets them each step and forms the weights every
 ``FOLD_STEPS`` steps (see ``simulate_adaptive``); frozen weights and PID
 carry none.  PID holds its output over each step: its law, bound once per
 run by ``PidController.bind``, runs once per step on the engine's yaw cosine
-and sine.  Every load, constant or Markov, is read through ``body_load(cos
-psi, sin psi)`` once per step, held across the sub-stages, and advanced by
-the call its ``stepper(dt)`` binds once per run, which starts the load
-afresh, so one component set serves every run; both laws clamp through
-``controllers.saturate``.  The engine's and the laws' 3-vector arithmetic
-is written in floats, not numpy calls, since the call cost dominates at
-that size.  It skips what is exactly zero: the plant rate and V2a read only
-surge and the sway-yaw block of M, M^-1 and D, which ``VesselParams``
-requires; a held law's plant force ``tau + load`` is formed once per step;
-and the adaptive law forms only the live entries of its weight coordinates.
+and sine, taken inline.  Every load, constant or Markov, is read through
+``body_load(cos psi, sin psi)`` once per step, held across the sub-stages,
+and advanced by the call its ``stepper(dt)`` binds once per run, which starts
+the load afresh, so one component set serves every run; both laws clamp
+through ``controllers.saturate`` given limits.  The engine's and the laws'
+3-vector arithmetic is written in floats, not numpy calls, since the call
+cost dominates at that size.  It skips what is exactly zero: the plant rate
+and V2a read only surge and the sway-yaw block of M, M^-1 and D, which
+``VesselParams`` requires; a held law's plant force ``tau + load`` is formed
+once per step; and the adaptive law forms only the live entries of its
+weight coordinates.
 The engine packs one row of doubles per full-rate sample into a buffer
 that becomes ``RunTrace.data`` without a copy; the time column and V1,
 which nothing in the loop reads, are formed after the loop, in numpy, with
@@ -42,8 +43,7 @@ from dpsim.controllers import (BackstepGains, PidController, SaturationLimits,
                                backstep_law, saturate)
 from dpsim.traces import TRACE_COLUMNS, RunTrace, target_pose
 # unused here: perfbench's test_wrappers_are_removed_after_the_request reads rotation_matrix
-from dpsim.vessel import (VesselParams, rotation_matrix, ssa_array,  # noqa: F401
-                          wrap_angle, yaw_cos_sin)
+from dpsim.vessel import VesselParams, rotation_matrix, ssa_array, wrap_angle  # noqa: F401
 
 DEFAULT_POS_BAND_M = 0.5
 DEFAULT_PSI_BAND_RAD = math.radians(0.5)
@@ -112,7 +112,9 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     every controller.  ``law = (control, held, end_step)``.  ``control(y, c,
     s, stage)`` runs at RK4 stage 0, the full-rate sample, with ``(c, s)``
     the cosine and sine of the yaw, and returns ``(tau, z2, theta_norms,
-    probe_fields)``: ``tau`` and ``z2`` are three floats.  A ``held`` law
+    probe_fields)``: ``tau`` and ``z2`` are three floats.  Each stage takes
+    ``(c, s)`` inline, both nan at a yaw of +-inf, where ``math.cos``
+    raises, as ``vessel.yaw_cos_sin`` gives.  A ``held`` law
     holds tau over the step, and stages 1 to 3 reuse it; otherwise
     ``control`` runs at them too and returns tau alone there.  The plant
     force ``p = tau + load`` is formed once per step for a held law and once
@@ -126,9 +128,11 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     traces keep their bytes; only an exact zero sum could differ in sign.
     ``end_step()``, if not None, runs after each RK4 combine and returns
     False when the law's own state went non-finite, which aborts the run
-    like a non-finite ``y``.  The stages run in order
-    and ``end_step`` after them, and the last sample runs stage 0 only, so
-    a law may carry work, and state of its own, from one call to the next.
+    like a non-finite ``y``.  A finite sum of ``y``'s six floats proves
+    them all finite; only a sum that overflows takes the test float by float.
+    The stages run in order and ``end_step`` after them, and the last
+    sample runs stage 0 only, so a law may carry work, and state of its
+    own, from one call to the next.
     Probe arrays are built only when ``probe`` is given.
 
     Each sample is one ``struct`` pack into a ``bytearray`` of ``steps + 1``
@@ -152,7 +156,8 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     control, held, end_step = law
     # (s, h, w): stage s's state is y + h k_(s-1), and it adds w k_s to the sum
     stages, sixth = ((1, 0.5 * dt, 2.0), (2, 0.5 * dt, 2.0), (3, dt, 1.0)), dt / 6.0
-    advance = disturbance.stepper(dt)
+    advance, body_load = disturbance.stepper(dt), disturbance.body_load
+    cos, sin, isfinite = math.cos, math.sin, math.isfinite
 
     y = (*np.asarray(eta0, dtype=float).tolist(), *np.asarray(nu0, dtype=float).tolist())
     # one row of doubles per sample, packed into the trace's own buffer; t and V1
@@ -164,8 +169,11 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             y0, y1, y2, y3, y4, y5 = y
-            c, s = yaw_cos_sin(y2)
-            l0, l1, l2 = disturbance.body_load(c, s)
+            try:
+                c, s = cos(y2), sin(y2)
+            except ValueError:      # at +-inf, as vessel.yaw_cos_sin
+                c = s = math.nan
+            l0, l1, l2 = body_load(c, s)
             tau, z2, norms, fields = control(y, c, s, 0)
             t0, t1, t2 = tau
             p0, p1, p2 = t0 + l0, t1 + l1, t2 + l2      # the plant force, as at stages 1-3
@@ -188,7 +196,10 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
             acc0, acc1, acc2, acc3, acc4, acc5 = k0, k1, k2, k3, k4, k5
             for stage, h, w in stages:
                 psi, u, v, r = k2 * h + y2, k3 * h + y3, k4 * h + y4, k5 * h + y5
-                c, s = yaw_cos_sin(psi)
+                try:
+                    c, s = cos(psi), sin(psi)
+                except ValueError:
+                    c = s = math.nan
                 if not held:
                     t0, t1, t2 = control((k0 * h + y0, k1 * h + y1, psi, u, v, r), c, s, stage)
                     p0, p1, p2 = t0 + l0, t1 + l1, t2 + l2
@@ -203,9 +214,10 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
                 acc3 += k3 * w
                 acc4 += k4 * w
                 acc5 += k5 * w
-            y = (y0 + acc0 * sixth, y1 + acc1 * sixth, y2 + acc2 * sixth,
-                 y3 + acc3 * sixth, y4 + acc4 * sixth, y5 + acc5 * sixth)
-            if not ((end_step is None or end_step()) and all(map(math.isfinite, y))):
+            y = x0, x1, x2, x3, x4, x5 = (y0 + acc0 * sixth, y1 + acc1 * sixth, y2 + acc2 * sixth,
+                                          y3 + acc3 * sixth, y4 + acc4 * sixth, y5 + acc5 * sixth)
+            if not ((end_step is None or end_step())
+                    and (isfinite(x0 + x1 + x2 + x3 + x4 + x5) or all(map(isfinite, y)))):
                 raise SimulationAbort((k + 1) * dt, k * dt, (y0, y1, y2), (y3, y4, y5))
             advance()
 
@@ -441,13 +453,19 @@ def simulate_pid(plant: VesselParams, controller: PidController, disturbance, *,
                  probe=None):
     """Run the PID loop: one control update per step, zero-order hold.
 
-    The law is bound here, so each run starts from a zero integral.
+    The law is bound here, so each run starts from a zero integral; without
+    limits its tuple is tau as it is.
     """
     eta_d = np.asarray(eta_d, dtype=float)
     law = controller.bind(eta_d.tolist(), dt)
+    zeros, fields = (0.0, 0.0, 0.0), {}     # shared: the probe copies the fields
 
-    def control(y, c, s, stage):
-        return saturate(law(y, c, s), limits), y[3:], (0.0, 0.0, 0.0), {}
+    if limits is None:
+        def control(y, c, s, stage):
+            return law(y, c, s), y[3:], zeros, fields
+    else:
+        def control(y, c, s, stage):
+            return saturate(law(y, c, s), limits), y[3:], zeros, fields
 
     return _closed_loop(
         plant, (control, True, None), disturbance, eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt,

@@ -282,6 +282,20 @@ class TestVirtualControl:
             tau, = pid_taus(pid, [(eta, nu)], eta_d)
             assert tau[2] == pytest.approx(np.radians(20.0), rel=1e-12)
 
+    @pytest.mark.parametrize("psi", [math.pi, -math.pi, math.nextafter(math.pi, 4.0),
+                                     math.nextafter(-math.pi, -4.0), 3 * math.pi])
+    def test_heading_error_at_the_range_edges_is_ssa(self, psi):
+        # the laws call ssa only outside (-pi, pi]: at -pi and just past either
+        # end its value is not the difference itself, and the laws give it bitwise
+        eta, nu = np.array([1.0, 2.0, psi]), np.zeros(3)
+        gains = BackstepGains(BENCH_K1, BENCH_K2, 0.1, (2.13, 2.13, 0.302))
+        z1 = backstep_law(gains, np.zeros(3), None)[0]([*eta, *nu], *yaw_cos_sin(psi))[0]
+        assert np.float64(z1[2]).tobytes() == np.float64(ssa(psi)).tobytes()
+        for frame in PID_FRAMES:
+            pid = PidController(PidGains(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))), frame)
+            tau, = pid_taus(pid, [(eta, nu)])
+            assert np.float64(tau[2]).tobytes() == np.float64(ssa(-psi)).tobytes()
+
 
 class TestBackstepControl:
     def test_all_zero(self):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -124,6 +125,31 @@ class TestRunSimulation:
         np.testing.assert_allclose(
             abort.velocity, [-4.0192227493137324e+297, -4.240728127350392e+299,
                              7.006579599113839e+298], rtol=1e-12)
+
+    def test_state_whose_sum_overflows_runs_on(self):
+        # six finite floats whose sum overflows: the engine's one-sum finite
+        # test falls through to the float-by-float test, and the run goes on;
+        # zero gains and a zero load from rest keep every state where it began,
+        # which is the target, so that no error term overflows either
+        zero, start = np.zeros((3, 3)), [1e308, 1e308, 0.0, 0.0, 0.0, 0.0]
+        cfg, states = small_cfg(), []
+        simulate_pid(VesselParams(cfg.m_matrix, cfg.d_matrix),
+                     PidController(PidGains(zero, zero, zero)),
+                     ConstantDisturbance(np.zeros(3)), eta0=start[:3], nu0=start[3:],
+                     eta_d=start[:3], dt=0.1, duration=2.0,
+                     probe=lambda t, info: states.append([*info["eta"], *info["nu"]]))
+        assert len(states) == 21 and math.isinf(sum(start))
+        assert np.array(states).tobytes() == np.array([start] * 21).tobytes()
+
+    @pytest.mark.parametrize("controller", ["pid", "nn-fixed"])
+    def test_stage_yaw_that_overflows_aborts(self, controller):
+        # stage 1's yaw is psi + (dt / 2) r = 5 * 1.7e308 = +inf, whose cosine
+        # and sine are nan: the run aborts at the end of its first step
+        cfg = small_cfg(controller_type=controller, dt=10.0, duration=40.0,
+                        initial_velocity=np.array([0.0, 0.0, 1.7e308]))
+        with pytest.raises(SimulationAbort) as excinfo:
+            run_simulation(cfg)
+        assert excinfo.value.t_failed == cfg.dt and excinfo.value.t_last == 0.0
 
     def test_overflowing_weights_abort_at_the_same_step(self):
         # gamma 100 under the unstable law multiplies the weights by about 1e4
@@ -313,6 +339,13 @@ def counting_calls(monkeypatch, module, name):
     return calls
 
 
+def counting_cosines(monkeypatch):
+    """A list that gets one entry per ``math.cos`` the engine takes from now on."""
+    engine_math = types.SimpleNamespace(**vars(math))
+    monkeypatch.setattr(simulate, "math", engine_math)
+    return counting_calls(monkeypatch, engine_math, "cos")
+
+
 class TestDeferredFold:
     """The weights are formed every FOLD_STEPS steps and their norms kept by the Gram identity."""
 
@@ -382,14 +415,14 @@ class TestLawCalls:
             return closed_loop(plant, (counted, *rest), *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_closed_loop", counted_loop)
-        rotations = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        rotations = counting_cosines(monkeypatch)
         run_simulation(small_cfg(controller_type="pid", duration=self.STEPS * 0.1))
         assert stages == [0] * (self.STEPS + 1)
         # the engine still rotates at every stage
         assert len(rotations) == 4 * self.STEPS + 1
 
     def test_pid_law_uses_the_engine_rotation(self, monkeypatch):
-        engine = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        engine = counting_cosines(monkeypatch)
         run_simulation(small_cfg(controller_type="pid", duration=self.STEPS * 0.1))
         assert len(engine) == 4 * self.STEPS + 1
         # the law rotates by the (c, s) it is given, here those of a zero yaw
@@ -412,7 +445,7 @@ class TestLawCalls:
     @pytest.mark.parametrize("controller", ["adaptive-nn", "nn-fixed"])
     def test_network_laws_run_at_every_stage(self, monkeypatch, controller):
         cores = counting_calls(monkeypatch, kernels, "adaptive_core")
-        rotations = counting_calls(monkeypatch, simulate, "yaw_cos_sin")
+        rotations = counting_cosines(monkeypatch)
         run_simulation(small_cfg(controller_type=controller, duration=self.STEPS * 0.1))
         assert len(cores) == len(rotations) == 4 * self.STEPS + 1
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab_inprocess.py"
 SETUP_AB = ROOT / "tools" / "setup_ab.py"
@@ -32,6 +34,11 @@ def test_ab_times_two_trees_that_write_the_same_bytes():
     assert result["values"] > 0
     assert result["blocks"] == 1 and result["runs"] == 50
     assert 0 <= result["blocks_won"] <= 1 and result["ratio"] > 0
+    # the run alone, timed inside the same runs, leaves the parse out
+    assert 0 < result["run_base_ms"] < result["base_ms"]
+    assert 0 < result["run_change_ms"] < result["change_ms"]
+    assert result["run_ratio"] == pytest.approx(result["run_base_ms"] / result["run_change_ms"])
+    assert f"run alone: median base {result['run_base_ms']:.3f} ms" in done.stdout
 
 
 def test_ab_checks_and_times_each_named_workload():
@@ -41,7 +48,7 @@ def test_ab_checks_and_times_each_named_workload():
     assert [r["workload"] for r in results] == ["nn-fixed-markov", "pid-markov-io"]
     for result in results:
         assert result["seeds_checked"] == 64 and result["moved_values"] == 0
-        assert result["values"] > 0 and result["ratio"] > 0
+        assert result["values"] > 0 and result["ratio"] > 0 and result["run_ratio"] > 0
     # 64 seeds of 41 rows and of 1001 rows, 18 values each
     assert [r["values"] for r in results] == [64 * 41 * 18, 64 * 1001 * 18]
 

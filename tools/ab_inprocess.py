@@ -19,11 +19,15 @@ CSV prints, and the count shows how many it moved.  It then times
 ``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
 warm-up run of each.  The parse is timed because it builds the components
 that the run uses; a config parsed once and run again would time no build
-at all.  The two trees take turns going first, run by run.  It prints each
-block's medians, then each tree's median over all runs, the ratio base /
-change (above 1 means the change is faster), and how many blocks the change
-won.  A line of JSON closes each workload's output with the same numbers,
-the seeds checked and the counts of moved and of all trace values.
+at all.  The same runs also time ``run_simulation`` alone, which is what
+perfbench's ``steps_per_s`` times; the parse, which it leaves out, would
+dilute a change to the run.  The two trees take turns going first, run by
+run.  It prints each block's medians, then each tree's median over all
+runs, the ratio base / change (above 1 means the change is faster), and how
+many blocks the change won, and the medians and ratio of the run alone.  A
+line of JSON closes each workload's output with the same numbers (the run
+alone as ``run_base_ms``, ``run_change_ms`` and ``run_ratio``), the seeds
+checked and the counts of moved and of all trace values.
 numpy's BLAS threads are whatever the environment sets
 (``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
 binary values, so it holds only within one thread setting, as here: a
@@ -134,9 +138,13 @@ def moved_values(trees, scenarios):
 
 
 def timed(tree, raw):
+    """Seconds of the parse and the run together, and of the run alone."""
     start = time.perf_counter()
-    tree.simulate.run_simulation(tree.config.parse_scenario(raw))
-    return time.perf_counter() - start
+    cfg = tree.config.parse_scenario(raw)
+    parsed = time.perf_counter()
+    tree.simulate.run_simulation(cfg)
+    end = time.perf_counter()
+    return end - start, end - parsed
 
 
 def ab(trees, name, scenarios, blocks):
@@ -153,25 +161,30 @@ def ab(trees, name, scenarios, blocks):
     raw = scenarios[SEED]
     for tree in trees.values():             # warm-up
         timed(tree, raw)
-    times = {"base": [], "change": []}
+    times = {"base": [], "change": []}      # (parse and run, run alone) per run
     won = 0
     for block in range(blocks):
         got = {"base": [], "change": []}
         for run in range(RUNS):
             for side in ("base", "change") if run % 2 == 0 else ("change", "base"):
                 got[side].append(timed(trees[side], raw))
-        base, change = (statistics.median(got[side]) for side in ("base", "change"))
+        base, change = (statistics.median(t for t, _ in got[side]) for side in ("base", "change"))
         won += change < base
         for side in times:
             times[side] += got[side]
         print(f"block {block + 1}: base {base * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
               f"ratio {base / change:.4f}")
-    base, change = (statistics.median(times[side]) for side in ("base", "change"))
+    (base, run_base), (change, run_change) = (
+        map(statistics.median, zip(*times[side])) for side in ("base", "change"))
     print(f"median base {base * 1e3:.3f} ms, change {change * 1e3:.3f} ms, "
           f"ratio {base / change:.4f}, change won {won} of {blocks} blocks")
+    print(f"run alone: median base {run_base * 1e3:.3f} ms, change {run_change * 1e3:.3f} ms, "
+          f"ratio {run_base / run_change:.4f}")
     return {"workload": name, "seeds_checked": len(scenarios), "moved_values": moved,
             "values": total, "seed": SEED, "base_ms": base * 1e3, "change_ms": change * 1e3,
-            "ratio": base / change, "blocks_won": won, "blocks": blocks, "runs": RUNS}
+            "ratio": base / change, "run_base_ms": run_base * 1e3,
+            "run_change_ms": run_change * 1e3, "run_ratio": run_base / run_change,
+            "blocks_won": won, "blocks": blocks, "runs": RUNS}
 
 
 def main(argv=None):
