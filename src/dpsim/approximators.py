@@ -124,8 +124,8 @@ def gaussian_basis(net: RbfNetwork, z) -> np.ndarray:
 
 
 def row_norms(theta) -> np.ndarray:
-    """Euclidean norm of each row of ``theta``: one dot product per row, no temporary."""
-    return np.sqrt([row @ row for row in theta])
+    """Euclidean norm of each row of ``theta``; ``einsum`` takes no temporary and no BLAS call."""
+    return np.sqrt(np.einsum("ij,ij->i", theta, theta))
 
 
 class AdaptiveWeights:

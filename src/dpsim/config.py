@@ -68,8 +68,8 @@ DEFAULT_WEIGHT_SEED = 1
 # the one-column temporaries of the columns formed after the loop and of the
 # metrics, the measured tracemalloc peak of a 4000 s PID Markov run is 205 B
 # per step (Python 3.11, numpy 2.4); the budget counts the rows alone.  An
-# adaptive run holds nine doubles per grid node: the weights (3 rows),
-# their initial copy (3 rows) and the product of the weight fold (3 rows).
+# adaptive run holds four doubles per grid node: the weights (3 rows), which
+# it integrates in place, and one axis of the weight fold's product (1 row).
 # The stages of the steps between two folds keep only the two factors of
 # their basis vectors, p^4 + p^5 values each.  The node ceiling below still
 # counts ten doubles per node, which leaves headroom.

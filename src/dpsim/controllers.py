@@ -21,7 +21,7 @@ combination whose weight-error cross term cancels in the dissipation
 analysis (see the ultimate-bound diagnostics below).  ``law="unstable"``
 flips the overall sign, which turns the leak into exponential weight growth;
 it is kept selectable for side-by-side demonstration of why the sign matters.
-``dpsim.simulate.simulate_adaptive`` is the update's only integrator.
+``dpsim.simulate._network_run`` is the update's only integrator.
 """
 
 from __future__ import annotations
@@ -222,13 +222,11 @@ class SaturationLimits:
         object.__setattr__(self, "tau_max", t)
 
 
-def saturate(tau, limits: SaturationLimits | None) -> tuple:
-    """Three floats clamped componentwise to [-tau_max, tau_max]; unchanged when disabled.
+def saturate(tau, limits: SaturationLimits) -> tuple:
+    """Three floats clamped componentwise to [-tau_max, tau_max].
 
     A nan passes through, since ``max(nan, -m)`` is nan.
     """
-    if limits is None:
-        return tuple(tau)
     (t0, t1, t2), (m0, m1, m2) = tau, limits.tau_max.tolist()
     return min(max(t0, -m0), m0), min(max(t1, -m1), m1), min(max(t2, -m2), m2)
 

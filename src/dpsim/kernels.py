@@ -29,7 +29,8 @@ The weight update is integrated in the span of the weights and the basis
 vectors of the steps since the weights were last formed (see
 ``dpsim.simulate``): :func:`gram_row` gives the dot products of a stage's
 basis with those of the earlier rows, and :func:`fold` forms the weights
-from the coordinates every few steps.
+from the coordinates every few steps, in place, one axis at a time, through
+a buffer a third of the weights' size.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ def fold(work, x, factors, out):
     """``theta_i <- x_i0 theta_i + sum_s x_is g_s`` in place, for the bases of ``factors``.
 
     ``theta`` is the workspace's and ``x`` is (3, 1 + n) for the n factor
-    rows.  The sum is one (3L x n) @ (n x R) product, written into ``out``
-    (shaped like ``theta``) and then added.
+    rows.  Per axis, the sum is an (L x n) @ (n x R) product into the (L, R)
+    buffer ``out``, added to ``x_i0 theta_i``; unlike a (3L x n) product, it
+    keeps its bits under one BLAS thread and two (``tests/test_outputs.py``).
     """
-    theta = work.theta
     lefts, rights = work.halves(factors)
-    theta *= x[:, :1]
-    scaled = (lefts.T * x[:, None, 1:]).reshape(-1, factors.shape[0])
-    np.matmul(scaled, rights, out=out.reshape(scaled.shape[0], -1))
-    theta += out
-    return theta
+    for theta_i, x_i in zip(work.theta_rows.reshape(3, work.left, -1), x):
+        np.matmul(lefts.T * x_i[1:], rights, out=out)
+        theta_i *= x_i[:1]
+        theta_i += out
+    return work.theta

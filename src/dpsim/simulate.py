@@ -5,7 +5,7 @@ RK4 integrator, one loop for every controller.  Its RK4 state is the pose and
 velocity, six floats, for every controller; a law with state of its own
 integrates it at the same stages.  The adaptive law carries 15 coordinates
 of its weights, resets them each step and forms the weights every
-``FOLD_STEPS`` steps (see ``simulate_adaptive``); frozen weights and PID
+``FOLD_STEPS`` steps (see ``_network_run``); frozen weights and PID
 carry none.  PID holds its output over each step: its law, bound once per
 run by ``PidController.bind``, runs once per step on the engine's yaw cosine
 and sine, taken inline.  Every load, constant or Markov, is read through
@@ -242,7 +242,7 @@ def _closed_loop(plant, law, disturbance, *, eta0, nu0, eta_d, dt, duration, pro
 
 
 # Steps whose factor rows wait before they are folded into the weights (see
-# simulate_adaptive).  A fold makes two full passes over the weights; on 3^9
+# _network_run).  A fold makes two full passes over the weights; on 3^9
 # nodes 8 was the fastest of 2, 4, 6, 8 and 16 (BENCH_12.json).
 FOLD_STEPS = 8
 
@@ -251,11 +251,25 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
                       weights0: AdaptiveWeights, disturbance, *, eta0, nu0, eta_d,
                       dt, duration, limits: SaturationLimits | None = None, adapt=True,
                       probe=None):
-    """Run the adaptive (or frozen-weight) backstepping loop.
+    """Run the adaptive (or frozen-weight) backstepping loop (``_network_run``)
+    from ``weights0``, which keep their values: an adaptive run integrates a
+    copy, and a frozen run (``adapt=False``) reads them in place."""
+    if weights0.node_count != network.node_count:
+        raise ValueError("initial weights do not match the network size")
+    return _network_run(plant, gains, network,
+                        weights0.theta.copy() if adapt else weights0.theta, disturbance,
+                        eta0=eta0, nu0=nu0, eta_d=eta_d, dt=dt, duration=duration,
+                        limits=limits, adapt=adapt, probe=probe)
 
-    ``adapt=False`` keeps the initial weights for the whole run and reads
-    them in place; the law then has no state.  With adaptation, the update
-    ``theta_dot_i = gamma_i s (z2_i g + sigma_i theta_i)``, with ``s =
+
+def _network_run(plant, gains, network, theta, disturbance, *, eta0, nu0, eta_d, dt,
+                 duration, limits, adapt, probe=None):
+    """The backstepping loop on the (3, l) weights ``theta``, integrated in place.
+
+    Its callers pass weights that nothing else reads: ``simulate_adaptive`` a
+    copy, ``run_simulation`` the weights it drew.  ``adapt=False`` keeps
+    ``theta`` for the whole run; the law then has no state.  With adaptation,
+    the update ``theta_dot_i = gamma_i s (z2_i g + sigma_i theta_i)``, with ``s =
     gains.law_sign``, is linear in ``theta_i`` with a scalar gain per axis,
     so every RK4 stage value of ``theta_i`` lies in the span of
     ``theta_i(t_k)``, the weights at the start of the step, and ``g_1 ..
@@ -293,19 +307,15 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
     ``probe``, when given, is called at every full-rate sample with a dict of
     internals (t, eta, nu, theta, z1, z2, alpha1, basis, tau, delta) for
     diagnostics; only then is the sample's basis vector formed.
-    ``trace.final_theta`` is a read-only view of the run's weights, which
-    for a frozen run are ``weights0.theta`` itself.  The stages share one
-    ``kernels.Workspace``, so a stage allocates only its results.  The views
+    ``trace.final_theta`` is a read-only view of ``theta``.  The stages share
+    one ``kernels.Workspace``, so a stage allocates only its results.  The views
     a stage reads are bound once per run: each factor row's halves and those
     of the rows before it (``Workspace.halves``), and the coefficient columns
     for each pending count; a frozen run binds its one factor row's halves.
     """
-    if weights0.node_count != network.node_count:
-        raise ValueError("initial weights do not match the network size")
     eta_d = np.asarray(eta_d, dtype=float)
     sign = gains.law_sign
     errors, torque = backstep_law(gains, eta_d, limits)
-    theta = weights0.theta.copy() if adapt else weights0.theta     # frozen: read in place
     work = network.workspace(theta)
     z = work.z
     pending = 0                 # factor rows not yet folded into theta
@@ -327,7 +337,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
         # row j, bound once: the row, its halves, and the halves of rows 0 .. j
         rows = [(f, work.halves(f), work.halves(factors[:j + 1]))
                 for j, f in enumerate(factors)]
-        fold_out = np.empty_like(theta)
+        axis_out = np.empty((work.left, work.theta_rows.shape[1]))     # one axis of theta
         coef = np.zeros((3, 1 + factors.shape[0]))      # [a, c_1 .. c_pending] per row
         coef[:, 0] = 1.0
         scale = coef[:, 0]
@@ -360,7 +370,7 @@ def simulate_adaptive(plant: VesselParams, gains: BackstepGains, network: RbfNet
 
         def fold():
             nonlocal pending
-            kernels.fold(work, coef[:, :1 + pending], factors[:pending], fold_out)
+            kernels.fold(work, coef[:, :1 + pending], factors[:pending], axis_out)
             coef[:, 0] = 1.0
             pending = 0
 
@@ -487,10 +497,11 @@ def run_simulation(cfg: ScenarioConfig):
         trace, metrics = simulate_pid(parts.plant, parts.pid, parts.disturbance, **common)
     else:
         meta["nodes"] = str(parts.network.node_count)
-        weights0 = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed)
-        adapt = cfg.controller_type == "adaptive-nn"
-        trace, metrics = simulate_adaptive(parts.plant, parts.gains, parts.network, weights0,
-                                           parts.disturbance, adapt=adapt, **common)
+        # drawn here and read by nothing else, so the run integrates them in place
+        theta = AdaptiveWeights.random_init(parts.network.node_count, cfg.weight_seed).theta
+        trace, metrics = _network_run(parts.plant, parts.gains, parts.network, theta,
+                                      parts.disturbance,
+                                      adapt=cfg.controller_type == "adaptive-nn", **common)
     trace.meta = meta
     if cfg.decimation > 1:
         trace.data = trace.data[::cfg.decimation].copy()

@@ -319,5 +319,7 @@ class TestSeparableBasis:
         theta = rng.normal(size=(3, net.node_count))
         x = rng.normal(size=(3, 5))
         want = x[:, :1] * theta + x[:, 1:] @ dense
-        got = kernels.fold(net.workspace(theta.copy()), x, factors, np.empty_like(theta))
+        work = net.workspace(theta.copy())
+        # the buffer holds one axis's (L, R) product at a time
+        got = kernels.fold(work, x, factors, np.empty((work.left, work.size - work.left)))
         assert_close_to_terms(got, want, np.abs(x[:, :1] * theta) + np.abs(x[:, 1:]) @ dense)

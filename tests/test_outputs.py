@@ -18,8 +18,9 @@ call per step, since their law takes its gain products in floats, so their
 digests do not depend on the BLAS build.  A change that moves a digest
 re-records them: the failure message prints both host lines and the new
 digests, ready to paste into the file; say why in CHANGES.md.  The BLAS
-thread count is not on the host line: a run writes the same CSV bytes under
-one thread and two.
+thread count is not on the host line: a network run gives the same binary
+trace values and final weights, so the same CSV bytes, under one thread and
+two.
 """
 
 import hashlib
@@ -148,3 +149,38 @@ def test_blas_thread_count_moves_no_csv_byte(tmp_path):
         written.append([(out / name).read_bytes() for name in ("trace.csv", "weights.csv")])
     assert written[0][0] == written[1][0], "the trace CSVs differ"
     assert written[0][1] == written[1][1], "the weight CSVs differ"
+
+
+# writes the binary trace values and final weights of 20 s network runs under
+# the Markov load into the directory argv[1]
+NETWORK_RUNS = """
+import sys
+from pathlib import Path
+from dpsim.config import parse_scenario
+from dpsim.simulate import run_simulation
+for controller in ("adaptive-nn", "nn-fixed"):
+    trace, _ = run_simulation(parse_scenario({
+        "controller": {"type": controller}, "disturbance": {"type": "markov"},
+        "simulation": {"duration": 20.0}}))
+    Path(sys.argv[1], controller + ".data").write_bytes(trace.data.tobytes())
+    Path(sys.argv[1], controller + ".weights").write_bytes(trace.final_theta.tobytes())
+"""
+
+
+def test_blas_thread_count_moves_no_binary_value(tmp_path):
+    # the network laws' weight products, norms and fold give the same doubles
+    # under one BLAS thread and two, not only the same CSVs
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", NETWORK_RUNS, str(out)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["adaptive-nn.data", "adaptive-nn.weights",
+                                  "nn-fixed.data", "nn-fixed.weights"]
+    for name in written[0]:
+        assert written[0][name] == written[1][name], f"{name} differs"

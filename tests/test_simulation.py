@@ -264,6 +264,24 @@ class TestRunSimulation:
         assert np.shares_memory(trace.final_theta, weights0.theta)
         assert not trace.final_theta.flags.writeable
 
+    def test_adaptive_run_keeps_one_weight_array(self):
+        # run_simulation integrates the weights it drew in place, and the fold
+        # goes through a buffer of one axis: besides those weights (1 x theta)
+        # the run allocates less than theta holds; a private copy of the
+        # weights or a theta-sized fold product would take the peak past 2 x
+        cfg = replace(default_scenario(), duration=4.0)
+        assert cfg.controller_type == "adaptive-nn"
+        nbytes = 3 * cfg.components.network.node_count * 8
+        run_simulation(cfg)     # a first run imports the modules numpy's generator needs
+        tracemalloc.start()
+        try:
+            trace, _ = run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.final_theta.nbytes == nbytes
+        assert peak < 2 * nbytes, (peak, nbytes)
+
     @pytest.mark.parametrize("adapt", [True, False], ids=["adaptive-nn", "nn-fixed"])
     def test_probe_basis_is_the_basis_at_the_probed_state(self, adapt):
         cfg = small_cfg(duration=2.0)

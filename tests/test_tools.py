@@ -32,6 +32,8 @@ def test_ab_times_two_trees_that_write_the_same_bytes():
     assert result["workload"] == "pid-markov-io" and result["seed"] == 1
     assert result["seeds_checked"] == 64 and result["moved_values"] == 0
     assert result["values"] > 0
+    # a PID run has no weights
+    assert result["moved_weights"] == 0 and result["weights"] == 0
     assert result["blocks"] == 1 and result["runs"] == 50
     assert 0 <= result["blocks_won"] <= 1 and result["ratio"] > 0
     # the run alone, timed inside the same runs, leaves the parse out
@@ -51,6 +53,9 @@ def test_ab_checks_and_times_each_named_workload():
         assert result["values"] > 0 and result["ratio"] > 0 and result["run_ratio"] > 0
     # 64 seeds of 41 rows and of 1001 rows, 18 values each
     assert [r["values"] for r in results] == [64 * 41 * 18, 64 * 1001 * 18]
+    # 64 seeds of 3 x 3^9 frozen weights, and none for PID
+    assert [r["weights"] for r in results] == [64 * 3 * 3 ** 9, 0]
+    assert [r["moved_weights"] for r in results] == [0, 0]
 
 
 def test_ab_rejects_an_unknown_workload_before_running():
@@ -69,6 +74,28 @@ def test_ab_stops_when_the_trees_write_different_bytes(tmp_path):
     done = ab(tmp_path, ROOT)
     assert done.returncode == 1
     assert "outputs differ" in done.stderr and "block" not in done.stdout
+
+
+def test_ab_counts_weights_that_move_by_an_ulp(tmp_path):
+    # a change that moves binary weights but no CSV byte is counted, not refused
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    kernels = tmp_path / "src" / "dpsim" / "kernels.py"
+    text = kernels.read_text()
+    assert text.count("    return work.theta\n") == 1
+    # each fold moves the last weight up by one ulp
+    kernels.write_text(text.replace(
+        "    return work.theta\n",
+        "    work.theta[-1, -1] = np.nextafter(work.theta[-1, -1], np.inf)\n"
+        "    return work.theta\n"))
+    done = ab(tmp_path, ROOT, "--workload", "adaptive-constant")
+    assert done.returncode == 0, done.stderr
+    [result] = json_lines(done.stdout)
+    assert result["seeds_checked"] == 64 and result["weights"] == 64 * 3 * 3 ** 9
+    # at least the nudged weight of each seed
+    assert result["moved_weights"] >= 64
+    assert (f"{result['moved_weights']} of {result['weights']} final weights differ"
+            in done.stdout)
 
 
 def test_setup_ab_probes_two_trees_in_turn():

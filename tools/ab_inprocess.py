@@ -10,11 +10,12 @@ own, and run the scenarios that perfbench's ``--workload`` sends.
 run one after another, each checked and then timed as below.
 The script first runs both trees on each of the workload's 64 reference
 seeds (``perfbench.workloads.REFERENCE_SEEDS``) and checks that they give
-the same trace CSV bytes (the ``# version:`` line left out) and final
-weights; it stops at the first seed where they do not.  Over the same runs
-it counts the ``trace.data`` values whose bits differ: a change that keeps
-every CSV byte can still move binary values, by less than the 9 digits the
-CSV prints, and the count shows how many it moved.  It then times
+the same trace CSV bytes (the ``# version:`` line left out) and, for a
+network run, the same ``write_weight_csv`` bytes of the final weights; it
+stops at the first seed where they do not.  Over the same runs it counts
+the ``trace.data`` values and the final weights whose bits differ: a change
+that keeps every CSV byte can still move binary values, by less than the 9
+digits the CSV prints, and the counts show how many it moved.  It then times
 ``config.parse_scenario`` plus ``simulate.run_simulation`` on seed 1 with
 ``perf_counter``, in ``--blocks`` blocks of 50 runs per tree, after one
 warm-up run of each.  The parse is timed because it builds the components
@@ -27,12 +28,10 @@ runs, the ratio base / change (above 1 means the change is faster), and how
 many blocks the change won, and the medians and ratio of the run alone.  A
 line of JSON closes each workload's output with the same numbers (the run
 alone as ``run_base_ms``, ``run_change_ms`` and ``run_ratio``), the seeds
-checked and the counts of moved and of all trace values.
-numpy's BLAS threads are whatever the environment sets
-(``OPENBLAS_NUM_THREADS`` and the like).  The final-weight check compares
-binary values, so it holds only within one thread setting, as here: a
-network run's weights and trace values move in their last bits between one
-BLAS thread and two, though its CSVs keep their bytes.
+checked, the counts of moved and of all trace values (``moved_values``,
+``values``) and of moved and of all final weights (``moved_weights``,
+``weights``; 0 and 0 for PID).  numpy's BLAS threads are whatever the
+environment sets (``OPENBLAS_NUM_THREADS`` and the like).
 
 Both trees see the same host speed within a few milliseconds of each other,
 so a 3-9 % difference shows here that the host's own speed swings between
@@ -83,12 +82,12 @@ def _isolated(paths, packages, load):
 
 
 def load_tree(root):
-    """``dpsim``'s config, simulate and traces modules from ``root/src``."""
+    """``dpsim``'s approximators, config, simulate and traces modules from ``root/src``."""
     src = Path(root).resolve() / "src"
 
     def load():
         mods = {name: importlib.import_module(f"dpsim.{name}")
-                for name in ("config", "simulate", "traces")}
+                for name in ("approximators", "config", "simulate", "traces")}
         if Path(mods["simulate"].__file__).resolve().parent.parent != src:
             raise ImportError(f"dpsim was imported from {mods['simulate'].__file__}, not {src}")
         return types.SimpleNamespace(**mods)
@@ -107,34 +106,47 @@ def workload_scenarios(name):
 
 
 def outputs(tree, raw):
-    """sha256 of the run's trace CSV without its version line and of its final
-    weights, and the trace's values."""
+    """sha256 of the run's trace CSV without its version line and of its weight
+    CSV (None without weights), the trace's values and the final weights."""
     trace, _ = tree.simulate.run_simulation(tree.config.parse_scenario(raw))
+    theta = getattr(trace, "final_theta", None)
+    weights = None
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
+        path = Path(tmp) / "out.csv"
         tree.traces.write_trace_csv(path, trace)
         lines = path.read_bytes().splitlines(keepends=True)
+        if theta is not None:
+            tree.approximators.write_weight_csv(path, theta)
+            weights = hashlib.sha256(path.read_bytes()).hexdigest()
     body = b"".join(line for line in lines if not line.startswith(b"# version:"))
-    theta = getattr(trace, "final_theta", None)
-    return (hashlib.sha256(body).hexdigest(),
-            None if theta is None else hashlib.sha256(theta.tobytes()).hexdigest()), trace.data
+    return (hashlib.sha256(body).hexdigest(), weights), trace.data, theta
+
+
+def moved_bits(base, change):
+    """How many of two same-shaped float arrays' values differ in their bits."""
+    return int(np.count_nonzero(base.view(np.uint64) != change.view(np.uint64)))
 
 
 def moved_values(trees, scenarios):
-    """(moved, total): how many of the ``trace.data`` values of ``scenarios``
-    differ in their bits between the trees, and how many there are.  None,
-    after printing both trees' digests, at the first scenario whose trace
-    bytes or final weights differ."""
-    moved = total = 0
+    """(moved, total, moved_weights, weights): how many of the ``trace.data``
+    values and of the final weights of ``scenarios`` differ in their bits
+    between the trees, and how many there are.  None, after printing both
+    trees' digests, at the first scenario whose trace or weight CSV bytes
+    differ."""
+    moved = total = moved_weights = weights = 0
     for seed, raw in enumerate(scenarios):
-        (base, base_data), (change, change_data) = (outputs(tree, raw) for tree in trees)
+        (base, base_data, base_theta), (change, change_data, change_theta) = (
+            outputs(tree, raw) for tree in trees)
         if base != change:
             print(f"the trees' outputs differ on seed {seed}: base {base}, change {change}",
                   file=sys.stderr)
             return None
-        moved += int(np.count_nonzero(base_data.view(np.uint64) != change_data.view(np.uint64)))
+        moved += moved_bits(base_data, change_data)
         total += base_data.size
-    return moved, total
+        if base_theta is not None:
+            moved_weights += moved_bits(base_theta, change_theta)
+            weights += base_theta.size
+    return moved, total, moved_weights, weights
 
 
 def timed(tree, raw):
@@ -153,9 +165,10 @@ def ab(trees, name, scenarios, blocks):
     counts = moved_values(trees.values(), scenarios)
     if counts is None:
         return None
-    moved, total = counts
-    print(f"{name} seeds 0-{len(scenarios) - 1}: same trace bytes and final weights; "
-          f"{moved} of {total} trace values differ in their bits")
+    moved, total, moved_weights, weights = counts
+    print(f"{name} seeds 0-{len(scenarios) - 1}: same trace and weight CSV bytes; "
+          f"{moved} of {total} trace values and {moved_weights} of {weights} final weights "
+          f"differ in their bits")
     print(f"seed {SEED}: {blocks} blocks of {RUNS} runs per tree")
 
     raw = scenarios[SEED]
@@ -181,7 +194,8 @@ def ab(trees, name, scenarios, blocks):
     print(f"run alone: median base {run_base * 1e3:.3f} ms, change {run_change * 1e3:.3f} ms, "
           f"ratio {run_base / run_change:.4f}")
     return {"workload": name, "seeds_checked": len(scenarios), "moved_values": moved,
-            "values": total, "seed": SEED, "base_ms": base * 1e3, "change_ms": change * 1e3,
+            "values": total, "moved_weights": moved_weights, "weights": weights, "seed": SEED,
+            "base_ms": base * 1e3, "change_ms": change * 1e3,
             "ratio": base / change, "run_base_ms": run_base * 1e3,
             "run_change_ms": run_change * 1e3, "run_ratio": run_base / run_change,
             "blocks_won": won, "blocks": blocks, "runs": RUNS}
